@@ -1,13 +1,8 @@
-// micro_transport — wire-speed report for the PR-6 transport stack.
+// micro_transport — wire-speed report for the transport stack.
 //
-// Two questions, answered with numbers and hard gates:
-//
-//   1. Codec: how much faster is the binary wire codec than the JSON+hex
-//      codec it replaced? Measured as Get bytes/s and small-RPC round
-//      trips/s through two RemoteStorageEngines over LoopbackTransport —
-//      same service, same engine, only the codec differs, so the ratio IS
-//      the serialization cost. GATE: binary must move ≥5x the bytes/s of
-//      JSON+hex at the 8 MiB payload (hex alone doubles every byte).
+//   1. Codec: Get bytes/s and small-RPC round trips/s through a
+//      RemoteStorageEngine over LoopbackTransport, so the numbers are the
+//      binary codec's serialization and dispatch cost with no wire.
 //
 //   2. Streaming: does chunked transfer bound the receiver's memory and
 //      dedupe repeated content? Measured over real unix sockets against
@@ -18,8 +13,7 @@
 //      on the server.
 //
 // Flags: --short (CI-sized iteration counts), --json <path> (write
-// BENCH_micro_transport.json for tools/bench_compare.py; the history-gated
-// metric is `real_codec_speedup_8m`).
+// BENCH_micro_transport.json for tools/bench_compare.py).
 
 #include <chrono>
 #include <cstdio>
@@ -57,14 +51,6 @@ std::string PatternedValue(size_t size) {
   return value;
 }
 
-std::unique_ptr<RemoteStorageEngine> LoopbackRemote(StorageEngineService* svc,
-                                                    WireCodec codec) {
-  return std::make_unique<RemoteStorageEngine>(
-      std::make_unique<LoopbackTransport>(
-          [svc](std::string_view request) { return svc->Handle(request); }),
-      codec);
-}
-
 /// Times `iters` Gets of `key` (whose value is `size` bytes) and returns
 /// payload bytes per second. Exits via CheckOk on any failed Get.
 double TimeGets(StorageEngine* engine, const std::string& key, size_t size,
@@ -95,7 +81,7 @@ std::string HumanSize(size_t bytes) {
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   bench::Banner("micro_transport",
-                "wire codec + chunk streaming throughput (PR-6 gates)");
+                "wire codec + chunk streaming throughput");
   bench::JsonReporter reporter("micro_transport");
 
   const struct {
@@ -110,53 +96,36 @@ int main(int argc, char** argv) {
   const size_t kLargeSize = 8u << 20;
 
   // ---- 1. codec throughput over loopback -------------------------------
-  bench::Section("codec: binary vs JSON+hex over loopback");
-  StorageEngineService binary_service(std::make_unique<ForkBaseEngine>());
-  StorageEngineService json_service(std::make_unique<ForkBaseEngine>());
-  auto binary = LoopbackRemote(&binary_service, WireCodec::kBinary);
-  auto json = LoopbackRemote(&json_service, WireCodec::kJson);
+  bench::Section("codec: binary over loopback");
+  StorageEngineService loopback_service(std::make_unique<ForkBaseEngine>());
+  RemoteStorageEngine binary(std::make_unique<LoopbackTransport>(
+      [&loopback_service](std::string_view request) {
+        return loopback_service.Handle(request);
+      }));
 
-  double speedup_8m = 0;
   for (const auto& p : kPayloads) {
     const long iters = args.short_mode ? p.iters_short : p.iters;
     const std::string key = "payload-" + HumanSize(p.size);
-    const std::string value = PatternedValue(p.size);
-    bench::CheckOk(binary->Put(key, value).status(), "binary Put");
-    bench::CheckOk(json->Put(key, value).status(), "json Put");
-
-    const double binary_bps = TimeGets(binary.get(), key, p.size, iters);
-    const double json_bps = TimeGets(json.get(), key, p.size, iters);
-    const double ratio = binary_bps / json_bps;
-    std::printf("  %6s x%-5ld  binary %8.1f MB/s   json+hex %8.1f MB/s   "
-                "ratio %.1fx\n",
-                HumanSize(p.size).c_str(), iters, binary_bps / 1e6,
-                json_bps / 1e6, ratio);
-    const std::string suffix = "_" + HumanSize(p.size);
-    reporter.Metric("codec", "binary_bytes_per_s" + suffix, binary_bps);
-    reporter.Metric("codec", "json_bytes_per_s" + suffix, json_bps);
-    if (p.size == kLargeSize) speedup_8m = ratio;
+    bench::CheckOk(binary.Put(key, PatternedValue(p.size)).status(),
+                   "binary Put");
+    const double binary_bps = TimeGets(&binary, key, p.size, iters);
+    std::printf("  %6s x%-5ld  binary %8.1f MB/s\n", HumanSize(p.size).c_str(),
+                iters, binary_bps / 1e6);
+    reporter.Metric("codec", "binary_bytes_per_s_" + HumanSize(p.size),
+                    binary_bps);
   }
-  reporter.Metric("codec", "real_codec_speedup_8m", speedup_8m);
 
   // Small-RPC rate: HasVersion round trips carry ~40 bytes each way, so
   // this measures per-call codec+dispatch overhead rather than bandwidth.
   {
     const long iters = args.short_mode ? 5000 : 50000;
-    auto id = binary->Put("rpc-probe", "x");
+    auto id = binary.Put("rpc-probe", "x");
     bench::CheckOk(id.status(), "Put rpc-probe");
-    auto json_id = json->Put("rpc-probe", "x");
-    bench::CheckOk(json_id.status(), "json Put rpc-probe");
-    const double b_start = NowSeconds();
-    for (long i = 0; i < iters; ++i) (void)binary->HasVersion(id->id);
-    const double binary_rps = iters / (NowSeconds() - b_start);
-    const double j_start = NowSeconds();
-    for (long i = 0; i < iters; ++i) (void)json->HasVersion(json_id->id);
-    const double json_rps = iters / (NowSeconds() - j_start);
-    std::printf("  small RPC      binary %8.0f rpc/s    json+hex %8.0f "
-                "rpc/s\n",
-                binary_rps, json_rps);
+    const double start = NowSeconds();
+    for (long i = 0; i < iters; ++i) (void)binary.HasVersion(id->id);
+    const double binary_rps = iters / (NowSeconds() - start);
+    std::printf("  small RPC      binary %8.0f rpc/s\n", binary_rps);
     reporter.Metric("codec", "rpc_per_s_binary", binary_rps);
-    reporter.Metric("codec", "rpc_per_s_json", json_rps);
   }
 
   // ---- 2. monolithic vs chunk-streamed over unix sockets ---------------
@@ -178,7 +147,6 @@ int main(int argc, char** argv) {
       {"monolithic", static_cast<size_t>(-1)},
       {"streamed", wire::kDefaultChunkThreshold},
   };
-  double streamed_bps = 0;
   for (const Lane& lane : lanes) {
     StorageEngineService service(std::make_unique<ForkBaseEngine>());
     SocketTransportServer::Options server_options;
@@ -213,7 +181,6 @@ int main(int argc, char** argv) {
                     static_cast<double>(stats.peak_decoder_buffer_bytes));
 
     if (lane.threshold != static_cast<size_t>(-1)) {
-      streamed_bps = bps;
       // GATE: streamed receive memory is O(chunk), not O(value).
       if (stats.peak_decoder_buffer_bytes * 4 >= kLargeSize) {
         std::fprintf(stderr,
@@ -250,22 +217,9 @@ int main(int argc, char** argv) {
     ::unlink((dir + "/" + lane.name + ".sock").c_str());
   }
   ::rmdir(dir.c_str());
-  (void)streamed_bps;
 
-  // ---- verdict ---------------------------------------------------------
-  bench::Section("verdict");
-  std::printf("  binary/json ratio at 8 MiB: %.1fx (gate: >= 5x)\n",
-              speedup_8m);
-  const bool ok = speedup_8m >= 5.0;
-  reporter.Metric("summary", "pass", ok);
+  reporter.Metric("summary", "pass", true);
   reporter.Write(args.json_path);
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: binary codec only %.1fx JSON+hex at 8 MiB (need "
-                 ">= 5x)\n",
-                 speedup_8m);
-    return 1;
-  }
   std::printf("PASS\n");
   return 0;
 }

@@ -38,7 +38,7 @@ enum class ServiceOp : uint8_t {
 };
 
 /// True when `message` is a binary service request (vs a storage RPC or
-/// JSON). The cheap routing test a combined endpoint applies first.
+/// anything else). The cheap routing test a combined endpoint applies first.
 bool IsServiceRequest(std::string_view message);
 
 /// Session lifecycle, as reported by PollMerge. Values are frozen on the

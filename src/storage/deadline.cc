@@ -1,7 +1,6 @@
 #include "storage/deadline.h"
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 
 #include "storage/wire_codec.h"
@@ -59,29 +58,7 @@ Status DeadlineScope::CheckCurrent(const char* what) {
 }
 
 uint64_t PeekRequestDeadlineMs(std::string_view request) {
-  if (wire::IsBinaryMessage(request)) {
-    return wire::ExtractDeadline(request);
-  }
-  // JSON fallback: a flat scan for the "deadline_ms" member. The field is
-  // emitted by our own encoders (never nested, never a string), so a
-  // substring find plus a digit run is exact for well-formed requests and
-  // harmlessly 0 for anything else.
-  static constexpr std::string_view kField = "\"deadline_ms\":";
-  const size_t at = request.find(kField);
-  if (at == std::string_view::npos) return 0;
-  size_t i = at + kField.size();
-  while (i < request.size() &&
-         std::isspace(static_cast<unsigned char>(request[i]))) {
-    ++i;
-  }
-  uint64_t value = 0;
-  bool any = false;
-  while (i < request.size() && request[i] >= '0' && request[i] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(request[i] - '0');
-    any = true;
-    ++i;
-  }
-  return any ? value : 0;
+  return wire::ExtractDeadline(request);
 }
 
 }  // namespace mlcask::storage

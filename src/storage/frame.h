@@ -14,28 +14,25 @@ namespace mlcask::storage {
 ///
 ///   byte  0      wire-format version
 ///   byte  1      frame type: 0 = data, 1 = transport error, 2 = chunk,
-///                3 = chunk end (2/3 exist only from version 2 on)
+///                3 = chunk end
 ///   bytes 2..9   correlation id (uint64) — pairs a response to its request
 ///   bytes 10..13 payload length (uint32)
 ///
 /// The HEADER layout is frozen forever; the version byte governs only the
-/// payload semantics. That way a peer speaking a future version still parses
-/// our headers, and we can answer its (to us unreadable) requests with a
-/// correctly-correlated Unimplemented error frame instead of mis-parsing the
-/// stream — the failure is a clear status, never silent corruption.
+/// payload semantics. That way a peer speaking any other version still
+/// parses our headers, and we can answer its (to us unreadable) requests
+/// with a correctly-correlated Unimplemented error frame instead of
+/// mis-parsing the stream — the failure is a clear status, never silent
+/// corruption.
 ///
 /// Version history:
-///   1  JSON payloads with hex-encoded binary (the PR-5 codec). Data and
-///      error frames only.
+///   1  JSON payloads with hex-encoded binary. Retired: no build speaks it.
 ///   2  Binary zero-copy codec (storage/wire_codec.h) plus CHUNK/CHUNK_END
-///      streaming frames for large values. Kept wire-compatible one version
-///      back: a v2 peer accepts v1 frames, and answers v1 requests with v1
-///      responses, so mixed-version deployments negotiate down instead of
-///      breaking.
-inline constexpr uint8_t kWireVersionJson = 1;
-inline constexpr uint8_t kWireVersionBinary = 2;
-/// The newest version this build speaks (and the default stamped on frames).
-inline constexpr uint8_t kWireVersion = kWireVersionBinary;
+///      streaming frames for large values.
+///
+/// This build speaks exactly one version; a frame in any other one is
+/// answered Unimplemented.
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Frames above this payload size are rejected as corrupt before any
 /// allocation: a garbled length field must not make the reader try to buffer
@@ -48,18 +45,17 @@ enum class FrameType : uint8_t {
   /// peer could not express as an application response (e.g. version skew).
   kError = 1,
   /// One content-defined slice of a large message, sharing the correlation
-  /// id with its siblings. Version >= 2 only.
+  /// id with its siblings.
   kChunk = 2,
   /// Terminates a chunk stream: payload is EncodeChunkEnd() — total size,
   /// chunk count, and the manifest hash over the chunk addresses, so a
-  /// reassembled value is integrity-checked end to end. Version >= 2 only.
+  /// reassembled value is integrity-checked end to end.
   kChunkEnd = 3,
 };
 
 struct Frame {
   FrameType type = FrameType::kData;
   uint64_t id = 0;
-  uint8_t version = kWireVersion;  ///< As decoded from the header.
   std::string payload;
 };
 
@@ -67,7 +63,7 @@ struct Frame {
 /// gather send paths pair it with the payload in an iovec instead of
 /// coalescing them into one buffer.
 void AppendFrameHeader(std::string* out, FrameType type, uint64_t id,
-                       uint32_t payload_size, uint8_t version = kWireVersion);
+                       uint32_t payload_size);
 
 /// Appends one fully encoded frame to `out`. `version` is overridable so
 /// tests can forge mismatched peers; production callers never pass it.
@@ -87,19 +83,17 @@ Status DecodeErrorPayload(std::string_view payload);
 ///   truncated   Next() returns false (need more bytes); Finish() at stream
 ///               end reports Corruption if a partial frame is buffered
 ///   oversized   length field beyond max_payload -> Corruption
-///   bad type    unknown frame type for the frame's version -> Corruption
-///               (chunk frames on a version-1 stream are "bad type": a v1
-///               peer never sees them, so one appearing means corruption)
-///   version     version outside [kWireVersionJson, max_version] ->
-///               Unimplemented, with out->id still filled from the
-///               (frozen-layout) header so a server can answer the right
-///               request with an error frame
+///   bad type    unknown frame type -> Corruption
+///   version     any version other than kWireVersion -> Unimplemented,
+///               with out->id still filled from the (frozen-layout) header
+///               so a server can answer the right request with an error
+///               frame
 ///
 /// Corruption errors are STICKY — the stream is unrecoverable and further
 /// Next() calls return the same error. The version-mismatch Unimplemented
 /// is NOT: the offending frame is consumed whole (its length field is
 /// trustworthy, the header layout being frozen) and the stream stays
-/// decodable, so one future-version message never takes down a session.
+/// decodable, so one message in another version never takes down a session.
 ///
 /// Buffering is offset-based: consumed frames advance a read cursor and the
 /// prefix is compacted lazily, so a burst of small chunk frames costs one
@@ -109,9 +103,8 @@ Status DecodeErrorPayload(std::string_view payload);
 /// O(value)) is asserted against.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(uint32_t max_payload = kMaxFramePayload,
-                        uint8_t max_version = kWireVersion)
-      : max_payload_(max_payload), max_version_(max_version) {}
+  explicit FrameDecoder(uint32_t max_payload = kMaxFramePayload)
+      : max_payload_(max_payload) {}
 
   void Feed(std::string_view bytes) {
     buffer_.append(bytes);
@@ -135,7 +128,6 @@ class FrameDecoder {
   void Compact();
 
   uint32_t max_payload_;
-  uint8_t max_version_;
   std::string buffer_;
   size_t pos_ = 0;  ///< Read cursor: bytes before it are consumed.
   uint64_t peak_buffer_bytes_ = 0;

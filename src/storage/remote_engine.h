@@ -22,11 +22,9 @@ namespace mlcask::storage {
 /// engine, so one service instance may serve many concurrent callers — the
 /// engine's own thread safety contract carries over.
 ///
-/// The wire format is JSON with hex-encoded binary payloads (blob data and
-/// content ids), chosen for debuggability and zero dependencies; swapping in
-/// a binary codec touches only this file. Every response carries
-/// {"ok": bool}; failures add {"code", "message"} and round-trip the exact
-/// Status the engine returned.
+/// The wire format is the binary codec of storage/wire_codec.h: artifact
+/// bytes ride verbatim after a tagged meta section, and error responses
+/// round-trip the exact Status the engine returned.
 class StorageEngineService {
  public:
   /// Borrows `engine` (must outlive the service).
@@ -36,8 +34,9 @@ class StorageEngineService {
       : owned_(std::move(engine)), engine_(owned_.get()) {}
 
   /// Parses one serialized request, dispatches it to the engine, and
-  /// serializes the response. Malformed requests produce an error response,
-  /// never a crash — a remote peer cannot take the server down.
+  /// serializes the response. Malformed requests, including any not in the
+  /// binary codec, get an error response without reaching the engine — a
+  /// remote peer cannot take the server down.
   ///
   /// Requests carrying a replay token (mutations from a RemoteStorageEngine)
   /// are idempotent: the first execution records its response in a ledger,
@@ -93,15 +92,6 @@ class StorageEngineService {
   uint64_t replay_hits_ = 0;
 };
 
-/// Which request codec a RemoteStorageEngine speaks.
-enum class WireCodec : uint8_t {
-  /// Binary (wire version 2), negotiating down to JSON when the peer
-  /// answers the hello with Unimplemented (an older build). The default.
-  kAuto = 0,
-  kBinary = 1,  ///< Binary only; an old peer surfaces Unimplemented.
-  kJson = 2,    ///< JSON + hex (wire version 1) only, for skew tests.
-};
-
 /// Client half: a StorageEngine proxy that serializes every call into a
 /// request message, sends it through a Transport, and decodes the response.
 /// With a LoopbackTransport this gives an in-process deployment the exact
@@ -115,12 +105,9 @@ enum class WireCodec : uint8_t {
 class RemoteStorageEngine : public StorageEngine {
  public:
   /// Owns the transport. The remote peer's engine name is fetched eagerly so
-  /// Name() stays cheap and non-faulting; that same hello doubles as the
-  /// codec negotiation probe (see WireCodec::kAuto). When negotiation drops
-  /// to JSON the transport's wire version is dropped with it, so frames and
-  /// codec stay in lockstep on the session.
-  explicit RemoteStorageEngine(std::unique_ptr<Transport> transport,
-                               WireCodec codec = WireCodec::kAuto);
+  /// Name() stays cheap and non-faulting; an unreachable peer leaves the
+  /// generic name "remote".
+  explicit RemoteStorageEngine(std::unique_ptr<Transport> transport);
 
   StatusOr<PutResult> Put(const std::string& key,
                           std::string_view data) override;
@@ -146,9 +133,7 @@ class RemoteStorageEngine : public StorageEngine {
   StatusOr<uint64_t> DeleteVersion(const Hash256& id) override;
   /// Ships a whole shard-rebalance batch in ONE round trip (opcode 12);
   /// oversized batches ride the transport's chunk streaming like any other
-  /// large message. Against a JSON-era peer the base-class default applies
-  /// the batch through the per-call surface instead — slower, same result —
-  /// so rebalancing works mid-upgrade across a mixed-version cluster.
+  /// large message.
   StatusOr<MigrateBatchResult> MigrateBatch(
       const std::vector<MigrateKeyVersions>& batch) override;
   EngineStats stats() const override;
@@ -171,14 +156,7 @@ class RemoteStorageEngine : public StorageEngine {
 
   const Transport* transport() const { return transport_.get(); }
 
-  /// The codec this proxy actually ended up speaking (kAuto resolves to
-  /// kBinary or kJson during construction).
-  WireCodec codec() const {
-    return binary_ ? WireCodec::kBinary : WireCodec::kJson;
-  }
-
  private:
-  StatusOr<std::string> RoundTrip(std::string_view request) const;
   /// Fresh idempotency token for one mutating call: a per-proxy random
   /// session id plus a sequence number. Unique across proxies (random
   /// session) and within one (sequence), so the server ledger never
@@ -186,18 +164,10 @@ class RemoteStorageEngine : public StorageEngine {
   std::string NextReplayToken();
 
   std::unique_ptr<Transport> transport_;
-  bool binary_ = true;
   std::string name_;
   std::string replay_session_;
   std::atomic<uint64_t> replay_seq_{0};
 };
-
-namespace wire {
-/// Lower-case hex codec for arbitrary byte strings (blob payloads on the
-/// wire). Exposed for tests and future codecs.
-std::string HexEncode(std::string_view bytes);
-StatusOr<std::string> HexDecode(std::string_view hex);
-}  // namespace wire
 
 }  // namespace mlcask::storage
 

@@ -165,7 +165,6 @@ SocketTransport::SocketTransport(int fd, Endpoint endpoint, Options options)
     : endpoint_(std::move(endpoint)),
       options_(std::move(options)),
       fd_(fd),
-      wire_version_(options_.wire_version),
       jitter_rng_(options_.redial_jitter_seed != 0
                       ? options_.redial_jitter_seed
                       : std::random_device{}()) {
@@ -257,7 +256,6 @@ TransportFuture SocketTransport::AsyncCallWithId(std::string_view request,
 
 Status SocketTransport::SendRequest(uint64_t id, std::string_view request,
                                     const SendFault& fault) {
-  const uint8_t version = wire_version_.load(std::memory_order_relaxed);
   if (fault.drop_before) {
     // "Frame dropped" on a stream socket: the only honest simulation is
     // killing the connection before the bytes leave — the reader sees EOF,
@@ -266,15 +264,15 @@ Status SocketTransport::SendRequest(uint64_t id, std::string_view request,
     if (connected_ && fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
     return Status::Ok();
   }
-  if (version >= kWireVersionBinary && options_.chunk_threshold > 0 &&
+  if (options_.chunk_threshold > 0 &&
       request.size() >= options_.chunk_threshold) {
-    return SendChunked(id, version, request, fault);
+    return SendChunked(id, request, fault);
   }
   // Scatter-gather: header + payload leave as one sendmsg, the payload
   // bytes never copied into a frame buffer.
   std::string header;
   AppendFrameHeader(&header, FrameType::kData, id,
-                    static_cast<uint32_t>(request.size()), version);
+                    static_cast<uint32_t>(request.size()));
   if (fault.garble) {
     // Corrupt the length field to an impossible size: the peer's decoder
     // reports Corruption and closes, exercising the redial+replay path
@@ -294,8 +292,7 @@ Status SocketTransport::SendRequest(uint64_t id, std::string_view request,
   return sent;
 }
 
-Status SocketTransport::SendChunked(uint64_t id, uint8_t version,
-                                    std::string_view payload,
+Status SocketTransport::SendChunked(uint64_t id, std::string_view payload,
                                     const SendFault& fault) {
   const auto cuts = wire::WireChunker().Split(payload);
   // Hash the chunk addresses for the manifest BEFORE taking the write lock:
@@ -309,14 +306,14 @@ Status SocketTransport::SendChunked(uint64_t id, uint8_t version,
     manifest.Update(address.bytes.data(), address.bytes.size());
     std::string header;
     AppendFrameHeader(&header, FrameType::kChunk, id,
-                      static_cast<uint32_t>(length), version);
+                      static_cast<uint32_t>(length));
     headers.push_back(std::move(header));
   }
   const std::string end_payload =
       wire::EncodeChunkEnd(payload.size(), cuts.size(), manifest.Finish());
   std::string end_header;
   AppendFrameHeader(&end_header, FrameType::kChunkEnd, id,
-                    static_cast<uint32_t>(end_payload.size()), version);
+                    static_cast<uint32_t>(end_payload.size()));
 
   std::vector<iovec> iov;
   iov.reserve(cuts.size() * 2 + 2);
@@ -876,8 +873,8 @@ void SocketTransportServer::AcceptReady() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto connection = std::make_shared<Connection>(
-        options_.max_frame_payload, options_.max_wire_version, &chunk_cache_);
+    auto connection =
+        std::make_shared<Connection>(options_.max_frame_payload, &chunk_cache_);
     connection->fd = fd;
     connection->epoll_events = EPOLLIN;
     epoll_event ev{};
@@ -914,11 +911,10 @@ void SocketTransportServer::ReadReady(
         if (next.status().code() == StatusCode::kUnimplemented) {
           // Version skew, id recovered from the frozen header: tell the
           // exact caller why with an ERROR frame, then keep serving — one
-          // future-version message must not take down the session. The
-          // reply is stamped with the OLDEST version so any peer parses it.
+          // message in another version must not take down the session.
           OutPart part;
           AppendFrame(&part.header, FrameType::kError, frame.id,
-                      EncodeErrorPayload(next.status()), kWireVersionJson);
+                      EncodeErrorPayload(next.status()));
           {
             std::lock_guard<std::mutex> lock(connection->mu);
             connection->outbox.push_back(std::move(part));
@@ -964,8 +960,7 @@ void SocketTransportServer::ReadReady(
           OutPart part;
           AppendFrame(&part.header, FrameType::kError, frame.id,
                       EncodeErrorPayload(Status::ResourceExhausted(
-                          "server admission queue full")),
-                      frame.version);
+                          "server admission queue full")));
           {
             std::lock_guard<std::mutex> lock(connection->mu);
             connection->outbox.push_back(std::move(part));
@@ -983,7 +978,6 @@ void SocketTransportServer::ReadReady(
         Job job;
         job.type = frame.type;
         job.id = frame.id;
-        job.version = frame.version;
         job.payload = std::move(frame.payload);
         job.enqueued = std::chrono::steady_clock::now();
         connection->jobs.push_back(std::move(job));
@@ -1177,7 +1171,7 @@ void SocketTransportServer::ProcessJob(
             .count();
     if (waited_ms >= 0 && static_cast<uint64_t>(waited_ms) >= deadline_ms) {
       expired_jobs_.fetch_add(1, std::memory_order_relaxed);
-      EnqueueError(connection, job.id, job.version,
+      EnqueueError(connection, job.id,
                    Status::DeadlineExceeded(
                        "request deadline expired in the admission queue"));
       return;
@@ -1195,12 +1189,12 @@ void SocketTransportServer::ProcessJob(
     }
   }
   std::string response = handler_(job.payload);
-  EnqueueResponse(connection, job.id, job.version, std::move(response));
+  EnqueueResponse(connection, job.id, std::move(response));
 }
 
 void SocketTransportServer::EnqueueResponse(
     const std::shared_ptr<Connection>& connection, uint64_t id,
-    uint8_t version, std::string response) {
+    std::string response) {
   std::vector<OutPart> parts;
   if (response.size() > options_.max_frame_payload) {
     // Same refusal as the client side: an oversized frame would read as
@@ -1209,10 +1203,9 @@ void SocketTransportServer::EnqueueResponse(
     AppendFrame(&part.header, FrameType::kError, id,
                 EncodeErrorPayload(Status::FailedPrecondition(
                     "response of " + std::to_string(response.size()) +
-                    " bytes exceeds the frame payload limit")),
-                version);
+                    " bytes exceeds the frame payload limit")));
     parts.push_back(std::move(part));
-  } else if (version >= kWireVersionBinary && options_.chunk_threshold > 0 &&
+  } else if (options_.chunk_threshold > 0 &&
              response.size() >= options_.chunk_threshold) {
     // Stream the response: all chunk parts reference ONE shared buffer.
     auto body = std::make_shared<const std::string>(std::move(response));
@@ -1225,7 +1218,7 @@ void SocketTransportServer::EnqueueResponse(
       manifest.Update(address.bytes.data(), address.bytes.size());
       OutPart part;
       AppendFrameHeader(&part.header, FrameType::kChunk, id,
-                        static_cast<uint32_t>(length), version);
+                        static_cast<uint32_t>(length));
       part.body = body;
       part.body_off = offset;
       part.body_len = length;
@@ -1234,12 +1227,12 @@ void SocketTransportServer::EnqueueResponse(
     const std::string end_payload =
         wire::EncodeChunkEnd(body->size(), cuts.size(), manifest.Finish());
     OutPart end;
-    AppendFrame(&end.header, FrameType::kChunkEnd, id, end_payload, version);
+    AppendFrame(&end.header, FrameType::kChunkEnd, id, end_payload);
     parts.push_back(std::move(end));
   } else {
     OutPart part;
     AppendFrameHeader(&part.header, FrameType::kData, id,
-                      static_cast<uint32_t>(response.size()), version);
+                      static_cast<uint32_t>(response.size()));
     const size_t length = response.size();
     part.body = std::make_shared<const std::string>(std::move(response));
     part.body_off = 0;
@@ -1258,10 +1251,9 @@ void SocketTransportServer::EnqueueResponse(
 
 void SocketTransportServer::EnqueueError(
     const std::shared_ptr<Connection>& connection, uint64_t id,
-    uint8_t version, const Status& status) {
+    const Status& status) {
   OutPart part;
-  AppendFrame(&part.header, FrameType::kError, id, EncodeErrorPayload(status),
-              version);
+  AppendFrame(&part.header, FrameType::kError, id, EncodeErrorPayload(status));
   {
     std::lock_guard<std::mutex> lock(connection->mu);
     if (connection->closed) return;
@@ -1288,13 +1280,7 @@ void SocketTransportServer::Shutdown() {
     if (state == ServerState::kInitial) {
       if (state_.compare_exchange_strong(state, ServerState::kStopped,
                                          std::memory_order_acq_rel)) {
-        if (listen_fd_ >= 0) {
-          ::close(listen_fd_);
-          listen_fd_ = -1;
-        }
-        if (endpoint_.kind == Endpoint::Kind::kUnix) {
-          ::unlink(endpoint_.path.c_str());
-        }
+        CloseListener();
         return;
       }
       continue;
@@ -1316,6 +1302,10 @@ void SocketTransportServer::Shutdown() {
   ssize_t written = ::write(wake_fd_, &one, sizeof(one));
   (void)written;
   if (loop_thread_.joinable()) loop_thread_.join();
+  // Refuse new connections BEFORE draining the workers: a redialing client
+  // must see its connect() fail, not land in the backlog of a listener
+  // nobody will accept from again and hang there until the drain ends.
+  CloseListener();
   {
     std::lock_guard<std::mutex> lock(work_mu_);
     workers_stop_ = true;
@@ -1328,6 +1318,10 @@ void SocketTransportServer::Shutdown() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   wake_fd_ = epoll_fd_ = -1;
+  state_.store(ServerState::kStopped, std::memory_order_release);
+}
+
+void SocketTransportServer::CloseListener() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -1335,7 +1329,6 @@ void SocketTransportServer::Shutdown() {
   if (endpoint_.kind == Endpoint::Kind::kUnix) {
     ::unlink(endpoint_.path.c_str());
   }
-  state_.store(ServerState::kStopped, std::memory_order_release);
 }
 
 }  // namespace mlcask::storage

@@ -47,7 +47,7 @@ enum class ConnState : uint8_t {
 /// turns the sharded engine's N-shard fan-outs into N OVERLAPPED round
 /// trips — the serial-loop latency multiplier the blocking API had is gone.
 ///
-/// Wire-speed details (version 2 sessions):
+/// Wire-speed details:
 ///   * sends are scatter-gather — the 14-byte header and the payload go out
 ///     as one sendmsg iovec, never coalesced into a copy;
 ///   * payloads at or above options.chunk_threshold are streamed as
@@ -56,9 +56,6 @@ enum class ConnState : uint8_t {
 ///     O(value), and the receiving shard can dedupe identical chunks;
 ///   * incoming chunk streams are reassembled and integrity-checked before
 ///     the waiter sees the value.
-/// set_wire_version(kWireVersionJson) drops the session to version-1 frames
-/// (monolithic, JSON-era) — codec negotiation uses it when the peer is an
-/// older build.
 ///
 /// Failure surface (all as statuses, never hangs). A lost or garbled
 /// connection first enters the redial state machine (ConnState above):
@@ -89,12 +86,9 @@ class SocketTransport : public Transport {
     uint64_t call_timeout_ms = 30000;
     /// Reject frames above this payload size as corrupt.
     uint32_t max_frame_payload = kMaxFramePayload;
-    /// Payloads at or above this size are chunk-streamed on version-2
-    /// sessions. 0 disables streaming.
+    /// Payloads at or above this size are chunk-streamed. 0 disables
+    /// streaming.
     size_t chunk_threshold = wire::kDefaultChunkThreshold;
-    /// Initial wire version stamped on outgoing frames. Tests forge old
-    /// peers with kWireVersionJson; production uses the default.
-    uint8_t wire_version = kWireVersionBinary;
     /// Total milliseconds the transport keeps redialing a lost connection
     /// before declaring the session broken. While redialing, in-flight
     /// calls stay pending and are REPLAYED on the fresh connection (the
@@ -152,12 +146,7 @@ class SocketTransport : public Transport {
   uint64_t call_timeout_ms() const override {
     return options_.call_timeout_ms;
   }
-  uint8_t wire_version() const override {
-    return wire_version_.load(std::memory_order_relaxed);
-  }
-  void set_wire_version(uint8_t version) override {
-    wire_version_.store(version, std::memory_order_relaxed);
-  }
+  uint8_t wire_version() const override { return kWireVersion; }
 
   /// Connection state machine position (telemetry/tests).
   ConnState conn_state() const {
@@ -188,7 +177,7 @@ class SocketTransport : public Transport {
                      const SendFault& fault);
   /// Streams one large payload as CHUNK frames + CHUNK_END, all from one
   /// scatter-gather iovec batch under the write lock.
-  Status SendChunked(uint64_t id, uint8_t version, std::string_view payload,
+  Status SendChunked(uint64_t id, std::string_view payload,
                      const SendFault& fault);
 
   void ReaderLoop();
@@ -213,7 +202,6 @@ class SocketTransport : public Transport {
   const Options options_;
   int fd_ = -1;          ///< Guarded by write_mu_ (the reader swaps it).
   bool connected_ = true;  ///< Guarded by write_mu_; false while degraded.
-  std::atomic<uint8_t> wire_version_;
   std::atomic<ConnState> conn_state_{ConnState::kConnected};
   std::atomic<uint64_t> redials_{0};
   std::atomic<bool> stopping_{false};
@@ -263,12 +251,10 @@ enum class ServerState : uint8_t {
 ///   * Incoming chunk streams are reassembled per connection and deduped
 ///     through a server-wide WireChunkCache: identical chunks across
 ///     values, versions, and clients hash/store once (wire_chunk_stats()).
-///   * Responses at or above chunk_threshold stream back as CHUNK frames
-///     on version-2 connections; responses are stamped with the REQUEST's
-///     wire version, so a version-1 client of this server keeps working.
+///   * Responses at or above chunk_threshold stream back as CHUNK frames.
 ///
 /// Version skew and garbled streams are answered per the frame contract:
-/// a well-framed request in an unknown wire version gets an Unimplemented
+/// a well-framed request in any other wire version gets an Unimplemented
 /// ERROR frame back (correlated via the frozen header layout); an
 /// unparseable stream closes the connection, which fails the peer's pending
 /// calls as Unavailable instead of hanging them.
@@ -276,12 +262,9 @@ class SocketTransportServer : public TransportServer {
  public:
   struct Options {
     uint32_t max_frame_payload = kMaxFramePayload;
-    /// Responses at or above this size stream as chunk frames (version-2
-    /// connections only). 0 disables streaming.
+    /// Responses at or above this size stream as chunk frames. 0 disables
+    /// streaming.
     size_t chunk_threshold = wire::kDefaultChunkThreshold;
-    /// Newest wire version accepted/stamped. Tests forge an old server
-    /// with kWireVersionJson to exercise negotiation.
-    uint8_t max_wire_version = kWireVersionBinary;
     /// Handler worker pool size.
     size_t worker_threads = 4;
     /// Receive-side chunk cache capacity (bytes of retained chunk data).
@@ -371,7 +354,6 @@ class SocketTransportServer : public TransportServer {
   struct Job {
     FrameType type = FrameType::kData;
     uint64_t id = 0;
-    uint8_t version = kWireVersion;
     std::string payload;
     /// When the loop queued the job — workers check the request's deadline
     /// stamp against time-in-queue and drop expired jobs unexecuted.
@@ -393,16 +375,16 @@ class SocketTransportServer : public TransportServer {
     bool job_active = false;  ///< A worker currently owns the strand.
     std::deque<OutPart> outbox;
 
-    Connection(uint32_t max_payload, uint8_t max_version,
-               wire::WireChunkCache* cache)
-        : decoder(max_payload, max_version),
-          assembler(max_payload, cache) {}
+    Connection(uint32_t max_payload, wire::WireChunkCache* cache)
+        : decoder(max_payload), assembler(max_payload, cache) {}
   };
 
   SocketTransportServer(int listen_fd, Endpoint endpoint, Options options);
 
   void LoopThread();
   void WorkerThread();
+  /// Closes the listen socket and unlinks a unix: path.
+  void CloseListener();
 
   void AcceptReady();
   void ReadReady(const std::shared_ptr<Connection>& connection);
@@ -417,11 +399,11 @@ class SocketTransportServer : public TransportServer {
   /// (monolithic or chunk-streamed), then pokes the loop to flush.
   void ProcessJob(const std::shared_ptr<Connection>& connection, Job job);
   void EnqueueResponse(const std::shared_ptr<Connection>& connection,
-                       uint64_t id, uint8_t version, std::string response);
+                       uint64_t id, std::string response);
   /// Worker side: enqueues a correlated ERROR frame (typed status payload)
   /// and pokes the loop — the shed/expired answer path, handler never run.
   void EnqueueError(const std::shared_ptr<Connection>& connection, uint64_t id,
-                    uint8_t version, const Status& status);
+                    const Status& status);
   /// Thread safe: queues `connection` for a loop-thread flush and wakes it.
   void NotifyWritable(std::shared_ptr<Connection> connection);
   /// Thread safe: half-closes the socket so the loop retires it (workers

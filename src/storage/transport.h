@@ -113,11 +113,12 @@ class Transport {
   virtual uint64_t call_timeout_ms() const { return 0; }
 
   /// Wire-format version stamped on outgoing frames, for transports with a
-  /// framed wire (0 = not frame-based, e.g. loopback). Codec negotiation
-  /// calls set_wire_version to drop a session to the JSON-era version when
-  /// the peer answers binary requests with Unimplemented; the defaults make
-  /// both no-ops for wireless transports.
+  /// framed wire (0 = not frame-based, e.g. loopback).
   virtual uint8_t wire_version() const { return 0; }
+  /// No transport in src/ implements this: every frame-based session speaks
+  /// the one wire version. It stays only because the benchmark's
+  /// TracingTransport decorator overrides it, and goes with the next change
+  /// to the benchmark.
   virtual void set_wire_version(uint8_t /*version*/) {}
 };
 

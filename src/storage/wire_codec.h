@@ -22,8 +22,8 @@ namespace mlcask::storage::wire {
 //
 // Every message is:
 //
-//   byte 0        magic 0xBC — never '{', so one byte distinguishes a binary
-//                 message from a JSON one and a service can serve both
+//   byte 0        magic 0xBC — one byte tells a binary message from any
+//                 other input, which the service rejects typed
 //   byte 1        request: opcode (Method); response: status code (0 = ok)
 //   varint        meta section length
 //   meta section  tagged fields, each: key varint ((tag << 2) | kind), then
@@ -40,9 +40,8 @@ namespace mlcask::storage::wire {
 
 inline constexpr uint8_t kBinaryMagic = 0xBC;
 
-/// True when `message` is a binary-codec message (vs JSON, which starts
-/// with '{'). The empty string is neither and counts as JSON so the JSON
-/// path produces its usual parse error.
+/// True when `message` starts with the binary-codec magic. The empty string
+/// is not a binary message.
 inline bool IsBinaryMessage(std::string_view message) {
   return !message.empty() &&
          static_cast<uint8_t>(message[0]) == kBinaryMagic;
@@ -247,9 +246,9 @@ StatusOr<EngineStats> DecodeStatsResponse(std::string_view message);
 StatusOr<double> DecodeCostResponse(std::string_view message);
 StatusOr<MigrateBatchResult> DecodeMigrateResponse(std::string_view message);
 
-/// Server-side dispatch of one binary request against an engine; the binary
-/// twin of the JSON Dispatch in remote_engine.cc. Malformed requests produce
-/// a binary error response, never a crash.
+/// Server-side dispatch of one binary request against an engine. Malformed
+/// requests, and input that is not a binary message at all, produce a
+/// binary error response, never a crash.
 std::string DispatchBinary(StorageEngine* engine, std::string_view request);
 
 // ---------------------------------------------------------------------------

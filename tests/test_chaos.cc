@@ -449,8 +449,7 @@ TEST(ChaosTest, ReplayLedgerAnswersDuplicateTokensWithoutReExecuting) {
   ForkBaseEngine backend;
   StorageEngineService service(&backend);
   const std::string request =
-      "{\"method\":\"put\",\"key\":\"artifact/ledger\","
-      "\"data\":\"7061796c6f6164\",\"replay_token\":\"sess.1\"}";
+      wire::EncodePutRequest("artifact/ledger", "payload", "sess.1");
 
   const std::string first = service.Handle(request);
   const std::string second = service.Handle(request);
@@ -461,8 +460,7 @@ TEST(ChaosTest, ReplayLedgerAnswersDuplicateTokensWithoutReExecuting) {
 
   // A DIFFERENT token is a genuinely new mutation, not a replay.
   const std::string third = service.Handle(
-      "{\"method\":\"put\",\"key\":\"artifact/ledger\","
-      "\"data\":\"7061796c6f6164\",\"replay_token\":\"sess.2\"}");
+      wire::EncodePutRequest("artifact/ledger", "payload", "sess.2"));
   EXPECT_EQ(backend.stats().puts, 2u);
   EXPECT_EQ(service.replay_hits(), 1u);
 }
@@ -504,20 +502,6 @@ TEST(ChaosTest, ShedRequestReleasesReplayLedgerClaim) {
   const std::string duplicate = service.Handle(request);
   EXPECT_EQ(duplicate, retry_response);
   EXPECT_EQ(backend->stats().puts, 1u);
-  EXPECT_EQ(service.replay_hits(), 1u);
-
-  // The JSON fallback path sheds and releases identically.
-  engine->set_shed(true);
-  const std::string json_request =
-      "{\"method\":\"put\",\"key\":\"artifact/shed-json\","
-      "\"data\":\"7061796c6f6164\",\"replay_token\":\"sess.shed2\"}";
-  const std::string json_shed = service.Handle(json_request);
-  EXPECT_NE(json_shed.find("\"ok\":false"), std::string::npos) << json_shed;
-  EXPECT_NE(json_shed.find("\"code\":12"), std::string::npos) << json_shed;
-  engine->set_shed(false);
-  const std::string json_retry = service.Handle(json_request);
-  EXPECT_NE(json_retry.find("\"ok\":true"), std::string::npos) << json_retry;
-  EXPECT_EQ(backend->stats().puts, 2u);
   EXPECT_EQ(service.replay_hits(), 1u);
 }
 

@@ -125,13 +125,22 @@ TEST(DeadlineCodecTest, EveryRequestEncoderStampsTheAmbientBudget) {
   EXPECT_GT(wire::ExtractDeadline(wire::EncodeMigrateBatchRequest({})), 0u);
 }
 
-TEST(DeadlineCodecTest, PeeksJsonFallbackDeadline) {
-  EXPECT_EQ(PeekRequestDeadlineMs("{\"method\":\"get\",\"key\":\"k\"}"), 0u);
+TEST(DeadlineCodecTest, PeeksOnlyTheBinaryDeadlineTag) {
+  std::string stamped;
+  {
+    DeadlineBudget budget(900);
+    DeadlineScope scope(&budget);
+    stamped = wire::EncodeKeyRequest(wire::Method::kGet, "k");
+  }
+  EXPECT_GT(PeekRequestDeadlineMs(stamped), 0u);
+  EXPECT_EQ(PeekRequestDeadlineMs(
+                wire::EncodeKeyRequest(wire::Method::kGet, "k")),
+            0u);
+  // The retired JSON wire's "deadline_ms" member is not a stamp.
   EXPECT_EQ(PeekRequestDeadlineMs(
                 "{\"method\":\"get\",\"deadline_ms\": 123,\"key\":\"k\"}"),
-            123u);
+            0u);
   EXPECT_EQ(PeekRequestDeadlineMs(""), 0u);
-  EXPECT_EQ(PeekRequestDeadlineMs("not json at all"), 0u);
 }
 
 // --- budget shrink across hops ---------------------------------------------

@@ -2,8 +2,8 @@
 // freeze the layout, zero-copy guarantees (decoded payload views point INTO
 // the message buffer), request/response round trips for every RPC type,
 // chunk-stream reassembly with manifest verification, the receive-side
-// chunk cache's dedup/eviction accounting, and codec negotiation (a binary
-// proxy dropping to JSON against an old peer).
+// chunk cache's dedup/eviction accounting, and a proxy over the service
+// agreeing with a direct engine.
 
 #include "storage/wire_codec.h"
 
@@ -50,7 +50,7 @@ TEST(WireCodecTest, VarintRoundTripsBoundaries) {
 
 // --------------------------------------------------------------- golden ---
 // These vectors freeze the on-wire layout: a refactor that changes any byte
-// here is a wire-format break and must bump kWireVersionBinary instead.
+// here is a wire-format break and must bump kWireVersion instead.
 
 TEST(WireCodecTest, GoldenPutRequest) {
   const std::string encoded = wire::EncodePutRequest("k", "v");
@@ -233,20 +233,36 @@ TEST(WireCodecTest, ResponseRoundTripsEveryShape) {
   EXPECT_EQ(decoded.message(), "no version abc");
 }
 
-TEST(WireCodecTest, MalformedBinaryRequestsProduceErrorsNotCrashes) {
-  ForkBaseEngine engine;
-  const std::string garbage = std::string("\xBC\x63", 2) + "!!!!";
-  const std::string response = wire::DispatchBinary(&engine, garbage);
-  std::string_view rest;
-  Status status = wire::DecodeResponseStatus(response, &rest);
-  EXPECT_FALSE(status.ok());
-
-  // Truncated meta section.
-  const std::string truncated("\xBC\x01\x7F\x05", 4);
-  Status truncated_status =
-      wire::DecodeResponseStatus(wire::DispatchBinary(&engine, truncated),
-                                 &rest);
-  EXPECT_FALSE(truncated_status.ok());
+TEST(WireCodecTest, MalformedRequestsProduceErrorsNotCrashes) {
+  // Every input gets a binary error response from the service and never
+  // reaches the engine. The JSON-era requests of the retired version-1
+  // wire are malformed input too; a replay token inside one claims no
+  // ledger slot.
+  struct CountingEngine : ForkBaseEngine {
+    std::string Name() const override {
+      name_calls += 1;
+      return ForkBaseEngine::Name();
+    }
+    mutable int name_calls = 0;
+  };
+  CountingEngine engine;
+  StorageEngineService service(&engine);
+  const std::string inputs[] = {
+      std::string("\xBC\x63", 2) + "!!!!",  // unknown opcode
+      std::string("\xBC\x01\x7F\x05", 4),  // truncated meta section
+      "{\"method\":\"name\"}",
+      "{\"method\":\"put\",\"key\":\"k\",\"data\":\"00\","
+      "\"replay_token\":\"sess.1\"}",
+  };
+  for (const std::string& input : inputs) {
+    std::string_view rest;
+    EXPECT_FALSE(
+        wire::DecodeResponseStatus(service.Handle(input), &rest).ok())
+        << input;
+  }
+  EXPECT_EQ(engine.name_calls, 0);
+  EXPECT_EQ(engine.stats().puts, 0u);
+  EXPECT_EQ(service.replay_hits(), 0u);
 }
 
 TEST(WireCodecTest, PutManyHostileCountIsRejectedNotReserved) {
@@ -377,109 +393,62 @@ TEST(WireCodecTest, ChunkCacheEntryCapBoundsRetainedRefsUnderDedup) {
 
 // ----------------------------------------------- end-to-end over loopback ---
 
-std::unique_ptr<RemoteStorageEngine> LoopbackRemote(
-    StorageEngineService* service, WireCodec codec) {
-  return std::make_unique<RemoteStorageEngine>(
-      std::make_unique<LoopbackTransport>(
-          [service](std::string_view request) {
-            return service->Handle(request);
-          }),
-      codec);
-}
-
-TEST(WireCodecTest, BinaryAndJsonProxiesAgreeWithTheDirectEngine) {
-  // Three engines, identical op sequence: direct, via binary codec, via
-  // JSON codec. Content addressing makes equal inputs produce equal ids,
+TEST(WireCodecTest, ProxyAgreesWithTheDirectEngine) {
+  // Two engines, identical op sequence: direct, and via the binary codec
+  // over loopback. Content addressing makes equal inputs produce equal ids,
   // so any divergence is a codec bug.
   ForkBaseEngine direct;
-  StorageEngineService binary_service(std::make_unique<ForkBaseEngine>());
-  StorageEngineService json_service(std::make_unique<ForkBaseEngine>());
-  auto binary = LoopbackRemote(&binary_service, WireCodec::kBinary);
-  auto json = LoopbackRemote(&json_service, WireCodec::kJson);
-  EXPECT_EQ(binary->codec(), WireCodec::kBinary);
-  EXPECT_EQ(json->codec(), WireCodec::kJson);
-  EXPECT_EQ(binary->Name(), "remote(forkbase)");
-  EXPECT_EQ(json->Name(), "remote(forkbase)");
+  StorageEngineService service(std::make_unique<ForkBaseEngine>());
+  RemoteStorageEngine remote(std::make_unique<LoopbackTransport>(
+      [&service](std::string_view request) {
+        return service.Handle(request);
+      }));
+  EXPECT_EQ(remote.Name(), "remote(forkbase)");
 
   const std::string blob(100 * 1024, '\x7F');
   auto dp = direct.Put("w", blob);
-  auto bp = binary->Put("w", blob);
-  auto jp = json->Put("w", blob);
+  auto bp = remote.Put("w", blob);
   ASSERT_TRUE(dp.ok());
   ASSERT_TRUE(bp.ok());
-  ASSERT_TRUE(jp.ok());
   EXPECT_EQ(bp->id.ToHex(), dp->id.ToHex());
-  EXPECT_EQ(jp->id.ToHex(), dp->id.ToHex());
   EXPECT_EQ(bp->logical_bytes, dp->logical_bytes);
   EXPECT_EQ(bp->new_physical_bytes, dp->new_physical_bytes);
 
   std::vector<PutRequest> batch = {{"w", blob + "2"}, {"x", "tiny"}};
   auto db = direct.PutMany(batch);
-  auto bb = binary->PutMany(batch);
-  auto jb = json->PutMany(batch);
+  auto bb = remote.PutMany(batch);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(bb.ok());
-  ASSERT_TRUE(jb.ok());
   for (size_t i = 0; i < db->size(); ++i) {
     EXPECT_EQ((*bb)[i].id.ToHex(), (*db)[i].id.ToHex());
-    EXPECT_EQ((*jb)[i].id.ToHex(), (*db)[i].id.ToHex());
   }
 
-  auto bg = binary->Get("w");
+  auto bg = remote.Get("w");
   ASSERT_TRUE(bg.ok());
   EXPECT_EQ(*bg, blob + "2");
-  auto bv = binary->GetVersion(bp->id);
+  auto bv = remote.GetVersion(bp->id);
   ASSERT_TRUE(bv.ok());
   EXPECT_EQ(*bv, blob);
 
-  EXPECT_TRUE(binary->HasVersion(bp->id));
-  EXPECT_FALSE(binary->HasVersion(FilledId(0xFE)));
-  EXPECT_EQ(binary->Versions("w").size(), direct.Versions("w").size());
-  EXPECT_EQ(binary->ListAllVersions().size(),
+  EXPECT_TRUE(remote.HasVersion(bp->id));
+  EXPECT_FALSE(remote.HasVersion(FilledId(0xFE)));
+  EXPECT_EQ(remote.Versions("w").size(), direct.Versions("w").size());
+  EXPECT_EQ(remote.ListAllVersions().size(),
             direct.ListAllVersions().size());
-  EXPECT_EQ(binary->stats().puts, direct.stats().puts);
-  EXPECT_EQ(binary->stats().logical_bytes, direct.stats().logical_bytes);
-  EXPECT_DOUBLE_EQ(binary->ReadCost(1 << 20), direct.ReadCost(1 << 20));
+  EXPECT_EQ(remote.stats().puts, direct.stats().puts);
+  EXPECT_EQ(remote.stats().logical_bytes, direct.stats().logical_bytes);
+  EXPECT_DOUBLE_EQ(remote.ReadCost(1 << 20), direct.ReadCost(1 << 20));
 
-  auto bd = binary->DeleteVersion((*bb)[1].id);
+  auto bd = remote.DeleteVersion((*bb)[1].id);
   auto dd = direct.DeleteVersion((*db)[1].id);
   ASSERT_TRUE(bd.ok());
   ASSERT_TRUE(dd.ok());
   EXPECT_EQ(*bd, *dd);
 
   // Remote status round trip: NotFound comes back typed, not stringly.
-  auto missing = binary->GetVersion(FilledId(0xFD));
+  auto missing = remote.GetVersion(FilledId(0xFD));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-}
-
-TEST(WireCodecTest, AutoCodecNegotiatesDownAgainstAJsonOnlyPeer) {
-  // Emulates an old (pre-binary) service: binary requests bounce with a
-  // JSON error document, JSON requests work. kAuto must settle on JSON and
-  // then behave identically to a forced-JSON proxy.
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  auto old_peer = [&service](std::string_view request) -> std::string {
-    if (wire::IsBinaryMessage(request)) {
-      return "{\"ok\": false, \"code\": 12, \"message\": \"unparseable\"}";
-    }
-    return service.Handle(request);
-  };
-  RemoteStorageEngine remote(std::make_unique<LoopbackTransport>(old_peer),
-                             WireCodec::kAuto);
-  EXPECT_EQ(remote.codec(), WireCodec::kJson);
-  EXPECT_EQ(remote.Name(), "remote(forkbase)");
-  auto put = remote.Put("k", "value");
-  ASSERT_TRUE(put.ok());
-  auto get = remote.Get("k");
-  ASSERT_TRUE(get.ok());
-  EXPECT_EQ(*get, "value");
-}
-
-TEST(WireCodecTest, AutoCodecStaysBinaryAgainstACurrentPeer) {
-  StorageEngineService service(std::make_unique<ForkBaseEngine>());
-  auto remote = LoopbackRemote(&service, WireCodec::kAuto);
-  EXPECT_EQ(remote->codec(), WireCodec::kBinary);
-  EXPECT_EQ(remote->Name(), "remote(forkbase)");
 }
 
 }  // namespace
