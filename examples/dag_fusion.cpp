@@ -1,8 +1,8 @@
 // DAG pipelines beyond chains (Definition 1): a diamond-shaped fusion
 // pipeline where two feature branches process the same EHR data and a join
-// node concatenates their features before the model. Demonstrates RunDag's
-// subgraph-level reuse: updating one branch re-runs only that branch, the
-// join, and the model.
+// node concatenates their features before the model. Demonstrates the
+// executor's subgraph-level reuse: updating one branch re-runs only that
+// branch, the join, and the model.
 //
 // Run: ./build/examples/dag_fusion
 
@@ -102,13 +102,13 @@ int main() {
   std::printf("is_chain=%s, valid=%s\n\n", fusion.IsChain() ? "yes" : "no",
               fusion.Validate().ok() ? "yes" : "no");
 
-  auto first = executor.RunDag(fusion, {});
+  auto first = executor.Run(fusion, {});
   Check(first.status(), "first run");
   PrintRun(*first, "initial run");
 
   // Update only the stats branch: the clean branch and the dataset reuse
   // their cached outputs; join and model re-run (they depend on the change).
-  auto second = executor.RunDag(MakeFusion(1), {});
+  auto second = executor.Run(MakeFusion(1), {});
   Check(second.status(), "second run");
   std::printf("\n");
   PrintRun(*second, "after updating stats_features only");

@@ -67,17 +67,9 @@ Status MergeOperation::SeedCheckpoints(pipeline::Executor* executor,
                                        std::set<Hash256>* checkpoint_keys) {
   // Checkpoints come from every pipeline trained in the history relevant to
   // the merge: the common ancestor plus the commits on both branches.
-  std::vector<const version::Commit*> commits;
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor,
-                          repo_->Get(space.common_ancestor));
-  commits.push_back(ancestor);
-  for (const std::string& branch : {head_branch, merge_branch}) {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo_->Head(branch));
-    for (const version::Commit* c :
-         repo_->graph().CommitsSince(head->id, space.common_ancestor)) {
-      commits.push_back(c);
-    }
-  }
+  MLCASK_ASSIGN_OR_RETURN(
+      std::vector<const version::Commit*> commits,
+      MergeHistory(*repo_, head_branch, merge_branch, space.common_ancestor));
   for (const version::Commit* commit : commits) {
     MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
         *commit, *libraries_, engine_, executor, checkpoint_keys));
@@ -166,10 +158,7 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
         });
   }
 
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* head_commit,
-                          repo_->Head(head_branch));
   const std::string pipeline_name = repo_->name();
-  (void)head_commit;
 
   std::vector<CandidateChain> candidates = tree.Candidates();
   report.candidates_considered = candidates.size();

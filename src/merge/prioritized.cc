@@ -40,16 +40,9 @@ Status PrioritizedSearch::Prepare(const std::string& head_branch,
   for (size_t i = 0; i < candidates_.size(); ++i) {
     key_to_index[pipeline::Executor::ChainKey(candidates_[i])] = i;
   }
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor,
-                          repo_->Get(space_->common_ancestor));
-  std::vector<const version::Commit*> commits{ancestor};
-  for (const std::string& branch : {head_branch, merge_branch}) {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo_->Head(branch));
-    for (const version::Commit* c :
-         repo_->graph().CommitsSince(head->id, space_->common_ancestor)) {
-      commits.push_back(c);
-    }
-  }
+  MLCASK_ASSIGN_OR_RETURN(std::vector<const version::Commit*> commits,
+                          MergeHistory(*repo_, head_branch, merge_branch,
+                                       space_->common_ancestor));
   for (const version::Commit* commit : commits) {
     if (!commit->snapshot.has_score()) continue;
     bool resolved = true;
@@ -107,22 +100,12 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
 
   // PR: seed the executor with checkpoints from history so shared prefixes
   // are free, exactly as the real merge does.
-  {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor,
-                            repo_->Get(space_->common_ancestor));
-    std::vector<const version::Commit*> commits{ancestor};
-    for (const std::string& branch : {head_branch_, merge_branch_}) {
-      MLCASK_ASSIGN_OR_RETURN(const version::Commit* head,
-                              repo_->Head(branch));
-      for (const version::Commit* c :
-           repo_->graph().CommitsSince(head->id, space_->common_ancestor)) {
-        commits.push_back(c);
-      }
-    }
-    for (const version::Commit* commit : commits) {
-      MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
-          *commit, *libraries_, engine_, &executor));
-    }
+  MLCASK_ASSIGN_OR_RETURN(std::vector<const version::Commit*> commits,
+                          MergeHistory(*repo_, head_branch_, merge_branch_,
+                                       space_->common_ancestor));
+  for (const version::Commit* commit : commits) {
+    MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
+        *commit, *libraries_, engine_, &executor));
   }
 
   const size_t num_workers = std::max<size_t>(1, options.num_workers);

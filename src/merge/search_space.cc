@@ -12,14 +12,34 @@ size_t SearchSpace::NumCandidates() const {
   return n;
 }
 
+StatusOr<std::vector<const version::Commit*>> MergeHistory(
+    const version::PipelineRepo& repo, const std::string& head_branch,
+    const std::string& merge_branch, const Hash256& ancestor) {
+  MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor_commit,
+                          repo.Get(ancestor));
+  std::vector<const version::Commit*> commits{ancestor_commit};
+  for (const std::string& branch : {head_branch, merge_branch}) {
+    MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo.Head(branch));
+    for (const version::Commit* c :
+         repo.graph().CommitsSince(head->id, ancestor)) {
+      commits.push_back(c);
+    }
+  }
+  return commits;
+}
+
 StatusOr<SearchSpace> BuildSearchSpace(const version::PipelineRepo& repo,
                                        const pipeline::LibraryRepo& libraries,
                                        const std::string& head_branch,
                                        const std::string& merge_branch) {
   MLCASK_ASSIGN_OR_RETURN(Hash256 ancestor,
                           repo.CommonAncestor(head_branch, merge_branch));
-  MLCASK_ASSIGN_OR_RETURN(const version::Commit* ancestor_commit,
-                          repo.Get(ancestor));
+  // The ancestor itself plus everything developed on both branches since
+  // (S = S_HEAD ∪ S_MERGE_HEAD).
+  MLCASK_ASSIGN_OR_RETURN(
+      std::vector<const version::Commit*> commits,
+      MergeHistory(repo, head_branch, merge_branch, ancestor));
+  const version::Commit* ancestor_commit = commits.front();
 
   SearchSpace space;
   space.common_ancestor = ancestor;
@@ -31,16 +51,6 @@ StatusOr<SearchSpace> BuildSearchSpace(const version::PipelineRepo& repo,
     ComponentSearchSpace c;
     c.component = rec.name;
     space.components.push_back(std::move(c));
-  }
-
-  // Gather commits: the ancestor itself plus everything developed on both
-  // branches since (S = S_HEAD ∪ S_MERGE_HEAD).
-  std::vector<const version::Commit*> commits{ancestor_commit};
-  for (const std::string& branch : {head_branch, merge_branch}) {
-    MLCASK_ASSIGN_OR_RETURN(const version::Commit* head, repo.Head(branch));
-    for (const version::Commit* c : repo.graph().CommitsSince(head->id, ancestor)) {
-      commits.push_back(c);
-    }
   }
 
   for (const version::Commit* commit : commits) {

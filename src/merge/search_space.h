@@ -33,6 +33,15 @@ struct SearchSpace {
   size_t NumCandidates() const;
 };
 
+/// The commits a merge draws on: the common `ancestor` first, then the
+/// commits since it on `head_branch`, then those on `merge_branch`. The
+/// order is part of the contract: checkpoints are seeded in it (which sets
+/// the artifact cache's recency order), and a later commit's score wins
+/// when two commits trained the same pipeline.
+StatusOr<std::vector<const version::Commit*>> MergeHistory(
+    const version::PipelineRepo& repo, const std::string& head_branch,
+    const std::string& merge_branch, const Hash256& ancestor);
+
 StatusOr<SearchSpace> BuildSearchSpace(const version::PipelineRepo& repo,
                                        const pipeline::LibraryRepo& libraries,
                                        const std::string& head_branch,

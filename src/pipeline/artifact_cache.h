@@ -51,10 +51,9 @@ struct ArtifactEntry {
 };
 
 /// A concurrent artifact cache with per-key in-flight guards. This is the
-/// single cache namespace behind the executor: chain prefixes from Run() and
-/// DAG nodes from RunDag() use the same recursive keying
-/// (Executor::NodeKey), so a chain and the equivalent linear DAG share
-/// entries.
+/// single cache namespace behind the executor: DAG nodes and chain prefixes
+/// (checkpoints seeded from history) use the same recursive keying
+/// (Executor::NodeKey), so a chain run hits its seeded prefixes.
 ///
 /// The in-flight guard is what keeps `executions()` — the paper's pruned
 /// candidate metric — identical between serial and parallel search: when two
@@ -89,9 +88,8 @@ struct ArtifactEntry {
 ///    may be blocked on the lease;
 ///  - entries pinned by an outstanding EntryPtr reader (shared_ptr
 ///    use_count > 1) — a running pipeline's input can't be dropped while in
-///    use, which also preserves the pointer-stability contract of
-///    Executor::FindCached (the caller's EntryPtr keeps the entry both
-///    alive and resident).
+///    use, and an entry returned by Executor::FindCachedEntry stays both
+///    alive and resident while the caller holds it.
 /// An evicted key simply recomputes on its next Acquire — eviction degrades
 /// to recomputation, never to corruption. The cap is a high-water mark:
 /// when everything resident is pinned or pending, a publish may exceed it
@@ -115,10 +113,9 @@ class ArtifactCache {
     uint64_t insertions = 0;  ///< Entries published (Fulfill + Insert).
     /// Largest single entry ever published. Useful for sizing caps and for
     /// bounding the pinned overshoot: peak_bytes can exceed max_bytes by
-    /// at most the transiently pinned working set — a couple of entries
-    /// per concurrently running chain candidate, or a whole DAG run's
-    /// planned-on cached nodes (RunDag pins its plan for the run's
-    /// duration).
+    /// at most the transiently pinned working set — per running pipeline,
+    /// the cache hits it planned on plus the tables that still have a
+    /// pending consumer (a couple of entries for a chain candidate).
     uint64_t largest_entry_bytes = 0;
   };
 

@@ -63,7 +63,7 @@ class VirtualWorkerPool {
 ///
 /// An ExecutionCore is a LONG-LIVED, SHARED resource: construct one per
 /// deployment (or per executor/merge operation) and reuse it for every
-/// RunDag call and every merge candidate. Hot paths must never construct a
+/// pipeline run and every merge candidate. Hot paths must never construct a
 /// pool per call — `ExecutionCore::instances_created()` is a process-wide
 /// counter the regression tests use to prove they don't. Ownership:
 ///
@@ -89,8 +89,8 @@ class VirtualWorkerPool {
 /// ## Reentrancy (work stealing)
 ///
 /// Scheduling calls are reentrant: a body running ON a pool worker may
-/// itself call RunGraph/RunWorkers on the same pool (a merge candidate that
-/// recursively enters RunDag, say). The submitting thread never just blocks
+/// itself call RunGraph/RunWorkers on the same pool (a merge candidate whose
+/// pipeline run enters RunGraph, say). The submitting thread never just blocks
 /// on its batch — it HELPS: it claims and runs the still-unclaimed tasks of
 /// its own batch (batch-local work stealing), so a nested call always makes
 /// progress even when every pool thread is occupied by outer bodies.
@@ -160,7 +160,7 @@ class ExecutionCore {
   PoolStats stats() const;
 
   /// Process-wide count of ExecutionCore instances ever constructed. Hot
-  /// paths (RunDag, per-merge-candidate runs) must not move this; tests
+  /// paths (Executor::Run, per-merge-candidate runs) must not move this; tests
   /// assert on the delta.
   static uint64_t instances_created() {
     return instances_.load(std::memory_order_relaxed);

@@ -1,6 +1,7 @@
 #include "pipeline/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <unordered_map>
 
@@ -89,22 +90,11 @@ ArtifactCache::EntryPtr Executor::FindCachedEntry(
   return cache_.Find(ChainKey(chain));
 }
 
-const data::Table* Executor::FindCached(
-    const std::vector<const ComponentVersionSpec*>& chain) const {
-  ArtifactCache::EntryPtr entry = FindCachedEntry(chain);
-  return entry == nullptr ? nullptr : &entry->table;
-}
-
 StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
                                           const ExecutorOptions& options) {
   MLCASK_RETURN_IF_ERROR(pipeline.Validate());
   MLCASK_ASSIGN_OR_RETURN(std::vector<const ComponentVersionSpec*> order,
                           pipeline.TopologicalOrder());
-  if (!pipeline.IsChain()) {
-    return Status::Unimplemented(
-        "executor currently runs chain pipelines (the paper's evaluated "
-        "pipelines and search-tree formulation are chains)");
-  }
 
   SimClock* clock = options.clock != nullptr ? options.clock : clock_;
   PipelineRunResult result;
@@ -121,242 +111,8 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
     MLCASK_RETURN_IF_ERROR(compat);
   }
 
-  // Pre-compute every prefix key, then locate the LONGEST cached prefix.
-  // This mirrors Algorithm 2: a checkpointed tree node covers its entire
-  // path to the root, so components before it never run even if their own
-  // intermediate outputs were not individually materialized.
-  std::vector<Hash256> prefix_keys(order.size());
-  {
-    std::vector<Hash256> parents;
-    for (size_t i = 0; i < order.size(); ++i) {
-      prefix_keys[i] = NodeKey(*order[i], parents);
-      parents.assign(1, prefix_keys[i]);
-    }
-  }
-  size_t resume_from = 0;  // first component index that must execute
-  // The scan PINS the entry it resumes from: holding the EntryPtr keeps a
-  // byte-capped cache from evicting it between this scan and the reuse
-  // below — otherwise the run would proceed with a null input instead of
-  // recomputing.
-  ArtifactCache::EntryPtr resume_entry;
-  if (options.reuse_cached_outputs) {
-    for (size_t i = order.size(); i-- > 0;) {
-      resume_entry = cache_.Find(prefix_keys[i]);
-      if (resume_entry != nullptr) {
-        resume_from = i + 1;
-        break;
-      }
-    }
-  }
-
-  // Keeps the current input table alive even if the cache is cleared by
-  // another thread mid-run.
-  ArtifactCache::EntryPtr current;
-
-  // Streamed prefix handoff state: when the last reused entry is streamable
-  // the clock was only advanced to its FIRST chunk boundary, and this span
-  // holds the deferred remainder — either the next executed component
-  // consumes the stream (tail floor applied after its compute) or the span
-  // is flushed to the full finish time (superseded without consumption, or
-  // the run ends on the reuse). See ExecutorOptions::streamed_handoff.
-  StreamSpan pending_stream;
-  bool stream_pending = false;
-  auto flush_pending_stream = [&] {
-    if (stream_pending && clock != nullptr) {
-      clock->AdvanceTo(pending_stream.ready_at_s);
-    }
-    stream_pending = false;
-  };
-
-  for (size_t i = 0; i < order.size(); ++i) {
-    const ComponentVersionSpec* spec = order[i];
-
-    ComponentRunInfo info;
-    info.name = spec->name;
-    info.version = spec->version;
-    info.kind = spec->kind;
-
-    const Hash256& key = prefix_keys[i];
-
-    auto reuse = [&](const ArtifactCache::EntryPtr& entry) {
-      info.reused = true;
-      info.output_id = entry->output_id;
-      current = entry;
-      if (entry->has_score()) {
-        result.score = entry->score;
-        result.metric = entry->metric;
-        result.metrics = entry->metrics;
-      }
-      // A previous streamed reuse that no executed component consumed
-      // degenerates to the legacy full wait before this entry takes over.
-      flush_pending_stream();
-      // Waiting for an artifact another worker finishes later in virtual
-      // time costs exactly that wait; on a serial timeline this is a no-op.
-      // A streamable entry charges only up to its first chunk boundary now
-      // and defers the rest to the consuming component (or the flush).
-      const StreamSpan span = entry->stream_span();
-      if (options.streamed_handoff && clock != nullptr &&
-          span.streamable()) {
-        clock->AdvanceTo(span.FirstChunkReadyS());
-        pending_stream = span;
-        stream_pending = true;
-      } else if (clock != nullptr) {
-        clock->AdvanceTo(entry->ready_at_s);
-      }
-    };
-
-    if (i < resume_from) {
-      // The resume component itself reuses the pinned entry from the scan;
-      // earlier prefixes are covered by it and only surface their
-      // output_id/score if still resident.
-      ArtifactCache::EntryPtr cached =
-          i + 1 == resume_from ? resume_entry : cache_.Find(key);
-      if (cached != nullptr) {
-        reuse(cached);
-      } else {
-        info.reused = true;
-      }
-      result.components.push_back(std::move(info));
-      continue;
-    }
-
-    // Past the resume point every key is claimed through the in-flight
-    // guard: if a concurrent candidate is already computing this prefix we
-    // wait for its result instead of recomputing it.
-    ArtifactCache::Acquired acquired =
-        options.reuse_cached_outputs
-            ? cache_.Acquire(key)
-            : ArtifactCache::Acquired{nullptr, nullptr};
-    if (acquired.entry != nullptr) {
-      reuse(acquired.entry);
-      result.components.push_back(std::move(info));
-      continue;
-    }
-
-    // Runtime incompatibility: without the precheck, upstream components
-    // have already burned their time before this one fails (the baselines'
-    // behaviour in Fig. 5). The abandoned lease wakes any waiter.
-    if (i > 0 && !order[i - 1]->CompatibleWith(*spec)) {
-      // The failing component never consumed the stream; charge the legacy
-      // full wait so failure timing stays conservative.
-      flush_pending_stream();
-      result.compatibility_failure = true;
-      result.failed_component = spec->name;
-      result.components.push_back(std::move(info));
-      return result;
-    }
-
-    MLCASK_ASSIGN_OR_RETURN(const LibraryFn* fn, registry_->Get(spec->impl));
-
-    ExecInput in;
-    in.input = current == nullptr ? nullptr : &current->table;
-    in.params = &spec->params;
-    in.seed = MixSeed(options.seed, key);
-
-    MLCASK_ASSIGN_OR_RETURN(ExecOutput out, (*fn)(in));
-    executions_.fetch_add(1, std::memory_order_relaxed);
-    info.executed = true;
-
-    size_t rows = current != nullptr ? current->table.num_rows()
-                                     : out.table.num_rows();
-    info.exec_s = spec->cost_per_krow_s * static_cast<double>(rows) / 1000.0;
-    if (spec->kind == ComponentKind::kModel) {
-      result.time.train_s += info.exec_s;
-    } else {
-      result.time.preprocess_s += info.exec_s;
-    }
-    const double exec_start_s = clock != nullptr ? clock->Now() : 0;
-    if (clock != nullptr) clock->Advance(info.exec_s);
-    if (stream_pending) {
-      // This component consumed its input as a stream: it started at the
-      // first chunk boundary (already charged) but cannot finish before
-      // processing the last chunk the producer publishes at ready_at_s.
-      if (clock != nullptr) {
-        clock->AdvanceTo(pending_stream.ConsumerTailFloorS(info.exec_s));
-      }
-      stream_pending = false;
-    }
-
-    if (out.has_score()) {
-      result.score = out.score;
-      result.metric = out.metric;
-      result.metrics = out.metrics;
-    }
-
-    if (options.store_outputs) {
-      std::string bytes = out.table.Serialize();
-      MLCASK_ASSIGN_OR_RETURN(
-          storage::PutResult put,
-          engine_->Put("artifact/" + pipeline.name() + "/" + spec->Key(),
-                       bytes));
-      info.storage_s = put.storage_time_s;
-      info.bytes_written = put.logical_bytes;
-      info.output_id = put.id;
-      result.time.storage_s += put.storage_time_s;
-      if (clock != nullptr) clock->Advance(put.storage_time_s);
-    }
-
-    ArtifactEntry entry;
-    entry.stream_chunks = StreamChunksFor(out.table);
-    entry.table = std::move(out.table);
-    entry.score = out.score;
-    entry.metric = out.metric;
-    entry.metrics = std::move(out.metrics);
-    entry.output_id = info.output_id;
-    // The stream watermark: consumers overlap with [started_at_s,
-    // ready_at_s] (compute + storage) in stream_chunks uniform boundaries.
-    entry.started_at_s = exec_start_s;
-    entry.ready_at_s = clock != nullptr ? clock->Now() : 0;
-    if (acquired.lease != nullptr) {
-      current = cache_.Fulfill(acquired.lease.get(), std::move(entry));
-    } else {
-      // reuse disabled: later runs will not look the entry up, but the
-      // merge materialization (FindCached on the winner) still expects the
-      // freshest outputs in the cache.
-      current = cache_.Insert(key, std::move(entry));
-    }
-
-    result.components.push_back(std::move(info));
-  }
-
-  // A run ending on a reused entry pays the producer's full finish time:
-  // the pipeline's score/output is only known once the producer completes.
-  flush_pending_stream();
-
-  // Assemble the commit-ready snapshot.
-  for (size_t i = 0; i < order.size(); ++i) {
-    version::ComponentRecord rec = order[i]->ToRecord();
-    rec.output_id = result.components[i].output_id;
-    result.snapshot.components.push_back(std::move(rec));
-  }
-  result.snapshot.score = result.score;
-  result.snapshot.metric = result.metric;
-  result.snapshot.metrics = result.metrics;
-  return result;
-}
-
-StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
-                                             const ExecutorOptions& options) {
-  MLCASK_RETURN_IF_ERROR(pipeline.Validate());
-  MLCASK_ASSIGN_OR_RETURN(std::vector<const ComponentVersionSpec*> order,
-                          pipeline.TopologicalOrder());
-
-  SimClock* clock = options.clock != nullptr ? options.clock : clock_;
-  PipelineRunResult result;
-
-  if (options.precheck_compatibility) {
-    Status compat = pipeline.CheckCompatibility();
-    if (compat.IsIncompatible()) {
-      result.compatibility_failure = true;
-      result.failed_component = compat.message();
-      return result;
-    }
-    MLCASK_RETURN_IF_ERROR(compat);
-  }
-
-  // Recursive node keys H(spec, sorted parent keys) — the same scheme
-  // ChainKey folds over a chain, so a chain run through RunDag (or through
-  // Run) shares one cache namespace.
+  // Recursive node keys H(spec, sorted parent keys). On a chain they fold
+  // exactly like ChainKey, so checkpoints seeded per chain prefix are hit.
   const size_t n = order.size();
   std::unordered_map<std::string, size_t> index_of;
   for (size_t i = 0; i < n; ++i) index_of[order[i]->name] = i;
@@ -379,49 +135,40 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
     node_keys[i] = NodeKey(*order[i], parent_keys);
   }
 
-  // Checkpoint pruning, the DAG analogue of Run()'s longest-cached-prefix
-  // scan: an uncached node only executes if it is a sink or some executing
-  // successor needs its table. Ancestors fully covered by downstream
-  // checkpoints are skipped (marked reused without an entry), exactly as a
-  // chain prefix under a seeded checkpoint is.
-  // Cached entries are PINNED for the whole run (EntryPtr held): the
-  // execute/skip plan below is built from this snapshot, so a byte-capped
-  // cache must not be able to evict a planned-on entry mid-run — that
-  // would turn a skip into a missing predecessor.
+  // Sinks-first plan, Algorithm 2's checkpoint pruning on a DAG: walking
+  // the nodes sinks first, probe a node only when it is a sink or an
+  // executing successor needs its table. A hit is reused; a miss executes
+  // and needs its predecessors. On a chain this is the longest-cached-prefix
+  // scan, with the same probes and LRU touches. A hit stays PINNED (EntryPtr
+  // held) for the whole run, so a byte-capped cache cannot turn a planned
+  // reuse into a missing input mid-run. Nodes nothing needs (ancestors
+  // covered by a downstream hit) are looked up only when their task runs.
   std::vector<ArtifactCache::EntryPtr> cached(n);
-  if (options.reuse_cached_outputs) {
-    for (size_t i = 0; i < n; ++i) {
-      cached[i] = cache_.Find(node_keys[i]);
-    }
-  }
   std::vector<char> must_execute(n, 0);
   std::vector<char> table_needed(n, 0);
+  // Consumer-counted pins: an executed or runtime-hit table stays pinned in
+  // its outcome slot until its last executing consumer finishes, then that
+  // consumer's task drops it. On a chain this pins exactly the one table
+  // the next component reads (while it runs and publishes).
+  std::vector<std::atomic<size_t>> unfinished_consumers(n);
   for (size_t i = n; i-- > 0;) {  // order is topological; walk sinks first
-    bool is_sink = successor_count[i] == 0;
-    must_execute[i] = !cached[i] && (is_sink || table_needed[i]) ? 1 : 0;
-    if (must_execute[i]) {
-      for (size_t pi : deps[i]) table_needed[pi] = 1;
-    }
-  }
-  // Streamed prefix handoff eligibility (see ExecutorOptions): a reused
-  // node may charge only its first chunk boundary when some EXECUTING
-  // successor actually consumes its table as a stream (that successor's
-  // tail floor then accounts the producer's finish). A reused sink — or a
-  // reused node all of whose successors are themselves cache hits — pays
-  // the full finish time: nothing downstream overlaps with it.
-  std::vector<char> stream_consumed(n, 0);
-  if (options.streamed_handoff) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!must_execute[i]) continue;
-      for (size_t pi : deps[i]) stream_consumed[pi] = 1;
+    if (successor_count[i] != 0 && !table_needed[i]) continue;
+    if (options.reuse_cached_outputs) cached[i] = cache_.Find(node_keys[i]);
+    if (cached[i] != nullptr) continue;
+    must_execute[i] = 1;
+    for (size_t pi : deps[i]) {
+      table_needed[pi] = 1;
+      ++unfinished_consumers[pi];
     }
   }
 
-  // Per-task outcome slots; each task writes only its own index, so no lock
-  // is needed beyond the scheduler's happens-before edges.
+  // Per-task outcome slots. Each task writes only its own slot, except that
+  // a table's last executing consumer drops its pin once the atomic count
+  // shows every other consumer is done; no lock is needed beyond that and
+  // the scheduler's happens-before edges.
   struct TaskOutcome {
     ComponentRunInfo info;
-    ArtifactCache::EntryPtr entry;
+    ArtifactCache::EntryPtr entry;  ///< Pinned while consumers are pending.
     bool processed = false;
     bool has_score = false;
     double score = 0;
@@ -439,10 +186,21 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
   std::mutex fail_mu;
   std::string failed_component;
 
-  // Executes node i under `lease` (null when reuse is disabled and nothing
-  // is published). Predecessor outputs come from their outcome slots — the
-  // scheduler guarantees they finished, and its mutex provides the
-  // happens-before edge that makes reading them safe.
+  // A node that does not consume its streamed inputs (it fails, or turns
+  // into a runtime cache hit) pays every streamed predecessor's FULL finish,
+  // so its timing stays as conservative as full-wait charging.
+  auto charge_streamed_inputs_in_full = [&](size_t i, SimClock* task_clock) {
+    for (size_t pi : deps[i]) {
+      if (outcomes[pi].streamed) {
+        task_clock->AdvanceTo(outcomes[pi].stream.ready_at_s);
+      }
+    }
+  };
+
+  // Executes node i under `lease` (null when reuse is disabled: the output
+  // is then inserted unconditionally). Predecessor outputs come from their
+  // outcome slots — the scheduler guarantees they finished, and its mutex
+  // provides the happens-before edge that makes reading them safe.
   auto execute_node = [&](size_t i, ArtifactCache::Lease* lease,
                           SimClock* task_clock) -> Status {
     const ComponentVersionSpec* spec = order[i];
@@ -453,16 +211,13 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
     inputs.reserve(deps[i].size());
     for (size_t pi : deps[i]) {
       const ComponentVersionSpec* pred_spec = order[pi];
+      // Runtime incompatibility: without the precheck, upstream components
+      // have already burned their time before this one fails (the
+      // baselines' behaviour in Fig. 5). The abandoned lease wakes any
+      // waiter.
       if (!options.precheck_compatibility &&
           !pred_spec->CompatibleWith(*spec)) {
-        // The failing component never consumed its streamed inputs: charge
-        // every streamed predecessor's FULL finish (mirroring Run()'s
-        // flush) so failure timing stays as conservative as legacy.
-        for (size_t flush_pi : deps[i]) {
-          if (outcomes[flush_pi].streamed) {
-            task_clock->AdvanceTo(outcomes[flush_pi].stream.ready_at_s);
-          }
-        }
+        charge_streamed_inputs_in_full(i, task_clock);
         std::lock_guard<std::mutex> lock(fail_mu);
         if (failed_component.empty()) failed_component = spec->name;
         return Status::Incompatible("runtime schema mismatch at " +
@@ -470,7 +225,7 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
       }
       if (outcomes[pi].entry == nullptr) {
         return Status::Internal("predecessor '" + pred_spec->name +
-                                "' missing from cache during DAG run");
+                                "' missing from cache during run");
       }
       inputs.push_back(&outcomes[pi].entry->table);
       input_rows = std::max(input_rows, outcomes[pi].entry->table.num_rows());
@@ -528,15 +283,81 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
     entry.metric = out.metric;
     entry.metrics = std::move(out.metrics);
     entry.output_id = slot.info.output_id;
+    // The stream watermark: consumers overlap with [started_at_s,
+    // ready_at_s] (compute + storage) in stream_chunks uniform boundaries.
     entry.started_at_s = exec_start_s;
     entry.ready_at_s = task_clock->Now();
     if (lease != nullptr) {
       slot.entry = cache_.Fulfill(lease, std::move(entry));
     } else {
-      // See Run(): reuse-off runs still publish for merge materialization.
+      // Reuse disabled: later runs will not look the entry up, but merge
+      // materialization (FindCachedEntry on the winner) still expects the
+      // freshest outputs in the cache.
       slot.entry = cache_.Insert(node_keys[i], std::move(entry));
     }
     return Status::Ok();
+  };
+
+  // Resolves node i into its outcome slot: reuse, or execute.
+  auto resolve_node = [&](size_t i, SimClock* task_clock) -> Status {
+    TaskOutcome& slot = outcomes[i];
+    auto reuse_entry = [&](const ArtifactCache::EntryPtr& entry) {
+      slot.info.reused = true;
+      slot.info.output_id = entry->output_id;
+      slot.entry = entry;
+      if (entry->has_score()) {
+        slot.has_score = true;
+        slot.score = entry->score;
+        slot.metric = entry->metric;
+        slot.metrics = entry->metrics;
+      }
+      // Waiting for an artifact another worker finishes later in virtual
+      // time costs exactly that wait. Streamed handoff: when an executing
+      // successor consumes this table, finish (= the successor's ready
+      // edge) at the first chunk boundary and let the successor's tail
+      // floor account the producer's finish. A reused sink, or a reuse no
+      // executing successor reads, pays the full finish time: the score or
+      // the covering hit is only known once the producer completes.
+      const StreamSpan span = entry->stream_span();
+      if (options.streamed_handoff && table_needed[i] && span.streamable()) {
+        task_clock->AdvanceTo(span.FirstChunkReadyS());
+        slot.stream = span;
+        slot.streamed = true;
+      } else {
+        task_clock->AdvanceTo(entry->ready_at_s);
+      }
+    };
+
+    if (!must_execute[i]) {
+      // A planned hit reuses its pinned entry. A node nothing needs is
+      // covered by a downstream hit: it only surfaces its output id and
+      // score if still resident, and is reused without an entry otherwise.
+      ArtifactCache::EntryPtr entry =
+          cached[i] != nullptr ? cached[i] : cache_.Find(node_keys[i]);
+      if (entry != nullptr) {
+        reuse_entry(entry);
+      } else {
+        slot.info.reused = true;
+      }
+      return Status::Ok();
+    }
+    if (!options.reuse_cached_outputs) {
+      return execute_node(i, nullptr, task_clock);
+    }
+    // Every executing node is claimed through the in-flight guard: if a
+    // concurrent run is already computing this key, wait for its result
+    // instead of recomputing it.
+    ArtifactCache::Acquired acquired = cache_.Acquire(node_keys[i]);
+    if (acquired.entry != nullptr) {
+      // A planned-executing node that turned into a runtime cache hit
+      // (another run published it) consumes no streams: its reuse time
+      // comes from ANOTHER run's timeline and cannot vouch for its streamed
+      // predecessors.
+      charge_streamed_inputs_in_full(i, task_clock);
+      reuse_entry(acquired.entry);
+      return Status::Ok();
+    }
+    return execute_node(i, acquired.lease.get(), task_clock);
   };
 
   auto run_task = [&](size_t i, SimClock* task_clock) -> Status {
@@ -554,112 +375,43 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
       ~FinishRecorder() { slot.finish_s = clock->Now(); }
     } finish_recorder{slot, task_clock};
 
-    auto reuse_entry = [&](const ArtifactCache::EntryPtr& entry) {
-      slot.info.reused = true;
-      slot.info.output_id = entry->output_id;
-      slot.entry = entry;
-      if (entry->has_score()) {
-        slot.has_score = true;
-        slot.score = entry->score;
-        slot.metric = entry->metric;
-        slot.metrics = entry->metrics;
-      }
-      // Streamed handoff: when an executing successor consumes this table,
-      // finish (= the successor's ready edge) at the first chunk boundary
-      // and let the successor's tail floor account the producer's finish;
-      // otherwise pay the full finish time as before.
-      const StreamSpan span = entry->stream_span();
-      if (stream_consumed[i] && span.streamable()) {
-        task_clock->AdvanceTo(span.FirstChunkReadyS());
-        slot.stream = span;
-        slot.streamed = true;
-      } else {
-        task_clock->AdvanceTo(entry->ready_at_s);
-      }
-    };
-
-    if (!must_execute[i]) {
-      // Cached (the entry pinned at plan time, immune to eviction), or an
-      // ancestor fully covered by downstream checkpoints (skipped without
-      // an entry, like a chain prefix under a seeded checkpoint).
-      if (cached[i] != nullptr) {
-        reuse_entry(cached[i]);
-      } else {
-        slot.info.reused = true;
-      }
-      return Status::Ok();
-    }
-    if (!options.reuse_cached_outputs) {
-      return execute_node(i, nullptr, task_clock);
-    }
-    ArtifactCache::Acquired acquired = cache_.Acquire(node_keys[i]);
-    if (acquired.entry != nullptr) {
-      // A planned-executing node that turned into a runtime cache hit
-      // (another run published it) consumes no streams: charge streamed
-      // predecessors their full finish first — this node's reuse time
-      // comes from ANOTHER run's timeline and cannot vouch for them.
+    MLCASK_RETURN_IF_ERROR(resolve_node(i, task_clock));
+    // Consumer-counted pins: this task no longer needs its inputs, and a
+    // table no executing successor reads is not kept at all.
+    if (must_execute[i]) {
       for (size_t pi : deps[i]) {
-        if (outcomes[pi].streamed) {
-          task_clock->AdvanceTo(outcomes[pi].stream.ready_at_s);
-        }
+        if (--unfinished_consumers[pi] == 0) outcomes[pi].entry.reset();
       }
-      reuse_entry(acquired.entry);
-      return Status::Ok();
     }
-    return execute_node(i, acquired.lease.get(), task_clock);
+    if (!table_needed[i]) slot.entry.reset();
+    return Status::Ok();
   };
 
   // Schedule on the shared pool (options.core) or the executor's lazy
   // fallback — never a per-call pool. The requested num_workers is the
   // VIRTUAL machine width; the pool's real thread count is whatever the
-  // pool owner chose.
+  // pool owner chose. With width 1 tasks run in FIFO topological order.
   const size_t width = std::max<size_t>(1, options.num_workers);
   ExecutionCore* core = fallback_core_.Get(options.core, width);
-  double base = clock != nullptr ? clock->Now() : 0;
+  const double base = clock != nullptr ? clock->Now() : 0;
   StatusOr<double> makespan = core->RunGraph(
-      n, deps,
-      [&](size_t i, SimClock* task_clock) { return run_task(i, task_clock); },
-      base, /*finish_times=*/nullptr, /*virtual_workers=*/width);
+      n, deps, run_task, base, /*finish_times=*/nullptr,
+      /*virtual_workers=*/width);
+  const bool failed = !makespan.ok();
+  if (failed && !makespan.status().IsIncompatible()) return makespan.status();
 
-  if (!makespan.ok()) {
-    if (makespan.status().IsIncompatible()) {
-      result.compatibility_failure = true;
-      {
-        std::lock_guard<std::mutex> lock(fail_mu);
-        result.failed_component = failed_component;
-      }
-      // The baselines' behaviour in Fig. 5: upstream components burned
-      // their time before the failure — charge it (partial makespan).
-      double failed_makespan = base;
-      for (TaskOutcome& slot : outcomes) {
-        if (slot.processed) {
-          failed_makespan = std::max(failed_makespan, slot.finish_s);
-          // A streamed reuse whose consumer was cancelled by the failure
-          // recorded only its first-chunk time; the failed run still pays
-          // the producer's full finish, like legacy charging would.
-          if (slot.streamed) {
-            failed_makespan =
-                std::max(failed_makespan, slot.stream.ready_at_s);
-          }
-          result.components.push_back(std::move(slot.info));
-          result.time.storage_s += result.components.back().storage_s;
-          double exec_s = result.components.back().exec_s;
-          if (result.components.back().kind == ComponentKind::kModel) {
-            result.time.train_s += exec_s;
-          } else {
-            result.time.preprocess_s += exec_s;
-          }
-        }
-      }
-      if (clock != nullptr) clock->AdvanceTo(failed_makespan);
-      return result;
+  // On a runtime incompatibility the components processed before the
+  // failure still burned their time (the baselines' behaviour in Fig. 5):
+  // charge the partial makespan. A streamed reuse whose consumer was
+  // cancelled recorded only its first-chunk time; the failed run still pays
+  // the producer's full finish.
+  double finish_s = failed ? base : *makespan;
+  for (TaskOutcome& slot : outcomes) {
+    if (!slot.processed) continue;
+    if (failed) {
+      finish_s = std::max(finish_s, slot.finish_s);
+      if (slot.streamed) finish_s = std::max(finish_s, slot.stream.ready_at_s);
     }
-    return makespan.status();
-  }
-  if (clock != nullptr) clock->AdvanceTo(*makespan);
-
-  for (size_t i = 0; i < n; ++i) {
-    TaskOutcome& slot = outcomes[i];
     if (slot.has_score) {
       result.score = slot.score;
       result.metric = slot.metric;
@@ -673,7 +425,14 @@ StatusOr<PipelineRunResult> Executor::RunDag(const Pipeline& pipeline,
     result.time.storage_s += slot.info.storage_s;
     result.components.push_back(std::move(slot.info));
   }
+  if (clock != nullptr) clock->AdvanceTo(finish_s);
+  if (failed) {
+    result.compatibility_failure = true;
+    result.failed_component = failed_component;
+    return result;
+  }
 
+  // Assemble the commit-ready snapshot.
   for (size_t i = 0; i < n; ++i) {
     version::ComponentRecord rec = order[i]->ToRecord();
     rec.output_id = result.components[i].output_id;

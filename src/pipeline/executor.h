@@ -32,7 +32,7 @@ struct ExecutorOptions {
   /// Materialize component outputs into the storage engine.
   bool store_outputs = true;
   uint64_t seed = 1;
-  /// Worker threads for RunDag: independent DAG components dispatch
+  /// Virtual machine width of a run: independent DAG components dispatch
   /// concurrently through the ExecutionCore. 1 = explicitly serial
   /// (deterministic FIFO topological order, the pre-parallel behaviour);
   /// 0 = unset, meaning serial unless a driver-level default (e.g.
@@ -57,7 +57,7 @@ struct ExecutorOptions {
   /// false to preserve the legacy full-wait charging (A/B comparison).
   bool streamed_handoff = true;
   /// Shared long-lived ExecutionCore (non-owning; must outlive the run).
-  /// When set, RunDag schedules on it instead of the executor's own
+  /// When set, Run schedules on it instead of the executor's own
   /// fallback pool — one deployment-wide pool serves every run and merge
   /// candidate (see the pool-ownership rules in execution_core.h). The
   /// pool's real thread count is independent of `num_workers`, which is the
@@ -102,8 +102,9 @@ struct PipelineRunResult {
 /// chain key, which is what lets sibling pipelines in a merge search tree
 /// share everything up to their divergence point (paper Sec. VI-B: "nodes
 /// sharing the same parent node also share the same path to the tree root").
-/// Chain runs (Run) and DAG runs (RunDag) share one cache namespace: a chain
-/// and the equivalent linear DAG hit the same entries.
+/// A chain is the DAG special case: one scheduler runs both, and a
+/// checkpoint seeded for a chain prefix (SeedCache) is the same cache entry
+/// a run of that chain looks up.
 ///
 /// Thread safety: one executor may serve many workers at once. The cache's
 /// per-key in-flight guards make concurrent candidates sharing a prefix
@@ -122,21 +123,23 @@ class Executor {
         clock_(clock),
         cache_(cache_options) {}
 
-  /// Runs `pipeline` (a chain) with the given options. Compatibility
-  /// failures are reported in the result, not as an error status; hard
-  /// errors (unknown impl, malformed pipeline) are error statuses.
+  /// Runs a pipeline DAG (Definition 1; a chain is the special case).
+  /// Components with several predecessors receive all their inputs
+  /// (name-sorted) through ExecInput::inputs. With options.num_workers > 1,
+  /// independent components run concurrently on the ExecutionCore; reported
+  /// times model the resulting schedule's makespan. Compatibility requires
+  /// every predecessor's output schema to match the consumer's declared
+  /// input schema. Compatibility failures are reported in the result, not as
+  /// an error status; hard errors (unknown impl, malformed pipeline) are
+  /// error statuses.
+  ///
+  /// Cached outputs are planned sinks first: a node is looked up only when
+  /// it is a sink or an executing successor needs its table, so a chain
+  /// resumes from its longest cached prefix. The run pins the cache hits it
+  /// plans on, and every other table only until its last executing consumer
+  /// finishes; a byte-capped cache can evict everything else mid-run.
   StatusOr<PipelineRunResult> Run(const Pipeline& pipeline,
                                   const ExecutorOptions& options);
-
-  /// Runs a general DAG pipeline (Definition 1). Components with several
-  /// predecessors receive all their inputs (name-sorted) through
-  /// ExecInput::inputs. With options.num_workers > 1, independent components
-  /// run concurrently on the ExecutionCore; reported times model the
-  /// resulting schedule's makespan. Compatibility requires every
-  /// predecessor's output schema to match the consumer's declared input
-  /// schema.
-  StatusOr<PipelineRunResult> RunDag(const Pipeline& pipeline,
-                                     const ExecutorOptions& options);
 
   /// Pre-seeds the artifact cache for the chain `specs[0..specs.size())` —
   /// used to install checkpoints from commit history (the green nodes of the
@@ -166,14 +169,6 @@ class Executor {
   ArtifactCache::EntryPtr FindCachedEntry(
       const std::vector<const ComponentVersionSpec*>& chain) const;
 
-  /// Raw-pointer convenience over FindCachedEntry. The pointer is only
-  /// stable while nothing else mutates the cache (no re-publish of the
-  /// chain, no Clear, and no LRU eviction — the pin is dropped before this
-  /// returns). Prefer FindCachedEntry anywhere the cache is byte-bounded or
-  /// shared across threads.
-  const data::Table* FindCached(
-      const std::vector<const ComponentVersionSpec*>& chain) const;
-
   size_t cache_size() const { return cache_.size(); }
   void ClearCache() { cache_.Clear(); }
   /// Byte/eviction accounting of the artifact cache (LRU cap telemetry).
@@ -193,7 +188,7 @@ class Executor {
   std::atomic<uint64_t> executions_{0};
   /// Fallback pool for runs that pass no ExecutorOptions::core: built
   /// lazily once, sized by the first request, reused for the executor's
-  /// lifetime — RunDag never constructs a per-call pool
+  /// lifetime — Run never constructs a per-call pool
   /// (ExecutionCore::instances_created() proves it). Later runs requesting
   /// a wider machine still report correct makespans: the virtual width is
   /// passed per call, independent of the pool's real thread count.

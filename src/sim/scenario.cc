@@ -24,9 +24,8 @@ StatusOr<Hash256> Deployment::RunAndCommit(
   pipeline::ExecutorOptions eo = opts;
   if (eo.num_workers == 0) eo.num_workers = num_workers;  // 0 = unset
   if (eo.core == nullptr) eo.core = core.get();  // share the deployment pool
-  MLCASK_ASSIGN_OR_RETURN(
-      pipeline::PipelineRunResult run,
-      p.IsChain() ? executor->Run(p, eo) : executor->RunDag(p, eo));
+  MLCASK_ASSIGN_OR_RETURN(pipeline::PipelineRunResult run,
+                          executor->Run(p, eo));
   if (run.compatibility_failure) {
     return Status::Incompatible("pipeline failed compatibility at " +
                                 run.failed_component);

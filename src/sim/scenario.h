@@ -32,7 +32,7 @@ struct Deployment {
   std::unique_ptr<version::PipelineRepo> repo;
   std::unique_ptr<pipeline::Executor> executor;
   /// The deployment-wide shared ExecutionCore: one long-lived pool reused
-  /// by every RunDag call and merge drain (threaded through
+  /// by every RunAndCommit run and merge drain (threaded through
   /// ExecutorOptions::core / MergeOptions::core). Sized by `num_workers`
   /// real threads at deployment creation.
   std::unique_ptr<pipeline::ExecutionCore> core;
@@ -50,9 +50,9 @@ struct Deployment {
   /// merge is draining on the same deployment.
   storage::ShardedStorageEngine* sharded_engine() const;
 
-  /// Runs `p` (chains through Run, general DAGs through RunDag), commits
-  /// the result snapshot on `branch`, and registers every component version
-  /// in the library repository. Returns the commit id.
+  /// Runs `p` (a chain or a general DAG), commits the result snapshot on
+  /// `branch`, and registers every component version in the library
+  /// repository. Returns the commit id.
   StatusOr<Hash256> RunAndCommit(const pipeline::Pipeline& p,
                                  const std::string& branch,
                                  const std::string& author,

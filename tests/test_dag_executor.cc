@@ -73,13 +73,8 @@ TEST_F(DagExecutorTest, DiamondValidatesButIsNotChain) {
   EXPECT_EQ(p.Predecessors("join").size(), 2u);
 }
 
-TEST_F(DagExecutorTest, ChainRunRejectsDag) {
-  EXPECT_EQ(executor_.Run(MakeDiamond(), {}).status().code(),
-            StatusCode::kUnimplemented);
-}
-
-TEST_F(DagExecutorTest, RunDagExecutesDiamondAndScores) {
-  auto result = executor_.RunDag(MakeDiamond(), {});
+TEST_F(DagExecutorTest, RunExecutesDiamondAndScores) {
+  auto result = executor_.Run(MakeDiamond(), {});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->compatibility_failure);
   ASSERT_EQ(result->components.size(), 5u);
@@ -88,17 +83,43 @@ TEST_F(DagExecutorTest, RunDagExecutesDiamondAndScores) {
   EXPECT_EQ(executor_.executions(), 5u);
 }
 
-TEST_F(DagExecutorTest, RunDagAlsoHandlesChains) {
+TEST_F(DagExecutorTest, ChainRunOnTinyCapPinsAtMostTwoTables) {
+  // A chain is the DAG special case. On a 1-byte cap every unpinned table
+  // is evicted at the next publish, so the peak shows what the run pins:
+  // only the input the running component reads, beside its new output.
   auto w = sim::MakeWorkload("readmission", 0.05);
   ASSERT_TRUE(w.ok());
-  auto chain_result = executor_.RunDag(w->initial, {});
+  ArtifactCache::Options tiny;
+  tiny.max_bytes = 1;
+  Executor capped(&registry_, &engine_, &clock_, tiny);
+  auto chain_result = capped.Run(w->initial, {});
   ASSERT_TRUE(chain_result.ok());
   EXPECT_TRUE(chain_result->has_score());
+  const ArtifactCache::Stats stats = capped.cache_stats();
+  EXPECT_LE(stats.peak_bytes, 2 * stats.largest_entry_bytes);
+}
+
+TEST_F(DagExecutorTest, DiamondRunOnTinyCapReleasesConsumedTables) {
+  // Consumer-counted pins: a table is released once its last executing
+  // consumer finishes, so a capped diamond evicts the dataset and the two
+  // branch tables instead of holding all five outputs until the run ends.
+  ASSERT_TRUE(executor_.Run(MakeDiamond(), {}).ok());
+  const uint64_t all_outputs = executor_.cache_stats().bytes;
+
+  ArtifactCache::Options tiny;
+  tiny.max_bytes = 1;
+  Executor capped(&registry_, &engine_, &clock_, tiny);
+  auto result = capped.Run(MakeDiamond(), {});
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->has_score());
+  const ArtifactCache::Stats stats = capped.cache_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LT(stats.peak_bytes, all_outputs);
 }
 
 TEST_F(DagExecutorTest, DagCacheReusesWholePipeline) {
-  ASSERT_TRUE(executor_.RunDag(MakeDiamond(), {}).ok());
-  auto second = executor_.RunDag(MakeDiamond(), {});
+  ASSERT_TRUE(executor_.Run(MakeDiamond(), {}).ok());
+  auto second = executor_.Run(MakeDiamond(), {});
   ASSERT_TRUE(second.ok());
   for (const auto& c : second->components) {
     EXPECT_TRUE(c.reused) << c.name;
@@ -108,7 +129,7 @@ TEST_F(DagExecutorTest, DagCacheReusesWholePipeline) {
 }
 
 TEST_F(DagExecutorTest, BranchChangeOnlyRerunsAffectedSubgraph) {
-  ASSERT_TRUE(executor_.RunDag(MakeDiamond(), {}).ok());
+  ASSERT_TRUE(executor_.Run(MakeDiamond(), {}).ok());
   // Update only path_b; path_a and the dataset must stay cached, while the
   // join and model (downstream of the change) re-run.
   Pipeline p = MakeDiamond();
@@ -127,7 +148,7 @@ TEST_F(DagExecutorTest, BranchChangeOnlyRerunsAffectedSubgraph) {
   MLCASK_CHECK_OK(updated.Connect("path_b", "join"));
   MLCASK_CHECK_OK(updated.Connect("join", "model"));
 
-  auto result = executor_.RunDag(updated, {});
+  auto result = executor_.Run(updated, {});
   ASSERT_TRUE(result.ok());
   for (const auto& c : result->components) {
     if (c.name == "dataset" || c.name == "path_a") {
@@ -143,7 +164,7 @@ TEST_F(DagExecutorTest, JoinConcatenatesFeatureColumns) {
   Pipeline p = MakeDiamond();
   ExecutorOptions opts;
   opts.store_outputs = true;
-  auto result = executor_.RunDag(p, opts);
+  auto result = executor_.Run(p, opts);
   ASSERT_TRUE(result.ok());
   // Fetch the join output and verify it has columns from both branches.
   const version::ComponentRecord* join_rec = result->snapshot.Find("join");
@@ -175,7 +196,7 @@ TEST_F(DagExecutorTest, RuntimeIncompatibilityDetectedAtJoin) {
 
   ExecutorOptions opts;
   opts.precheck_compatibility = false;
-  auto result = executor_.RunDag(p, opts);
+  auto result = executor_.Run(p, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->compatibility_failure);
   EXPECT_EQ(result->failed_component, "join");
@@ -183,15 +204,15 @@ TEST_F(DagExecutorTest, RuntimeIncompatibilityDetectedAtJoin) {
   // With the precheck the run is refused before any execution.
   executor_.ClearCache();
   uint64_t execs_before = executor_.executions();
-  auto prechecked = executor_.RunDag(p, {});
+  auto prechecked = executor_.Run(p, {});
   ASSERT_TRUE(prechecked.ok());
   EXPECT_TRUE(prechecked->compatibility_failure);
   EXPECT_EQ(executor_.executions(), execs_before);
 }
 
-TEST_F(DagExecutorTest, RunDagNeverConstructsPerCallPools) {
+TEST_F(DagExecutorTest, RunNeverConstructsPerCallPools) {
   // The pool-lifetime regression the shared-core refactor exists for:
-  // repeated RunDag calls must not construct ExecutionCores per call. The
+  // repeated Run calls must not construct ExecutionCores per call. The
   // fallback path builds exactly one lazy pool per executor; the shared
   // path builds none at all.
   Pipeline p = MakeDiamond();
@@ -199,7 +220,7 @@ TEST_F(DagExecutorTest, RunDagNeverConstructsPerCallPools) {
   for (int i = 0; i < 5; ++i) {
     ExecutorOptions opts;
     opts.num_workers = 2;
-    auto result = executor_.RunDag(p, opts);
+    auto result = executor_.Run(p, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result->compatibility_failure);
   }
@@ -212,7 +233,7 @@ TEST_F(DagExecutorTest, RunDagNeverConstructsPerCallPools) {
     ExecutorOptions opts;
     opts.num_workers = 2;
     opts.core = &shared;
-    auto result = executor_.RunDag(p, opts);
+    auto result = executor_.Run(p, opts);
     ASSERT_TRUE(result.ok());
   }
   EXPECT_EQ(ExecutionCore::instances_created() - with_shared, 0u)

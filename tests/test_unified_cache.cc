@@ -1,8 +1,7 @@
-// Regression tests for the unified cache namespace: chain runs (Run) and
-// DAG runs (RunDag) key artifacts with the same recursive NodeKey scheme,
-// so a chain and the equivalent linear DAG share cached outputs. Before the
-// unification these lived in two disjoint namespaces and a chain re-run
-// through RunDag recomputed everything.
+// Regression tests for the unified cache namespace: the chain API
+// (ChainKey, SeedCache, FindCachedEntry) and the executor's DAG runs key
+// artifacts with the same recursive NodeKey scheme, so checkpoints seeded
+// per chain prefix serve a run of the same pipeline.
 
 #include <gtest/gtest.h>
 
@@ -31,37 +30,6 @@ class UnifiedCacheTest : public ::testing::Test {
   Pipeline chain_;
 };
 
-TEST_F(UnifiedCacheTest, DagRunReusesChainRunArtifacts) {
-  auto first = executor_.Run(chain_, {});
-  ASSERT_TRUE(first.ok());
-  uint64_t execs = executor_.executions();
-  ASSERT_GT(execs, 0u);
-
-  auto second = executor_.RunDag(chain_, {});
-  ASSERT_TRUE(second.ok());
-  for (const auto& c : second->components) {
-    EXPECT_TRUE(c.reused) << c.name;
-    EXPECT_FALSE(c.executed) << c.name;
-  }
-  EXPECT_EQ(executor_.executions(), execs);
-  EXPECT_DOUBLE_EQ(second->score, first->score);
-  EXPECT_DOUBLE_EQ(second->time.Total(), 0.0);
-}
-
-TEST_F(UnifiedCacheTest, ChainRunReusesDagRunArtifacts) {
-  auto first = executor_.RunDag(chain_, {});
-  ASSERT_TRUE(first.ok());
-  uint64_t execs = executor_.executions();
-
-  auto second = executor_.Run(chain_, {});
-  ASSERT_TRUE(second.ok());
-  for (const auto& c : second->components) {
-    EXPECT_TRUE(c.reused) << c.name;
-  }
-  EXPECT_EQ(executor_.executions(), execs);
-  EXPECT_DOUBLE_EQ(second->score, first->score);
-}
-
 TEST_F(UnifiedCacheTest, ChainKeyMatchesFoldedNodeKey) {
   std::vector<const ComponentVersionSpec*> specs;
   for (const auto& c : chain_.components()) specs.push_back(&c);
@@ -89,11 +57,11 @@ TEST_F(UnifiedCacheTest, SeededChainCheckpointServesDagRun) {
   std::vector<ComponentVersionSpec> specs = chain_.components();
   std::vector<const ComponentVersionSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
-  const data::Table* full = executor_.FindCached(ptrs);
+  ArtifactCache::EntryPtr full = executor_.FindCachedEntry(ptrs);
   ASSERT_NE(full, nullptr);
-  MLCASK_CHECK_OK(fresh.SeedCache(specs, *full, prefix_run->score, "score",
-                                  Hash256{}));
-  auto dag = fresh.RunDag(chain_, {});
+  MLCASK_CHECK_OK(fresh.SeedCache(specs, full->table, prefix_run->score,
+                                  "score", Hash256{}));
+  auto dag = fresh.Run(chain_, {});
   ASSERT_TRUE(dag.ok());
   EXPECT_TRUE(dag->components.back().reused);
   EXPECT_EQ(fresh.executions(), 0u);

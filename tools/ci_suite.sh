@@ -3,12 +3,21 @@
 #
 #   tools/ci_suite.sh <suite> [run|gate|record]
 #
-#   suite   chaos | overload | service | rebalance | sockets
+#   suite   chaos | overload | service | rebalance | sockets | figures
 #   run     (default) build the suite's targets, then run its tests and
 #           benches, each under a 420 s hang watchdog
 #   gate    compare the suite's BENCH_*.json reports against the median of
 #           its last 5 recorded runs (tools/bench_compare.py)
 #   record  append the suite's reports to its history
+#
+# The figures suite diffs the stdout of every paper-figure bench that has a
+# golden in bench/golden/ (bench/golden/<bench>.txt holds the expected
+# stdout of build/<bench>) and runs every example, each of which must exit
+# 0. Both are deterministic: virtual time and seeded data. It writes no
+# report, so gate and record do nothing for it. A change that is meant to
+# move a figure regenerates the golden from the repo root with
+#   ./build/<bench> > bench/golden/<bench>.txt
+# and says in CHANGES.md why the figure moved.
 #
 # Run from anywhere after configuring build/ (cmake -B build -S .). Each
 # suite keeps its history in bench-history-<name>/ at the repo root; CI
@@ -16,7 +25,7 @@
 # empty history passes the gate with a note.
 set -euo pipefail
 
-usage="usage: tools/ci_suite.sh <chaos|overload|service|rebalance|sockets> [run|gate|record]"
+usage="usage: tools/ci_suite.sh <chaos|overload|service|rebalance|sockets|figures> [run|gate|record]"
 suite="${1:?$usage}"
 phase="${2:-run}"
 cd "$(dirname "$0")/.."
@@ -73,6 +82,21 @@ case "$suite" in
     reports=(BENCH_fig11_socket.json BENCH_micro_transport.json)
     history=socket
     threshold=(--threshold 0.10)
+    ;;
+  figures)
+    # fig5-fig10 and table1 against their goldens, then every example.
+    goldens=(bench/golden/*.txt)
+    examples=()
+    for src in examples/*.cpp; do
+      examples+=("example_$(basename "$src" .cpp)")
+    done
+    targets=()
+    for golden in "${goldens[@]}"; do
+      targets+=("$(basename "$golden" .txt)")
+    done
+    targets+=("${examples[@]}")
+    reports=()
+    history=figures
     ;;
   *)
     echo "$usage" >&2
@@ -144,6 +168,19 @@ run_sockets() {
     . ./build/bench_micro_transport --short --json BENCH_micro_transport.json
 }
 
+run_figures() {
+  local golden bench example
+  for golden in "${goldens[@]}"; do
+    bench="$(basename "$golden" .txt)"
+    step "${bench} stdout matches ${golden}" . \
+      bash -c 'set -o pipefail; "./build/$1" | diff -u "$2" -' _ \
+      "$bench" "$golden"
+  done
+  for example in "${examples[@]}"; do
+    step "${example} exits 0" . "./build/${example}"
+  done
+}
+
 case "$phase" in
   run)
     echo "::group::Build (${targets[*]})"
@@ -152,13 +189,13 @@ case "$phase" in
     "run_${suite}"
     ;;
   gate)
-    for report in "${reports[@]}"; do
+    for report in ${reports[@]+"${reports[@]}"}; do
       python3 tools/bench_compare.py --current "$report" \
         --history-dir "$history_dir" --last 5 ${threshold[@]+"${threshold[@]}"}
     done
     ;;
   record)
-    for report in "${reports[@]}"; do
+    for report in ${reports[@]+"${reports[@]}"}; do
       python3 tools/bench_compare.py --current "$report" \
         --history-dir "$history_dir" --append \
         --tag "${history}-${GITHUB_RUN_ID:-local}"
