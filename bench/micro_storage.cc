@@ -1,12 +1,14 @@
-// Micro/ablation benchmarks for the storage substrate: chunking throughput,
-// the content-defined vs fixed-size de-duplication ablation (DESIGN.md §7.1),
-// and blob write/read round trips.
+// Micro/ablation benchmarks for the storage substrate: chunking and SHA-256
+// throughput, the content-defined vs fixed-size de-duplication ablation
+// (DESIGN.md §7.1), and blob write/read round trips.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 
 #include "common/rng.h"
+#include "common/sha256.h"
+#include "common/sha256_internal.h"
 #include "storage/blob.h"
 #include "storage/chunk_store.h"
 #include "storage/chunker.h"
@@ -44,6 +46,17 @@ void BM_GearChunkerSplit(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_GearChunkerSplit)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_Sha256(benchmark::State& state) {
+  std::string data = RandomBytes(static_cast<size_t>(state.range(0)), 6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256::Digest(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel(sha256_internal::HasShaNi() ? "sha-ni" : "portable");
+}
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 /// Ablation: de-duplication ratio after a small edit, content-defined vs
 /// fixed chunking. The counter "dedup_ratio" is logical/physical bytes after

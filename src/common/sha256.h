@@ -31,7 +31,9 @@ struct Hash256 {
 };
 
 /// Incremental SHA-256 (FIPS 180-4). Self-contained so the library has no
-/// external crypto dependency.
+/// external crypto dependency. Whole blocks go through the x86 SHA
+/// extensions when CPUID reports them and through portable rounds otherwise;
+/// both give the same digests.
 class Sha256 {
  public:
   Sha256() { Reset(); }
@@ -49,8 +51,6 @@ class Sha256 {
   static Hash256 Digest(const void* data, size_t len);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -1,5 +1,7 @@
 #include "storage/chunker.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -52,27 +54,37 @@ GearChunker::GearChunker(size_t min_size, size_t avg_size, size_t max_size)
 std::vector<std::pair<size_t, size_t>> GearChunker::Split(
     std::string_view data) const {
   std::vector<std::pair<size_t, size_t>> out;
+  const auto* bytes = reinterpret_cast<const uint8_t*>(data.data());
+  const uint64_t* gear = gear_table_.data();
+  const uint64_t mask = mask_;
+  const size_t n = data.size();
   size_t start = 0;
-  uint64_t hash = 0;
-  size_t i = 0;
-  while (i < data.size()) {
-    hash = (hash << 1) + gear_table_[static_cast<uint8_t>(data[i])];
-    ++i;
-    size_t len = i - start;
-    bool boundary = false;
-    if (len >= max_size_) {
-      boundary = true;
-    } else if (len >= min_size_ && (hash & mask_) == 0) {
-      boundary = true;
+  // A tail shorter than min_size_ has no legal cut and stays one chunk.
+  while (n - start >= min_size_) {
+    const size_t limit = start + std::min(n - start, max_size_);
+    // `i` is the byte that brings the chunk to min_size_, its first legal
+    // cut. The hash is a 64-bit shift-left register, so a byte 64 or more
+    // positions back has been shifted out: rolling just the 64 bytes before
+    // `i` (FastCDC's cut-point skip) gives the same hash as a scan from
+    // `start`, so every cut point stays where it was.
+    size_t i = start + min_size_ - 1;
+    uint64_t hash = 0;
+    for (size_t j = i - std::min<size_t>(i - start, 64); j < i; ++j) {
+      hash = (hash << 1) + gear[bytes[j]];
     }
-    if (boundary) {
-      out.emplace_back(start, len);
-      start = i;
-      hash = 0;
+    size_t end = limit;
+    for (; i < limit; ++i) {
+      hash = (hash << 1) + gear[bytes[i]];
+      if ((hash & mask) == 0) {
+        end = i + 1;
+        break;
+      }
     }
+    out.emplace_back(start, end - start);
+    start = end;
   }
-  if (start < data.size()) {
-    out.emplace_back(start, data.size() - start);
+  if (start < n) {
+    out.emplace_back(start, n - start);
   }
   return out;
 }

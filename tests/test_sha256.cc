@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iostream>
 #include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/sha256_internal.h"
 
 namespace mlcask {
 namespace {
@@ -108,6 +114,63 @@ TEST_P(Sha256BoundarySweep, IncrementalEqualsOneShotAtBoundary) {
 INSTANTIATE_TEST_SUITE_P(BlockBoundaries, Sha256BoundarySweep,
                          ::testing::Values(0, 1, 55, 56, 57, 63, 64, 65, 119,
                                            120, 121, 127, 128, 129, 1000));
+
+// Every way to feed a 300-byte message in one, two or three Update calls
+// gives the one-shot digest. Covers the whole-block path that compresses
+// straight from the caller's memory after topping up a partial buffer. The
+// message starts at an odd address.
+TEST(Sha256Test, UpdateSplitsMatchOneShot) {
+  std::vector<uint8_t> storage(301);
+  for (size_t i = 0; i < storage.size(); ++i) {
+    storage[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  const uint8_t* msg = storage.data() + 1;
+  const size_t n = 300;
+  const Hash256 expected = Sha256::Digest(msg, n);
+  for (size_t a = 0; a <= n; ++a) {
+    for (size_t b = a; b <= n; ++b) {
+      Sha256 h;
+      h.Update(msg, a);
+      h.Update(msg + a, b - a);
+      h.Update(msg + b, n - b);
+      ASSERT_EQ(h.Finish(), expected) << "pieces [0," << a << ") [" << a
+                                      << "," << b << ") [" << b << "," << n
+                                      << ")";
+    }
+  }
+}
+
+// The SHA-NI compressor must leave exactly the state the portable rounds
+// do, from arbitrary states and for runs of several blocks.
+TEST(Sha256CompressTest, ShaNiMatchesPortable) {
+  const bool sha_ni = sha256_internal::HasShaNi();
+  std::cout << "[ INFO     ] Sha256 compresses with the "
+            << (sha_ni ? "sha-ni" : "portable") << " path\n";
+#if defined(__x86_64__)
+  if (!sha_ni) GTEST_SKIP() << "CPUID reports no SHA extensions";
+  Pcg32 rng(20161);
+  for (size_t blocks : {1, 2, 3, 16, 64}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      // One spare byte in front so the blocks start at an odd address.
+      std::vector<uint8_t> storage(blocks * 64 + 1);
+      for (uint8_t& byte : storage) byte = static_cast<uint8_t>(rng.NextU32());
+      uint32_t portable[8];
+      for (uint32_t& word : portable) word = rng.NextU32();
+      uint32_t hardware[8];
+      std::memcpy(hardware, portable, sizeof(hardware));
+
+      sha256_internal::CompressPortable(portable, storage.data() + 1, blocks);
+      sha256_internal::CompressShaNi(hardware, storage.data() + 1, blocks);
+      for (int w = 0; w < 8; ++w) {
+        ASSERT_EQ(hardware[w], portable[w])
+            << blocks << " blocks, trial " << trial << ", word " << w;
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "SHA-NI exists only on x86-64";
+#endif
+}
 
 }  // namespace
 }  // namespace mlcask

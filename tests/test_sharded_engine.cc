@@ -315,9 +315,10 @@ TEST(RemoteEngineTest, WireProtocolMatchesDirectEngine) {
   ForkBaseEngine direct;
 
   // Explicit length keeps the embedded NUL and high bytes — exactly what
-  // the hex codec must carry intact across the wire.
-  const std::string binary_tail("binary\x00\x01\xff tail", 16);
-  ASSERT_EQ(binary_tail.size(), 16u);
+  // the binary codec must carry intact across the wire.
+  constexpr char kBinaryTail[] = "binary\x00\x01\xff tail";
+  const std::string binary_tail(kBinaryTail, sizeof(kBinaryTail) - 1);
+  ASSERT_EQ(binary_tail.size(), 14u);
   const std::string payload = std::string(2048, '\x7f') + binary_tail;
   auto rp = remote.Put("k", payload);
   auto dp = direct.Put("k", payload);
@@ -344,7 +345,7 @@ TEST(RemoteEngineTest, WireProtocolMatchesDirectEngine) {
   // Every one of those calls crossed the wire.
   TransportStats ts = remote.transport()->stats();
   EXPECT_GT(ts.calls, 8u);
-  EXPECT_GT(ts.request_bytes, payload.size());  // hex-encoded payload went over
+  EXPECT_GT(ts.request_bytes, payload.size());  // the whole payload went over
   EXPECT_GT(ts.response_bytes, 0u);
 }
 
