@@ -178,10 +178,9 @@ int main(int argc, char** argv) {
       // Debris of a coordinator that died after its commit decision.
       for (size_t s = 0; s < 2; ++s) {
         bench::CheckOk(cluster->shard(s)
-                           ->Put("__2pc__/txn42/s" + std::to_string(s) + "/w0",
-                                 std::string("__2pc-intent__\x1f") +
-                                     "pipeline/drill/commits" + '\x1f' +
-                                     "the-commit")
+                           ->Put("__2pc__/txn42/s" + std::to_string(s) +
+                                     "/w0/pipeline/drill/commits",
+                                 "the-commit")
                            .status(),
                        "stage intent");
       }

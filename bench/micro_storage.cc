@@ -159,6 +159,32 @@ void BM_ForkBasePutVersions(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkBasePutVersions)->Arg(4)->Arg(16);
 
+void BM_ForkBaseCopyVersion(benchmark::State& state) {
+  // The apply step of a two-phase commit on one shard: a 512 KiB value is
+  // already staged, and each iteration applies it to the target key and
+  // deletes the result again. Arg 1 applies by reference (CopyVersion
+  // shares the staged chunks); arg 0 Puts the same bytes, which
+  // de-duplicates fully but chunks and hashes the whole value first.
+  const std::string value = RandomBytes(512 << 10, 6);
+  const bool by_reference = state.range(0) != 0;
+  ForkBaseEngine engine;
+  auto staged = engine.Put("__2pc__/txn0/s0/w0/library/model", value);
+  if (!staged.ok()) {
+    state.SkipWithError("staging put failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto applied = by_reference
+                       ? engine.CopyVersion("library/model", staged->id)
+                       : engine.Put("library/model", value);
+    benchmark::DoNotOptimize(engine.DeleteVersion(applied->id));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(value.size()));
+  state.SetLabel(by_reference ? "copy+delete" : "put+delete");
+}
+BENCHMARK(BM_ForkBaseCopyVersion)->Arg(0)->Arg(1);
+
 }  // namespace
 }  // namespace mlcask::storage
 

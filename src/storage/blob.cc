@@ -132,6 +132,21 @@ StatusOr<std::vector<Hash256>> ListBlobChunks(const ChunkStore& store,
   return out;
 }
 
+Status RetainBlob(ChunkStore* store, const BlobRef& ref) {
+  MLCASK_ASSIGN_OR_RETURN(std::vector<Hash256> chunks,
+                          ListBlobChunks(*store, ref));
+  for (const Hash256& h : chunks) {
+    if (!store->Contains(h)) {
+      return Status::Corruption("blob " + ref.root.ShortHex() +
+                                " references missing chunk " + h.ShortHex());
+    }
+  }
+  for (const Hash256& h : chunks) {
+    MLCASK_RETURN_IF_ERROR(store->Retain(h));
+  }
+  return store->Retain(ref.root);
+}
+
 Status ReleaseBlob(ChunkStore* store, const BlobRef& ref) {
   MLCASK_ASSIGN_OR_RETURN(std::vector<Hash256> chunks,
                           ListBlobChunks(*store, ref));

@@ -67,6 +67,12 @@ StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref);
 StatusOr<std::vector<Hash256>> ListBlobChunks(const ChunkStore& store,
                                               const BlobRef& ref);
 
+/// Adds one reference to every chunk of the blob (index last) without
+/// touching its bytes: the store-level half of a copy that shares the
+/// source's chunks. Every chunk is checked to exist before any reference is
+/// taken, so a corrupt blob fails with Corruption and leaks nothing.
+Status RetainBlob(ChunkStore* store, const BlobRef& ref);
+
 /// Releases one reference on every chunk of the blob (index last).
 Status ReleaseBlob(ChunkStore* store, const BlobRef& ref);
 

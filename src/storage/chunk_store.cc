@@ -42,6 +42,19 @@ bool ChunkStore::Contains(const Hash256& hash) const {
   return chunks_.find(hash) != chunks_.end();
 }
 
+Status ChunkStore::Retain(const Hash256& hash) {
+  auto it = chunks_.find(hash);
+  if (it == chunks_.end()) {
+    return Status::NotFound("chunk " + hash.ShortHex() + " not in store");
+  }
+  it->second.refs += 1;
+  std::lock_guard<std::mutex> stats_lock(stats_mu_);
+  stats_.puts += 1;
+  stats_.logical_bytes += it->second.chunk->size();
+  stats_.dedup_hits += 1;
+  return Status::Ok();
+}
+
 Status ChunkStore::Release(const Hash256& hash) {
   auto it = chunks_.find(hash);
   if (it == chunks_.end()) {

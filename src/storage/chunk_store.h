@@ -65,6 +65,12 @@ class ChunkStore {
 
   bool Contains(const Hash256& hash) const;
 
+  /// Adds one reference to a stored chunk without its bytes, accounted
+  /// exactly like a PutPrehashed of the same chunk that de-duplicates
+  /// (`puts`, `logical_bytes` and `dedup_hits` grow). Returns NotFound if
+  /// the address is unknown.
+  Status Retain(const Hash256& hash);
+
   /// Drops one reference; the chunk is erased when its count reaches zero.
   /// Returns NotFound if the address is unknown.
   Status Release(const Hash256& hash);

@@ -178,6 +178,12 @@ StatusOr<std::vector<PutResult>> FaultyEngine::PutMany(
   return inner_->PutMany(batch);
 }
 
+StatusOr<PutResult> FaultyEngine::CopyVersion(const std::string& key,
+                                              const Hash256& source) {
+  MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/true));
+  return inner_->CopyVersion(key, source);
+}
+
 StatusOr<std::string> FaultyEngine::Get(const std::string& key) {
   MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/false));
   return inner_->Get(key);
@@ -234,6 +240,13 @@ Deferred<std::vector<PutResult>> FaultyEngine::AsyncPutMany(
         StatusOr<std::vector<PutResult>>(gate));
   }
   return inner_->AsyncPutMany(batch);
+}
+
+Deferred<PutResult> FaultyEngine::AsyncCopyVersion(const std::string& key,
+                                                   const Hash256& source) {
+  Status gate = Gate(/*mutation=*/true);
+  if (!gate.ok()) return Deferred<PutResult>(StatusOr<PutResult>(gate));
+  return inner_->AsyncCopyVersion(key, source);
 }
 
 Deferred<std::string> FaultyEngine::AsyncGetVersion(const Hash256& id) {

@@ -123,6 +123,8 @@ class FaultyEngine : public StorageEngine {
                           std::string_view data) override;
   StatusOr<std::vector<PutResult>> PutMany(
       const std::vector<PutRequest>& batch) override;
+  StatusOr<PutResult> CopyVersion(const std::string& key,
+                                  const Hash256& source) override;
   StatusOr<std::string> Get(const std::string& key) override;
   StatusOr<std::string> GetVersion(const Hash256& id) override;
   bool HasVersion(const Hash256& id) const override;
@@ -138,6 +140,8 @@ class FaultyEngine : public StorageEngine {
                                std::string_view data) override;
   Deferred<std::vector<PutResult>> AsyncPutMany(
       const std::vector<PutRequest>& batch) override;
+  Deferred<PutResult> AsyncCopyVersion(const std::string& key,
+                                       const Hash256& source) override;
   Deferred<std::string> AsyncGetVersion(const Hash256& id) override;
   Deferred<bool> AsyncHasVersion(const Hash256& id) const override;
   Deferred<uint64_t> AsyncDeleteVersion(const Hash256& id) override;

@@ -1,10 +1,28 @@
 #include "storage/forkbase_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <shared_mutex>
 
 namespace mlcask::storage {
+
+namespace {
+
+/// The version id is derived from the blob root plus the key so two keys
+/// holding identical bytes still have distinct version ids (their chunks
+/// are shared regardless); the ordinal distinguishes repeated identical
+/// writes to the same key.
+Hash256 VersionId(const std::string& key, const Hash256& root,
+                  uint64_t ordinal) {
+  Sha256 h;
+  h.Update(key);
+  h.Update(root.bytes.data(), root.bytes.size());
+  h.Update(&ordinal, sizeof(ordinal));
+  return h.Finish();
+}
+
+}  // namespace
 
 ForkBaseEngine::ForkBaseEngine(StorageTimeModel time_model,
                                std::unique_ptr<Chunker> chunker)
@@ -26,19 +44,10 @@ StatusOr<PutResult> ForkBaseEngine::Put(const std::string& key,
     std::unique_lock<std::shared_mutex> lock(mu_);
     BlobWriteInfo info = CommitBlob(&chunks_, plan, data);
 
-    // The version id is derived from the blob root plus the key so two keys
-    // holding identical bytes still have distinct version ids (their chunks
-    // are shared regardless).
-    Sha256 h;
-    h.Update(key);
-    h.Update(info.ref.root.bytes.data(), info.ref.root.bytes.size());
-    // Distinguish repeated identical writes to the same key.
-    uint64_t ordinal = keys_[key].size();
-    h.Update(&ordinal, sizeof(ordinal));
-    Hash256 version_id = h.Finish();
-
+    std::vector<Hash256>& versions = keys_[key];
+    const Hash256 version_id = VersionId(key, info.ref.root, versions.size());
     blobs_[version_id] = info.ref;
-    keys_[key].push_back(version_id);
+    versions.push_back(version_id);
 
     result.id = version_id;
     result.logical_bytes = data.size();
@@ -52,6 +61,39 @@ StatusOr<PutResult> ForkBaseEngine::Put(const std::string& key,
   stats_.puts += 1;
   stats_.logical_bytes += result.logical_bytes;
   stats_.physical_bytes += result.new_physical_bytes;
+  stats_.storage_time_s += result.storage_time_s;
+  return result;
+}
+
+StatusOr<PutResult> ForkBaseEngine::CopyVersion(const std::string& key,
+                                                const Hash256& source) {
+  // A fork in ForkBase's sense: the new version shares every chunk of the
+  // source, so no byte is read, chunked or hashed. A Put of the same bytes
+  // would find every chunk present, so the result is its full dedup hit.
+  PutResult result;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto it = blobs_.find(source);
+    if (it == blobs_.end()) {
+      return Status::NotFound("no object version " + source.ShortHex());
+    }
+    const BlobRef ref = it->second;
+    MLCASK_RETURN_IF_ERROR(RetainBlob(&chunks_, ref));
+
+    std::vector<Hash256>& versions = keys_[key];
+    const Hash256 version_id = VersionId(key, ref.root, versions.size());
+    blobs_[version_id] = ref;
+    versions.push_back(version_id);
+
+    result.id = version_id;
+    result.logical_bytes = ref.size;
+    result.deduplicated = ref.size != 0;
+    result.storage_time_s = time_model_.WriteSeconds(0, ref.size);
+  }
+
+  std::lock_guard<std::mutex> stats_lock(stats_mu_);
+  stats_.puts += 1;
+  stats_.logical_bytes += result.logical_bytes;
   stats_.storage_time_s += result.storage_time_s;
   return result;
 }
@@ -132,10 +174,14 @@ StatusOr<uint64_t> ForkBaseEngine::DeleteVersion(const Hash256& id) {
     MLCASK_RETURN_IF_ERROR(ReleaseBlob(&chunks_, it->second));
     freed = physical_before - chunks_.stats().physical_bytes;
     blobs_.erase(it);
-    for (auto& [key, versions] : keys_) {
-      (void)key;
+    // A key whose last version goes leaves the index: an absent key and an
+    // empty one both give the next Put ordinal 0, so no id changes, and
+    // one-shot keys (2PC staging records) do not pile up forever.
+    for (auto k = keys_.begin(); k != keys_.end();) {
+      std::vector<Hash256>& versions = k->second;
       versions.erase(std::remove(versions.begin(), versions.end(), id),
                      versions.end());
+      k = versions.empty() ? keys_.erase(k) : std::next(k);
     }
   }
   std::lock_guard<std::mutex> stats_lock(stats_mu_);

@@ -35,6 +35,10 @@ class ForkBaseEngine : public StorageEngine {
 
   StatusOr<PutResult> Put(const std::string& key,
                           std::string_view data) override;
+  /// Shares `source`'s chunks (one more reference each) instead of writing
+  /// its bytes again; the id is the one a Put of those bytes would get.
+  StatusOr<PutResult> CopyVersion(const std::string& key,
+                                  const Hash256& source) override;
   StatusOr<std::string> Get(const std::string& key) override;
   StatusOr<std::string> GetVersion(const Hash256& id) override;
   bool HasVersion(const Hash256& id) const override;

@@ -1,6 +1,7 @@
 #include "storage/local_dir_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <shared_mutex>
 
@@ -103,10 +104,12 @@ StatusOr<uint64_t> LocalDirEngine::DeleteVersion(const Hash256& id) {
     }
     freed = it->second.size();
     objects_.erase(it);
-    for (auto& [key, versions] : keys_) {
-      (void)key;
+    // Drop a key with its last version (see ForkBaseEngine::DeleteVersion).
+    for (auto k = keys_.begin(); k != keys_.end();) {
+      std::vector<Hash256>& versions = k->second;
       versions.erase(std::remove(versions.begin(), versions.end(), id),
                      versions.end());
+      k = versions.empty() ? keys_.erase(k) : std::next(k);
     }
   }
   std::lock_guard<std::mutex> stats_lock(stats_mu_);

@@ -39,6 +39,12 @@ class LocalDirEngine : public StorageEngine {
     return stats_;
   }
   std::string Name() const override { return "local-dir"; }
+
+  /// Keys holding at least one version (a key leaves with its last one).
+  size_t num_keys() const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return keys_.size();
+  }
   double ReadCost(uint64_t bytes) const override {
     return time_model_.ReadSeconds(bytes);
   }

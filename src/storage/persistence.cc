@@ -240,6 +240,13 @@ StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutMany(
   return results;
 }
 
+StatusOr<PutResult> DurableForkBaseEngine::CopyVersion(
+    const std::string& key, const Hash256& source) {
+  MLCASK_ASSIGN_OR_RETURN(PutResult result, inner_->CopyVersion(key, source));
+  MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
+  return result;
+}
+
 StatusOr<std::string> DurableForkBaseEngine::Get(const std::string& key) {
   return inner_->Get(key);
 }

@@ -62,6 +62,9 @@ class DurableForkBaseEngine : public StorageEngine {
                           std::string_view data) override;
   StatusOr<std::vector<PutResult>> PutMany(
       const std::vector<PutRequest>& batch) override;
+  /// The inner engine's chunk-sharing copy, then a checkpoint (as Put).
+  StatusOr<PutResult> CopyVersion(const std::string& key,
+                                  const Hash256& source) override;
   StatusOr<std::string> Get(const std::string& key) override;
   StatusOr<std::string> GetVersion(const Hash256& id) override;
   bool HasVersion(const Hash256& id) const override;

@@ -206,6 +206,20 @@ Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutMany(
       transport_->call_timeout_ms());
 }
 
+StatusOr<PutResult> RemoteStorageEngine::CopyVersion(const std::string& key,
+                                                     const Hash256& source) {
+  return DecodePut(transport_->Call(
+      wire::EncodeCopyVersionRequest(key, source, NextReplayToken())));
+}
+
+Deferred<PutResult> RemoteStorageEngine::AsyncCopyVersion(
+    const std::string& key, const Hash256& source) {
+  return Deferred<PutResult>(
+      transport_->AsyncCall(
+          wire::EncodeCopyVersionRequest(key, source, NextReplayToken())),
+      DecodePut, transport_->call_timeout_ms());
+}
+
 StatusOr<std::string> RemoteStorageEngine::Get(const std::string& key) {
   return DecodeData(
       transport_->Call(wire::EncodeKeyRequest(wire::Method::kGet, key)));

@@ -113,11 +113,15 @@ class RemoteStorageEngine : public StorageEngine {
                           std::string_view data) override;
   /// Ships the whole batch in ONE round trip. Used directly by
   /// single-engine deployments, and by the sharded router's phase-1
-  /// staging, which sends each shard its staged intents as one message
-  /// (phase-2 applies stay per-write so a failure knows exactly which
-  /// version ids to roll back).
+  /// staging, which sends each shard its staged values as one message
+  /// (phase-2 applies stay per-write CopyVersion calls so a failure knows
+  /// exactly which version ids to roll back).
   StatusOr<std::vector<PutResult>> PutMany(
       const std::vector<PutRequest>& batch) override;
+  /// Opcode 13: only the key and the source id cross the wire; the peer
+  /// engine makes the copy. Replay-tokened like Put (a mutation).
+  StatusOr<PutResult> CopyVersion(const std::string& key,
+                                  const Hash256& source) override;
   StatusOr<std::string> Get(const std::string& key) override;
   StatusOr<std::string> GetVersion(const Hash256& id) override;
   /// NOTE on the non-Status query surface (HasVersion/Versions/
@@ -148,6 +152,8 @@ class RemoteStorageEngine : public StorageEngine {
                                std::string_view data) override;
   Deferred<std::vector<PutResult>> AsyncPutMany(
       const std::vector<PutRequest>& batch) override;
+  Deferred<PutResult> AsyncCopyVersion(const std::string& key,
+                                       const Hash256& source) override;
   Deferred<std::string> AsyncGetVersion(const Hash256& id) override;
   Deferred<bool> AsyncHasVersion(const Hash256& id) const override;
   Deferred<uint64_t> AsyncDeleteVersion(const Hash256& id) override;

@@ -18,12 +18,11 @@ namespace mlcask::storage {
 namespace {
 
 constexpr std::string_view kStagingPrefix = "__2pc__/";
-/// Header prepended to staged intent payloads so their content ids live in
-/// a private namespace: cleanup deletes by content id, and without the
-/// header a user object whose bytes happened to equal "key\x1f data" would
-/// alias the staged blob and be deleted with it. (A user payload starting
-/// with this exact header can still alias — the StorageEngine interface
-/// has no delete-one-key's-version primitive — but only deliberately.)
+/// Prefix of a transaction's commit-decision payload (`kIntentHeader` +
+/// "commit"). Recovery acts on the decision record's presence alone, so the
+/// bytes only label it. Staged writes carry their value raw: both engines
+/// derive version ids from the key, so deleting a staged version by id can
+/// never take a user version (or its still-referenced chunks) with it.
 constexpr std::string_view kIntentHeader = "__2pc-intent__\x1f";
 
 /// Rebalance bookkeeping keys, written directly to the plan shard (never
@@ -48,6 +47,24 @@ bool IsMigrationKey(std::string_view key) {
   return StartsWith(key, kMigrationPrefix);
 }
 
+/// Consumes one `<label><digits>/` segment of a staging key from the front
+/// of `rest`, storing the number in `*value`.
+bool ConsumeStagingField(std::string_view* rest, std::string_view label,
+                         uint64_t* value) {
+  if (!StartsWith(*rest, label)) return false;
+  std::string_view digits = rest->substr(label.size());
+  size_t i = 0;
+  uint64_t parsed = 0;
+  while (i < digits.size() && digits[i] >= '0' && digits[i] <= '9') {
+    parsed = parsed * 10 + static_cast<uint64_t>(digits[i] - '0');
+    ++i;
+  }
+  if (i == 0 || i >= digits.size() || digits[i] != '/') return false;
+  *value = parsed;
+  rest->remove_prefix(label.size() + i + 1);
+  return true;
+}
+
 /// Parses a staging key's transaction id and flags the per-transaction
 /// commit-decision record (`__2pc__/txn<N>/decision`). Returns false for
 /// keys that merely share the prefix without following the layout — those
@@ -55,30 +72,25 @@ bool IsMigrationKey(std::string_view key) {
 bool ParseStagingKey(std::string_view key, uint64_t* txn, bool* is_decision) {
   if (!StartsWith(key, kStagingPrefix)) return false;
   std::string_view rest = key.substr(kStagingPrefix.size());
-  if (!StartsWith(rest, "txn")) return false;
-  rest.remove_prefix(3);
-  size_t i = 0;
-  uint64_t value = 0;
-  while (i < rest.size() && rest[i] >= '0' && rest[i] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(rest[i] - '0');
-    ++i;
-  }
-  if (i == 0 || i >= rest.size() || rest[i] != '/') return false;
-  *txn = value;
-  *is_decision = rest.substr(i + 1) == "decision";
+  if (!ConsumeStagingField(&rest, "txn", txn)) return false;
+  *is_decision = rest == "decision";
   return true;
 }
 
-/// Splits a staged intent payload back into (target key, data). Mirrors the
-/// encoding in the transaction's phase 1.
-bool ParseIntentPayload(std::string_view payload, std::string_view* key,
-                        std::string_view* data) {
-  if (!StartsWith(payload, kIntentHeader)) return false;
-  payload.remove_prefix(kIntentHeader.size());
-  const size_t sep = payload.find('\x1f');
-  if (sep == std::string_view::npos) return false;
-  *key = payload.substr(0, sep);
-  *data = payload.substr(sep + 1);
+/// The target key of a staged write, whose staging key is
+/// `__2pc__/txn<N>/s<shard>/w<idx>/<target key>` (mirrors the transaction's
+/// phase 1). False when `key` carries no target: a decision record, or a
+/// staging key that does not follow the layout.
+bool ParseStagingTarget(std::string_view key, std::string_view* target) {
+  if (!StartsWith(key, kStagingPrefix)) return false;
+  std::string_view rest = key.substr(kStagingPrefix.size());
+  uint64_t unused = 0;
+  if (!ConsumeStagingField(&rest, "txn", &unused) ||
+      !ConsumeStagingField(&rest, "s", &unused) ||
+      !ConsumeStagingField(&rest, "w", &unused)) {
+    return false;
+  }
+  *target = rest;
   return true;
 }
 
@@ -541,10 +553,11 @@ Status ShardedStorageEngine::RunTransactionLocked(
   };
 
   auto staging_key_for = [&](size_t write_index) {
-    return StrFormat("%stxn%llu/s%zu/w%zu",
+    return StrFormat("%stxn%llu/s%zu/w%zu/",
                      std::string(kStagingPrefix).c_str(),
                      static_cast<unsigned long long>(txn),
-                     writes[write_index].shard, write_index);
+                     writes[write_index].shard, write_index) +
+           writes[write_index].request->key;
   };
 
   /// The durable commit decision for THIS transaction, written to the
@@ -606,29 +619,26 @@ Status ShardedStorageEngine::RunTransactionLocked(
     }
   };
 
-  // Phase 1: stage every payload on its participant shard — ONE PutMany
-  // batch per shard (a single message on a remote proxy), every
+  // Phase 1: stage every value, raw, on its participant shard — ONE
+  // PutMany batch per shard (a single message on a remote proxy), every
   // participant's batch ISSUED before any response is collected, so the
   // prepare round trips overlap instead of serializing over the wire. The
-  // staged blob binds the target key to the data, so a recovering shard
-  // could replay the intent; on a deduplicating engine the staged chunks
-  // also make the phase-2 write transfer almost nothing new.
+  // staging key names the target key, so a recovering router can replay
+  // the write; the staged version ids are what phase 2 applies by
+  // reference and what a committed transaction deletes.
   std::vector<std::pair<size_t, Deferred<std::vector<PutResult>>>> prepares;
   prepares.reserve(by_shard.size());
   for (const auto& [shard, indices] : by_shard) {
     std::vector<PutRequest> staging;
     staging.reserve(indices.size());
     for (size_t i : indices) {
-      std::string intent(kIntentHeader);
-      intent.append(writes[i].request->key);
-      intent.push_back('\x1f');
-      intent.append(writes[i].request->data);
-      staging.push_back({staging_key_for(i), std::move(intent)});
+      staging.push_back({staging_key_for(i), writes[i].request->data});
     }
     prepares.emplace_back(shard, shards_[shard]->AsyncPutMany(staging));
     ledger.Issue(shard);
     ledger.prepare_round_trips += 1;
   }
+  std::vector<Hash256> staged_ids(writes.size());
   Status prepare_failure;
   size_t prepare_failed_shard = 0;
   for (auto& [shard, deferred] : prepares) {
@@ -636,9 +646,17 @@ Status ShardedStorageEngine::RunTransactionLocked(
     ledger.Collect();
     NoteShardResult(shard,
                     prepared.ok() ? Status::Ok() : prepared.status());
-    if (!prepared.ok() && prepare_failure.ok()) {
-      prepare_failure = prepared.status();
-      prepare_failed_shard = shard;
+    if (!prepared.ok()) {
+      if (prepare_failure.ok()) {
+        prepare_failure = prepared.status();
+        prepare_failed_shard = shard;
+      }
+      continue;
+    }
+    // PutMany answers one result per request, in order.
+    const std::vector<size_t>& indices = by_shard[shard];
+    for (size_t k = 0; k < indices.size(); ++k) {
+      staged_ids[indices[k]] = (*prepared)[k].id;
     }
   }
   // One completed fan-out round consumed at least one accounting unit of
@@ -667,9 +685,10 @@ Status ShardedStorageEngine::RunTransactionLocked(
   // Decision point: persist the commit decision durably on the coordinator
   // BEFORE any real write lands. From here on a crashed coordinator's
   // transaction is recoverable — RecoverTwoPhase finds the decision and
-  // rolls the staged intents forward; without it the intents are fenced. A
-  // failed decision write is therefore a clean abort: nothing real has
-  // applied.
+  // rolls the staged writes forward; without it the staged writes are
+  // fenced. A failed decision write is therefore a clean abort: nothing real
+  // has applied.
+  Hash256 decision_id;
   {
     std::string decision(kIntentHeader);
     decision.append("commit");
@@ -688,18 +707,25 @@ Status ShardedStorageEngine::RunTransactionLocked(
                         decided.status().message() +
                         " (transaction aborted, nothing applied)");
     }
+    decision_id = decided->id;
   }
 
-  // Phase 2: unanimous prepare — apply the real writes. Applies stay
-  // per-write (a failure must know exactly which version ids to roll back),
-  // but ALL of them are issued before any is collected: same-shard writes
-  // pipeline in order on one session (preserving each engine's
-  // key+ordinal version-id sequence), different shards' applies overlap.
+  // Phase 2: unanimous prepare — apply the real writes BY REFERENCE: each
+  // participant copies its staged version to the target key (CopyVersion),
+  // so no value crosses the wire twice and a deduplicating shard shares the
+  // staged chunks instead of chunking and hashing the value again. The
+  // result, id included, is the one a Put of the value would return.
+  // Applies stay per-write (a failure must know exactly which version ids
+  // to roll back), but ALL of them are issued before any is collected:
+  // same-shard writes pipeline in order on one session (preserving each
+  // engine's key+ordinal version-id sequence), different shards' applies
+  // overlap.
   std::vector<Deferred<PutResult>> applies;
   applies.reserve(writes.size());
-  for (const ShardWrite& w : writes) {
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const ShardWrite& w = writes[i];
     applies.push_back(
-        shards_[w.shard]->AsyncPut(w.request->key, w.request->data));
+        shards_[w.shard]->AsyncCopyVersion(w.request->key, staged_ids[i]));
     ledger.Issue(w.shard);
     ledger.apply_round_trips += 1;
   }
@@ -782,7 +808,20 @@ Status ShardedStorageEngine::RunTransactionLocked(
       slot.result = applied;
     }
   }
-  cleanup_staged();
+  // Committed: every staging record is known by id, so cleanup is ONE
+  // overlapped round of deletes — issued in the order cleanup_staged()
+  // visits them, then collected — instead of a lookup and a delete per
+  // record in series. Best effort like every cleanup: a leftover record
+  // stays invisible (filtered from ListAllVersions) until recovery.
+  std::vector<Deferred<uint64_t>> deletes;
+  deletes.reserve(writes.size() + 1);
+  for (const auto& [shard, indices] : by_shard) {
+    for (size_t i : indices) {
+      deletes.push_back(shards_[shard]->AsyncDeleteVersion(staged_ids[i]));
+    }
+  }
+  deletes.push_back(shards_[coord]->AsyncDeleteVersion(decision_id));
+  for (Deferred<uint64_t>& deleted : deletes) (void)deleted.Get();
   resolve(/*committed=*/true);
 
   for (auto& [batch_index, slot] : slots) {
@@ -1117,7 +1156,7 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
 
   struct StagedRecord {
     size_t shard = 0;
-    std::string key;  ///< Full staging key (intent or decision).
+    std::string key;  ///< Full staging key (staged write or decision).
     Hash256 id;
     bool is_decision = false;
   };
@@ -1147,8 +1186,8 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
     bool roll_forward = committed.count(txn) > 0;
     if (roll_forward) {
       // Committed: the dead coordinator promised these writes. Re-apply
-      // each staged intent — idempotently: a write the coordinator already
-      // landed exists as a version of the target key with the intent's
+      // each staged write — idempotently: a write the coordinator already
+      // landed exists as a version of the target key with the staged value's
       // exact bytes, and is recognized instead of applied again.
       // Replicated keys (the same target key staged on >1 shard) re-enter
       // the router index as replicated.
@@ -1156,38 +1195,38 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
       struct Replay {
         size_t shard;
         std::string key;
+        Hash256 staged_id;
         std::string data;
       };
       std::vector<Replay> replays;
       bool txn_ok = true;
       for (const StagedRecord& record : records) {
         if (record.is_decision) continue;
+        std::string_view target_key;
+        if (!ParseStagingTarget(record.key, &target_key)) {
+          if (first_failure.ok()) {
+            first_failure = Status::Corruption(
+                "2pc recovery found a staging key without a target key: " +
+                record.key);
+          }
+          txn_ok = false;
+          break;
+        }
         auto payload = shards_[record.shard]->GetVersion(record.id);
         if (!payload.ok()) {
           if (first_failure.ok()) {
             first_failure = Status(
                 payload.status().code(),
-                "2pc recovery cannot read intent " + record.key +
+                "2pc recovery cannot read staged write " + record.key +
                     " on shard " + std::to_string(record.shard) + ": " +
                     payload.status().message());
           }
           txn_ok = false;
           break;
         }
-        std::string_view target_key;
-        std::string_view data;
-        if (!ParseIntentPayload(*payload, &target_key, &data)) {
-          if (first_failure.ok()) {
-            first_failure = Status::Corruption(
-                "2pc recovery found a malformed intent payload under " +
-                record.key);
-          }
-          txn_ok = false;
-          break;
-        }
         key_shards[std::string(target_key)] += 1;
-        replays.push_back(
-            {record.shard, std::string(target_key), std::string(data)});
+        replays.push_back({record.shard, std::string(target_key), record.id,
+                           *std::move(payload)});
       }
       if (!txn_ok) continue;  // Leave the records; a later pass retries.
       for (const Replay& replay : replays) {
@@ -1203,7 +1242,8 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
           }
         }
         if (already_applied) continue;
-        auto put = shards_[replay.shard]->Put(replay.key, replay.data);
+        auto put =
+            shards_[replay.shard]->CopyVersion(replay.key, replay.staged_id);
         if (!put.ok()) {
           if (first_failure.ok()) {
             first_failure = Status(

@@ -81,13 +81,20 @@ std::vector<KeyMove> PlanMigration(const ShardRing& from, const ShardRing& to,
 /// ## Two-phase commit (merge winners)
 ///
 /// `PutMany` overrides the interface default with an all-or-nothing protocol:
-///   phase 1  stage every write's payload on its participant shard under a
-///            transactional `__2pc__/<txn>/...` key (durable intent; on a
-///            deduplicating engine the staged chunks make the commit write
-///            nearly free);
-///   phase 2  on unanimous success, apply the real writes and drop the
-///            staging records; any prepare failure aborts — staged records
-///            are deleted and no real key ever surfaces.
+///   phase 1  stage every write's raw value on its participant shard under
+///            `__2pc__/txn<N>/s<shard>/w<idx>/<target key>` (the durable
+///            intent: the staging key names the target, the staged version
+///            holds the bytes), one PutMany per shard, all overlapped;
+///   decision on unanimous success, write the commit decision
+///            (`__2pc__/txn<N>/decision`) to the coordinator shard;
+///   phase 2  apply each write BY REFERENCE: CopyVersion(target, staged id)
+///            on its shard, so no value crosses the wire twice and a
+///            deduplicating shard shares the staged chunks instead of
+///            re-chunking and re-hashing them (the apply is nearly free);
+///            then delete every staging record and the decision by id in
+///            one overlapped round.
+/// Any prepare failure aborts — staged records are deleted and no real key
+/// ever surfaces.
 /// The merge operation persists its winner through PutMany, so a merge
 /// result spanning shards commits atomically. A single-write,
 /// non-replicated batch skips coordination (a one-write transaction needs
@@ -330,9 +337,11 @@ class ShardedStorageEngine : public StorageEngine {
   /// Scans every shard for leftover `__2pc__/` staging records from
   /// transactions that died mid-flight (coordinator crash, shard kill) and
   /// resolves each one: a transaction whose durable commit decision exists
-  /// on the coordinator shard is rolled FORWARD (its intents are
-  /// re-applied, idempotently — a write the dead coordinator already
-  /// landed is recognized by payload identity and not applied twice), any
+  /// on the coordinator shard is rolled FORWARD (each staged write is
+  /// re-applied to the target key its staging key names, by CopyVersion,
+  /// idempotently — a write the dead coordinator already landed is
+  /// recognized by payload identity and not applied twice; a staging key
+  /// naming no target is Corruption and is left for a later pass), any
   /// other transaction is FENCED (its intents are deleted, so the writes
   /// can never surface). Either way the staging records are gone
   /// afterwards: a clean scan is the recovery invariant the chaos suite

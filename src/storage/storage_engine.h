@@ -117,6 +117,21 @@ class StorageEngine {
     return results;
   }
 
+  /// Stores a new version of `key` holding the bytes of existing version
+  /// `source` (of any key), returning exactly what Put(key, <those bytes>)
+  /// would return on this engine — the same version id included, since ids
+  /// derive from the key, the content and the key's version ordinal.
+  /// NotFound if `source` is unknown. This is how the sharded router's
+  /// two-phase commit applies a staged value by reference instead of
+  /// sending it twice. The default reads the source and Puts it;
+  /// ForkBaseEngine overrides it to share the source's chunks without
+  /// touching the bytes.
+  virtual StatusOr<PutResult> CopyVersion(const std::string& key,
+                                          const Hash256& source) {
+    MLCASK_ASSIGN_OR_RETURN(std::string data, GetVersion(source));
+    return Put(key, data);
+  }
+
   /// Reads the latest version of `key`.
   virtual StatusOr<std::string> Get(const std::string& key) = 0;
 
@@ -213,6 +228,10 @@ class StorageEngine {
   virtual Deferred<std::vector<PutResult>> AsyncPutMany(
       const std::vector<PutRequest>& batch) {
     return Deferred<std::vector<PutResult>>(PutMany(batch));
+  }
+  virtual Deferred<PutResult> AsyncCopyVersion(const std::string& key,
+                                               const Hash256& source) {
+    return Deferred<PutResult>(CopyVersion(key, source));
   }
   virtual Deferred<std::string> AsyncGetVersion(const Hash256& id) {
     return Deferred<std::string>(GetVersion(id));

@@ -291,6 +291,19 @@ std::string EncodeIdRequest(Method method, const Hash256& id,
   return EncodeRequestMessage(method, meta, {});
 }
 
+std::string EncodeCopyVersionRequest(std::string_view key,
+                                     const Hash256& source,
+                                     std::string_view replay_token) {
+  std::string meta;
+  PutFieldBytes(&meta, kTagKey, key);
+  PutFieldHash(&meta, kTagId, source);
+  if (!replay_token.empty()) {
+    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+  }
+  StampAmbientDeadline(&meta);
+  return EncodeRequestMessage(Method::kCopyVersion, meta, {});
+}
+
 std::string EncodePlainRequest(Method method) {
   return EncodeRequestMessage(method, {}, {});
 }
@@ -340,7 +353,7 @@ StatusOr<Request> DecodeRequest(std::string_view message) {
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(Disassemble(message, &opcode, &meta, &body));
   if (opcode < static_cast<uint8_t>(Method::kPut) ||
-      opcode > static_cast<uint8_t>(Method::kMigrateBatch)) {
+      opcode > static_cast<uint8_t>(Method::kCopyVersion)) {
     return Status::Unimplemented("unknown binary storage opcode " +
                                  std::to_string(opcode));
   }
@@ -829,6 +842,11 @@ std::string DispatchBinary(StorageEngine* engine, std::string_view message) {
       auto result = engine->MigrateBatch(batch);
       if (!result.ok()) return EncodeErrorResponse(result.status());
       return EncodeMigrateResponse(*result);
+    }
+    case Method::kCopyVersion: {
+      auto result = engine->CopyVersion(std::string(request->key), request->id);
+      if (!result.ok()) return EncodeErrorResponse(result.status());
+      return EncodePutResponse(*result);
     }
   }
   return EncodeErrorResponse(

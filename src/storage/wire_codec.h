@@ -61,6 +61,7 @@ enum class Method : uint8_t {
   kName = 10,
   kReadCost = 11,
   kMigrateBatch = 12,
+  kCopyVersion = 13,
 };
 
 // Varint / field primitives (exposed for tests and the chunk-end codec).
@@ -134,7 +135,8 @@ class MetaReader {
 /// requests whose second byte is >= kServiceOpcodeBase are NOT storage RPCs.
 /// A combined endpoint routes them to the merge front end before
 /// DispatchBinary ever sees them; DecodeRequest rejects them typed. Storage
-/// Method values stay frozen at 1..12 below this line.
+/// Method values are frozen as assigned (1..13 today) and stay below this
+/// line.
 inline constexpr uint8_t kServiceOpcodeBase = 32;
 
 /// Generic request meta tags honored across ALL binary request opcodes,
@@ -176,13 +178,19 @@ std::string EncodeReadCostRequest(uint64_t bytes);
 std::string EncodeMigrateBatchRequest(
     const std::vector<MigrateKeyVersions>& batch,
     std::string_view replay_token = {});
+/// CopyVersion (2PC apply by reference): meta {key, id[, replay_token]}, no
+/// body; the response is the Put response. A mutation, so the client stamps
+/// a replay token exactly as for Put.
+std::string EncodeCopyVersionRequest(std::string_view key,
+                                     const Hash256& source,
+                                     std::string_view replay_token = {});
 
 /// A decoded request. Views point INTO the request message — zero copy; the
 /// message must outlive the views.
 struct Request {
   Method method = Method::kName;
   std::string_view key;
-  Hash256 id;
+  Hash256 id;                 ///< kCopyVersion: the source version.
   uint64_t bytes = 0;         ///< kReadCost operand.
   std::string_view body;      ///< kPut: artifact bytes, verbatim.
   std::string_view replay_token;  ///< Empty unless idempotently replayable.

@@ -44,24 +44,23 @@
 namespace mlcask::storage {
 namespace {
 
-// Mirrors the router's internal staging/intent encoding (sharded_engine.cc)
-// so the white-box drills can plant the exact on-disk state a crashed
-// coordinator leaves behind.
+// Mirrors the router's internal staging layout (sharded_engine.cc) so the
+// white-box drills can plant the exact on-disk state a crashed coordinator
+// leaves behind: a staged write is the raw value under a staging key that
+// names its target key; the decision payload carries the intent header.
 constexpr char kStagingPrefix[] = "__2pc__/";
 constexpr char kIntentHeader[] = "__2pc-intent__\x1f";
 
-std::string StagingKey(uint64_t txn, size_t shard, size_t write) {
-  return StrFormat("%stxn%llu/s%zu/w%zu", kStagingPrefix,
-                   static_cast<unsigned long long>(txn), shard, write);
+std::string StagingKey(uint64_t txn, size_t shard, size_t write,
+                       const std::string& target) {
+  return StrFormat("%stxn%llu/s%zu/w%zu/", kStagingPrefix,
+                   static_cast<unsigned long long>(txn), shard, write) +
+         target;
 }
 
 std::string DecisionKey(uint64_t txn) {
   return StrFormat("%stxn%llu/decision", kStagingPrefix,
                    static_cast<unsigned long long>(txn));
-}
-
-std::string Intent(const std::string& key, const std::string& data) {
-  return std::string(kIntentHeader) + key + '\x1f' + data;
 }
 
 size_t CountStagedKeys(const ShardedStorageEngine& cluster) {
@@ -198,8 +197,8 @@ TEST(ChaosTest, RecoverRollsForwardTransactionWithDurableDecision) {
   for (size_t s = 0; s < 3; ++s) {
     keys.push_back(KeyOnShard(*cluster, s, "rollfwd"));
     payloads.push_back("payload-" + std::to_string(s));
-    auto staged = cluster->shard(s)->Put(StagingKey(77, s, s),
-                                         Intent(keys[s], payloads[s]));
+    auto staged =
+        cluster->shard(s)->Put(StagingKey(77, s, s, keys[s]), payloads[s]);
     ASSERT_TRUE(staged.ok()) << staged.status();
   }
   auto decision = cluster->shard(0)->Put(DecisionKey(77),
@@ -233,8 +232,8 @@ TEST(ChaosTest, RecoverFencesTransactionWithoutDecision) {
   std::vector<std::string> keys;
   for (size_t s = 0; s < 3; ++s) {
     keys.push_back(KeyOnShard(*cluster, s, "fence"));
-    auto staged = cluster->shard(s)->Put(StagingKey(9, s, s),
-                                         Intent(keys[s], "never-lands"));
+    auto staged =
+        cluster->shard(s)->Put(StagingKey(9, s, s, keys[s]), "never-lands");
     ASSERT_TRUE(staged.ok()) << staged.status();
   }
 
@@ -262,7 +261,7 @@ TEST(ChaosTest, RecoverReplayIsIdempotentOnAlreadyAppliedWrites) {
   const std::string key = KeyOnShard(*cluster, 1, "idem");
   ASSERT_TRUE(cluster->Put(key, "applied-once").ok());
   ASSERT_TRUE(cluster->shard(1)
-                  ->Put(StagingKey(4, 1, 0), Intent(key, "applied-once"))
+                  ->Put(StagingKey(4, 1, 0, key), "applied-once")
                   .ok());
   ASSERT_TRUE(cluster->shard(0)
                   ->Put(DecisionKey(4), std::string(kIntentHeader) + "commit")
@@ -276,6 +275,69 @@ TEST(ChaosTest, RecoverReplayIsIdempotentOnAlreadyAppliedWrites) {
   EXPECT_EQ(tp.replayed_writes, 0u);  // recognized, not re-applied
   EXPECT_EQ(cluster->shard(1)->Versions(key).size(), 1u);
   EXPECT_EQ(CountStagedKeys(*cluster), 0u);
+}
+
+TEST(ChaosTest, RecoverFinishesACopyThatLandedOnOnlyOneShard) {
+  std::vector<FaultyEngine*> handles;
+  auto cluster = MakeFaultyCluster(2, &handles);
+
+  // A coordinator that died inside phase 2 of a replicated write: both
+  // shards staged the value, the decision is durable, and the copy reached
+  // shard 0 but never shard 1. Recovery must finish shard 1 only.
+  const std::string key = "pipeline/partial/commits";
+  std::vector<Hash256> staged_ids;
+  for (size_t s = 0; s < 2; ++s) {
+    auto staged =
+        cluster->shard(s)->Put(StagingKey(5, s, s, key), "the-commit");
+    ASSERT_TRUE(staged.ok()) << staged.status();
+    staged_ids.push_back(staged->id);
+  }
+  ASSERT_TRUE(cluster->shard(0)
+                  ->Put(DecisionKey(5), std::string(kIntentHeader) + "commit")
+                  .ok());
+  auto landed = cluster->shard(0)->CopyVersion(key, staged_ids[0]);
+  ASSERT_TRUE(landed.ok()) << landed.status();
+
+  auto recovered = cluster->RecoverTwoPhase();
+  ASSERT_TRUE(recovered.ok()) << recovered;
+
+  auto tp = cluster->two_phase_stats();
+  EXPECT_EQ(tp.recovered_transactions, 1u);
+  EXPECT_EQ(tp.replayed_writes, 1u);  // shard 1 only; shard 0 recognized
+  for (size_t s = 0; s < 2; ++s) {
+    // One version per replica, with the same id on both.
+    EXPECT_EQ(cluster->shard(s)->Versions(key),
+              std::vector<Hash256>{landed->id})
+        << "shard " << s;
+  }
+  auto got = cluster->Get(key);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, "the-commit");
+  EXPECT_EQ(CountStagedKeys(*cluster), 0u);
+}
+
+TEST(ChaosTest, RecoverRejectsAStagingKeyWithoutATarget) {
+  std::vector<FaultyEngine*> handles;
+  auto cluster = MakeFaultyCluster(2, &handles);
+
+  // A staged write whose key stops at `w<idx>` names no target key, so a
+  // committed decision cannot be rolled forward: Corruption, and the
+  // records stay for a later pass instead of being destroyed.
+  ASSERT_TRUE(cluster->shard(1)
+                  ->Put(std::string(kStagingPrefix) + "txn6/s1/w0",
+                        "orphan-value")
+                  .ok());
+  ASSERT_TRUE(cluster->shard(0)
+                  ->Put(DecisionKey(6), std::string(kIntentHeader) + "commit")
+                  .ok());
+
+  auto recovered = cluster->RecoverTwoPhase();
+  EXPECT_EQ(recovered.code(), StatusCode::kCorruption) << recovered;
+  auto tp = cluster->two_phase_stats();
+  EXPECT_EQ(tp.recovered_transactions, 0u);
+  EXPECT_EQ(tp.fenced_transactions, 0u);
+  EXPECT_EQ(tp.replayed_writes, 0u);
+  EXPECT_EQ(CountStagedKeys(*cluster), 2u);
 }
 
 TEST(ChaosTest, RecoverOnCleanClusterIsANoOp) {
@@ -465,6 +527,27 @@ TEST(ChaosTest, ReplayLedgerAnswersDuplicateTokensWithoutReExecuting) {
   EXPECT_EQ(service.replay_hits(), 1u);
 }
 
+TEST(ChaosTest, ReplayLedgerAppliesADuplicatedCopyVersionOnce) {
+  // CopyVersion is a mutation like Put: a retransmitted request with the
+  // same token is answered from the ledger and creates ONE version.
+  ForkBaseEngine backend;
+  StorageEngineService service(&backend);
+  auto staged = backend.Put("__2pc__/txn1/s0/w0/library/m", "the-value");
+  ASSERT_TRUE(staged.ok());
+  const std::string request =
+      wire::EncodeCopyVersionRequest("library/m", staged->id, "sess.7");
+
+  const std::string first = service.Handle(request);
+  const std::string second = service.Handle(request);
+  EXPECT_EQ(first, second);  // byte-identical recorded response
+  auto result = wire::DecodePutResponse(first);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(backend.Versions("library/m"), std::vector<Hash256>{result->id});
+  EXPECT_EQ(backend.stats().puts, 2u);  // the staging put and one copy
+  EXPECT_EQ(service.replay_hits(), 1u);
+  EXPECT_EQ(*backend.Get("library/m"), "the-value");
+}
+
 TEST(ChaosTest, ShedRequestReleasesReplayLedgerClaim) {
   // Overload regression: a replayable request whose token was CLAIMED by
   // the ledger and which is then shed with kResourceExhausted must release
@@ -523,17 +606,23 @@ TEST(ChaosTest, DeferredGetUnderDeadPeerResolvesWithinCallTimeout) {
   std::atomic<bool> stop{false};
   std::thread mute([&] {
     std::vector<int> fds;
+    std::vector<std::thread> drains;
     while (!stop.load()) {
       int fd = ::accept(listener, nullptr, nullptr);
       if (fd < 0) break;
       fds.push_back(fd);
       // Drain in the background so the client's writes never block either.
-      std::thread([fd] {
+      drains.emplace_back([fd] {
         char buf[4096];
         while (::read(fd, buf, sizeof(buf)) > 0) {
         }
-      }).detach();
+      });
     }
+    // End every drain's read, join, and only then close: closing under a
+    // blocked reader races it, and the reader could go on to read whatever
+    // the reused fd number is opened for next.
+    for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
+    for (std::thread& drain : drains) drain.join();
     for (int fd : fds) ::close(fd);
   });
 
@@ -624,8 +713,8 @@ TEST(ChaosTest, DurableShardSurvivesKillDashNineAndRouterRecovers2pc) {
     for (size_t s = 0; s < 2; ++s) {
       ASSERT_TRUE((*cluster)
                       ->shard(s)
-                      ->Put(StagingKey(42, s, 0),
-                            Intent("pipeline/recovered/commits", "the-commit"))
+                      ->Put(StagingKey(42, s, 0, "pipeline/recovered/commits"),
+                            "the-commit")
                       .ok());
     }
     ASSERT_TRUE((*cluster)

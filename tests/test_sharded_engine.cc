@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "merge/merge_op.h"
 #include "sim/scenario.h"
 #include "storage/forkbase_engine.h"
@@ -175,6 +176,45 @@ TEST(ShardedEngineTest, BroadcastLedgerCountsIndexMissProbes) {
   ASSERT_TRUE(indexed.ok());
   EXPECT_TRUE(cluster->HasVersion(indexed->id));
   EXPECT_EQ(cluster->broadcast_stats().broadcasts, 2u);
+}
+
+TEST(ShardedEngineTest, ReplicatedPutSendsItsValueOncePerReplica) {
+  // Phase 1 stages the raw value on each replica; phase 2 applies it by
+  // reference (CopyVersion sends a key and an id) and cleanup deletes by
+  // id. So the shards receive the value once each — not a second time in
+  // phase 2 — and nothing of the transaction is left behind.
+  auto cluster = MakeCluster(2);
+  Pcg32 rng(512);
+  std::string value(512 << 10, '\0');
+  for (char& c : value) c = static_cast<char>(rng.NextU32() & 0xff);
+  auto request_bytes = [&cluster]() {
+    uint64_t total = 0;
+    for (size_t s = 0; s < cluster->num_shards(); ++s) {
+      auto* remote = dynamic_cast<RemoteStorageEngine*>(cluster->shard(s));
+      EXPECT_NE(remote, nullptr);
+      if (remote != nullptr) total += remote->transport()->stats().request_bytes;
+    }
+    return total;
+  };
+  const uint64_t before = request_bytes();
+  auto put = cluster->Put("library/model/weights", value);
+  ASSERT_TRUE(put.ok()) << put.status();
+  const uint64_t sent = request_bytes() - before;
+  EXPECT_LT(static_cast<double>(sent), 2.2 * static_cast<double>(value.size()))
+      << sent << " request bytes for a " << value.size() << "-byte value";
+
+  for (size_t s = 0; s < cluster->num_shards(); ++s) {
+    for (const auto& [key, id] : cluster->shard(s)->ListAllVersions()) {
+      (void)id;
+      EXPECT_NE(key.rfind("__2pc__/", 0), 0u) << "shard " << s << ": " << key;
+    }
+  }
+  // The id a single engine gives the same write.
+  ForkBaseEngine single;
+  auto single_put = single.Put("library/model/weights", value);
+  ASSERT_TRUE(single_put.ok());
+  EXPECT_EQ(put->id, single_put->id);
+  EXPECT_EQ(*cluster->Get("library/model/weights"), value);
 }
 
 /// Wraps an engine and fails every Put once armed — the "participant vote

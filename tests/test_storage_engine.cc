@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "common/rng.h"
+#include "storage/blob.h"
 #include "storage/branch_table.h"
 #include "storage/forkbase_engine.h"
 #include "storage/local_dir_engine.h"
+#include "storage/persistence.h"
 
 namespace mlcask::storage {
 namespace {
@@ -16,6 +24,21 @@ std::string RandomBytes(size_t n, uint64_t seed) {
   for (char& c : out) c = static_cast<char>(rng.NextU32() & 0xff);
   return out;
 }
+
+/// A fresh directory under the system temp dir, removed on destruction.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("mlcask_engine_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
 
 template <typename Engine>
 class StorageEngineTest : public ::testing::Test {
@@ -138,6 +161,217 @@ TEST(LocalDirEngineTest, FasterPerPutThanForkBase) {
   auto pf = forkbase.Put("x", data);
   ASSERT_TRUE(pl.ok() && pf.ok());
   EXPECT_LT(pl->storage_time_s, pf->storage_time_s);
+}
+
+// ------------------------------------------------------------ CopyVersion ---
+
+TEST(ForkBaseEngineTest, CopyVersionGivesThePutResultOfATwinEngine) {
+  // Two engines with the same history; one copies the staged version, the
+  // other Puts the same bytes. Ids, accounting and chunk traffic must agree.
+  ForkBaseEngine engine;
+  ForkBaseEngine twin;
+  const std::string data = RandomBytes(512 << 10, 6);
+  for (ForkBaseEngine* e : {&engine, &twin}) {
+    ASSERT_TRUE(e->Put("library/model", "v0").ok());
+  }
+  auto staged = engine.Put("__2pc__/txn0/s0/w0/library/model", data);
+  ASSERT_TRUE(twin.Put("__2pc__/txn0/s0/w0/library/model", data).ok());
+  ASSERT_TRUE(staged.ok());
+
+  auto copied = engine.CopyVersion("library/model", staged->id);
+  auto put = twin.Put("library/model", data);
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  ASSERT_TRUE(put.ok());
+  EXPECT_EQ(copied->id, put->id);
+  EXPECT_EQ(copied->logical_bytes, put->logical_bytes);
+  EXPECT_EQ(copied->new_physical_bytes, 0u);
+  EXPECT_EQ(copied->new_physical_bytes, put->new_physical_bytes);
+  EXPECT_EQ(copied->deduplicated, put->deduplicated);
+  EXPECT_DOUBLE_EQ(copied->storage_time_s, put->storage_time_s);
+  EXPECT_EQ(engine.Versions("library/model"), twin.Versions("library/model"));
+
+  // Compared before any read: reads also charge storage time.
+  const EngineStats es = engine.stats();
+  const EngineStats ts = twin.stats();
+  EXPECT_EQ(es.puts, ts.puts);
+  EXPECT_EQ(es.logical_bytes, ts.logical_bytes);
+  EXPECT_EQ(es.physical_bytes, ts.physical_bytes);
+  EXPECT_DOUBLE_EQ(es.storage_time_s, ts.storage_time_s);
+  const ChunkStoreStats ec = engine.chunk_stats();
+  const ChunkStoreStats tc = twin.chunk_stats();
+  EXPECT_EQ(ec.puts, tc.puts);
+  EXPECT_EQ(ec.logical_bytes, tc.logical_bytes);
+  EXPECT_EQ(ec.dedup_hits, tc.dedup_hits);
+  EXPECT_EQ(ec.physical_bytes, tc.physical_bytes);
+  EXPECT_EQ(ec.distinct_chunks, tc.distinct_chunks);
+
+  EXPECT_EQ(*engine.GetVersion(copied->id), data);
+  EXPECT_EQ(*engine.Get("library/model"), data);
+
+  // An unknown source is NotFound and adds nothing.
+  Hash256 unknown;
+  unknown.bytes[0] = 0x42;
+  const uint64_t puts = engine.stats().puts;
+  EXPECT_TRUE(engine.CopyVersion("target", unknown).status().IsNotFound());
+  EXPECT_TRUE(engine.Versions("target").empty());
+  EXPECT_EQ(engine.stats().puts, puts);
+}
+
+TEST(ForkBaseEngineTest, CopyVersionOutlivesItsSourceAndFreesWithIt) {
+  ForkBaseEngine engine;
+  ASSERT_TRUE(engine.Put("artifact/other", "unrelated").ok());
+  const uint64_t physical_before = engine.stats().physical_bytes;
+  const ChunkStoreStats chunks_before = engine.chunk_stats();
+
+  const std::string data = RandomBytes(512 << 10, 7);
+  auto staged = engine.Put("staging", data);
+  ASSERT_TRUE(staged.ok());
+  auto copied = engine.CopyVersion("target", staged->id);
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  const uint64_t physical_with_both = engine.stats().physical_bytes;
+
+  // The copy holds its own reference to every chunk: deleting the source
+  // frees nothing and the copy still reads back whole.
+  auto freed = engine.DeleteVersion(staged->id);
+  ASSERT_TRUE(freed.ok());
+  EXPECT_EQ(*freed, 0u);
+  EXPECT_EQ(engine.stats().physical_bytes, physical_with_both);
+  EXPECT_FALSE(engine.HasVersion(staged->id));
+  EXPECT_EQ(*engine.GetVersion(copied->id), data);
+
+  // Deleting the copy too returns every byte the put added.
+  ASSERT_TRUE(engine.DeleteVersion(copied->id).ok());
+  EXPECT_EQ(engine.stats().physical_bytes, physical_before);
+  EXPECT_EQ(engine.chunk_stats().physical_bytes, chunks_before.physical_bytes);
+  EXPECT_EQ(engine.chunk_stats().distinct_chunks,
+            chunks_before.distinct_chunks);
+}
+
+TEST(ForkBaseEngineTest, CopyVersionOfABrokenBlobTakesNoReference) {
+  ForkBaseEngine engine;
+  auto put = engine.Put("k", RandomBytes(200000, 8));
+  ASSERT_TRUE(put.ok());
+  const BlobRef ref = engine.blobs().at(put->id);
+  auto chunks = ListBlobChunks(engine.chunk_store(), ref);
+  ASSERT_TRUE(chunks.ok());
+  ASSERT_GE(chunks->size(), 2u);
+  // Lose the blob's last data chunk, as a damaged store would.
+  ASSERT_TRUE(engine.mutable_chunk_store()->Release(chunks->back()).ok());
+
+  auto copied = engine.CopyVersion("k2", put->id);
+  EXPECT_EQ(copied.status().code(), StatusCode::kCorruption) << copied.status();
+  // Checked before retaining: the surviving chunks gained no reference.
+  EXPECT_EQ(engine.chunk_store().RefCount(chunks->front()), 1u);
+  EXPECT_EQ(engine.chunk_store().RefCount(ref.root), 1u);
+  EXPECT_TRUE(engine.Versions("k2").empty());
+}
+
+TEST(LocalDirEngineTest, DefaultCopyVersionGivesThePutResult) {
+  LocalDirEngine engine;
+  LocalDirEngine twin;
+  const std::string data = RandomBytes(4096, 9);
+  auto staged = engine.Put("staging", data);
+  ASSERT_TRUE(twin.Put("staging", data).ok());
+  ASSERT_TRUE(staged.ok());
+  auto copied = engine.CopyVersion("target", staged->id);
+  auto put = twin.Put("target", data);
+  ASSERT_TRUE(copied.ok() && put.ok());
+  EXPECT_EQ(copied->id, put->id);
+  EXPECT_EQ(copied->logical_bytes, put->logical_bytes);
+  EXPECT_EQ(copied->new_physical_bytes, put->new_physical_bytes);
+  EXPECT_EQ(*engine.GetVersion(copied->id), data);
+
+  Hash256 unknown;
+  unknown.bytes[0] = 0x43;
+  EXPECT_TRUE(engine.CopyVersion("target", unknown).status().IsNotFound());
+}
+
+TEST(DurableForkBaseEngineTest, CopyVersionSurvivesReopen) {
+  TempDir dir("copy");
+  const std::string data = RandomBytes(300000, 10);
+  Hash256 copy_id;
+  {
+    auto engine = DurableForkBaseEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto staged = (*engine)->Put("staging", data);
+    ASSERT_TRUE(staged.ok());
+    auto copied = (*engine)->CopyVersion("target", staged->id);
+    ASSERT_TRUE(copied.ok()) << copied.status();
+    ASSERT_TRUE((*engine)->DeleteVersion(staged->id).ok());
+    copy_id = copied->id;
+  }
+  auto reopened = DurableForkBaseEngine::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->Versions("target"), std::vector<Hash256>{copy_id});
+  auto got = (*reopened)->GetVersion(copy_id);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, data);
+}
+
+// ------------------------------------------- deleted keys leave the index ---
+
+TEST(ForkBaseEngineTest, DeletingAKeysLastVersionDropsTheKey) {
+  ForkBaseEngine engine;
+  ForkBaseEngine fresh;
+  for (int i = 0; i < 100; ++i) {
+    auto put = engine.Put("__2pc__/txn" + std::to_string(i) + "/decision",
+                          "commit");
+    ASSERT_TRUE(put.ok());
+    ASSERT_TRUE(engine.DeleteVersion(put->id).ok());
+  }
+  EXPECT_TRUE(engine.ListAllVersions().empty());
+  EXPECT_EQ(engine.keys().size(), 0u);
+  // An absent key gives ordinal 0, as an empty one did: ids do not move.
+  auto again = engine.Put("__2pc__/txn7/decision", "commit");
+  auto first = fresh.Put("__2pc__/txn7/decision", "commit");
+  ASSERT_TRUE(again.ok() && first.ok());
+  EXPECT_EQ(again->id, first->id);
+}
+
+TEST(LocalDirEngineTest, DeletingAKeysLastVersionDropsTheKey) {
+  LocalDirEngine engine;
+  for (int i = 0; i < 100; ++i) {
+    auto put = engine.Put("__2pc__/txn" + std::to_string(i) + "/decision",
+                          "commit");
+    ASSERT_TRUE(put.ok());
+    ASSERT_TRUE(engine.DeleteVersion(put->id).ok());
+  }
+  EXPECT_TRUE(engine.ListAllVersions().empty());
+  EXPECT_EQ(engine.num_keys(), 0u);
+  // A key that still holds a version stays.
+  auto keep1 = engine.Put("artifact/keep", "a");
+  auto keep2 = engine.Put("artifact/keep", "b");
+  ASSERT_TRUE(keep1.ok() && keep2.ok());
+  ASSERT_TRUE(engine.DeleteVersion(keep1->id).ok());
+  EXPECT_EQ(engine.num_keys(), 1u);
+  EXPECT_EQ(engine.Versions("artifact/keep"),
+            std::vector<Hash256>{keep2->id});
+}
+
+TEST(DurableForkBaseEngineTest, DeletedKeysLeaveTheManifest) {
+  TempDir dir("deleted_keys");
+  {
+    auto engine = DurableForkBaseEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE((*engine)->Put("artifact/kept", "kept").ok());
+    for (int i = 0; i < 50; ++i) {
+      auto put = (*engine)->Put(
+          "__2pc__/txn" + std::to_string(i) + "/s0/w0/artifact/x", "staged");
+      ASSERT_TRUE(put.ok());
+      ASSERT_TRUE((*engine)->DeleteVersion(put->id).ok());
+    }
+  }
+  std::ifstream manifest(dir.path() + "/manifest.json");
+  std::stringstream text;
+  text << manifest.rdbuf();
+  ASSERT_NE(text.str().find("artifact/kept"), std::string::npos);
+  EXPECT_EQ(text.str().find("__2pc__/"), std::string::npos);
+
+  auto reopened = DurableForkBaseEngine::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto all = (*reopened)->ListAllVersions();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].first, "artifact/kept");
 }
 
 TEST(StorageTimeModelTest, WriteSecondsComposition) {

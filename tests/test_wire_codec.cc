@@ -73,6 +73,15 @@ TEST(WireCodecTest, GoldenIdRequest) {
   }
 }
 
+TEST(WireCodecTest, GoldenCopyVersionRequest) {
+  // magic, opcode kCopyVersion (13), meta_len 36: key field (0x05, len 1,
+  // 'k') then the source id (tag2 | hash kind = 0x0A, 32 raw bytes); no
+  // body — the value never crosses the wire.
+  const std::string expected =
+      std::string("\xBC\x0D\x24\x05\x01k\x0A", 7) + std::string(32, '\xCD');
+  EXPECT_EQ(wire::EncodeCopyVersionRequest("k", FilledId(0xCD)), expected);
+}
+
 TEST(WireCodecTest, GoldenReadCostRequest) {
   // varint 300 = 0xAC 0x02; field key (tag3 | varint kind) = 0x0C.
   EXPECT_EQ(wire::EncodeReadCostRequest(300),
@@ -152,6 +161,16 @@ TEST(WireCodecTest, RequestRoundTripsEveryMethod) {
   EXPECT_EQ(many->batch[0].second, "data-a");
   EXPECT_EQ(many->batch[1].first, "b");
   EXPECT_EQ(many->batch[1].second, std::string(1000, 'b'));
+
+  const std::string copy_message =
+      wire::EncodeCopyVersionRequest("library/m", FilledId(0x3C), "sess.9");
+  auto copy = wire::DecodeRequest(copy_message);
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(copy->method, wire::Method::kCopyVersion);
+  EXPECT_EQ(copy->key, "library/m");
+  EXPECT_EQ(copy->id.bytes, FilledId(0x3C).bytes);
+  EXPECT_EQ(copy->replay_token, "sess.9");
+  EXPECT_TRUE(copy->body.empty());
 }
 
 TEST(WireCodecTest, ResponseRoundTripsEveryShape) {
@@ -423,6 +442,16 @@ TEST(WireCodecTest, ProxyAgreesWithTheDirectEngine) {
     EXPECT_EQ((*bb)[i].id.ToHex(), (*db)[i].id.ToHex());
   }
 
+  // Apply by reference: only the key and the source id cross the wire.
+  auto dc = direct.CopyVersion("y", dp->id);
+  auto bc = remote.CopyVersion("y", bp->id);
+  ASSERT_TRUE(dc.ok());
+  ASSERT_TRUE(bc.ok()) << bc.status();
+  EXPECT_EQ(bc->id.ToHex(), dc->id.ToHex());
+  EXPECT_EQ(bc->logical_bytes, dc->logical_bytes);
+  EXPECT_EQ(bc->new_physical_bytes, dc->new_physical_bytes);
+  EXPECT_EQ(bc->deduplicated, dc->deduplicated);
+
   auto bg = remote.Get("w");
   ASSERT_TRUE(bg.ok());
   EXPECT_EQ(*bg, blob + "2");
@@ -449,6 +478,8 @@ TEST(WireCodecTest, ProxyAgreesWithTheDirectEngine) {
   auto missing = remote.GetVersion(FilledId(0xFD));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(remote.CopyVersion("y", FilledId(0xFD)).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
