@@ -1,0 +1,131 @@
+// Micro benchmarks for the ML kernels that dominate a replayed merge, at the
+// shapes the `merge` workload trains on: MLP and AdaBoost fits, an HMM fit
+// plus smoothing pass, and Zernike features of a batch of digit images
+// through the `zernike_features` library entry point.
+
+#include <benchmark/benchmark.h>
+
+#include "common/json.h"
+#include "common/rng.h"
+#include "ml/adaboost.h"
+#include "ml/hmm.h"
+#include "ml/matrix.h"
+#include "ml/mlp.h"
+#include "pipeline/library_registry.h"
+#include "sim/libraries.h"
+
+namespace mlcask::ml {
+namespace {
+
+// Gaussian features and labels that follow the first two features, so the
+// models have something to learn.
+void MakeTrainingSet(size_t n, size_t d, uint64_t seed, Matrix* x,
+                     std::vector<double>* y) {
+  Pcg32 rng(seed);
+  *x = Matrix(n, d);
+  y->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) x->At(i, j) = rng.NextGaussian();
+    double s = x->At(i, 0) + (d > 1 ? 0.5 * x->At(i, 1) : 0.0) +
+               0.7 * rng.NextGaussian();
+    (*y)[i] = s > 0 ? 1.0 : 0.0;
+  }
+}
+
+// Args: rows, features, hidden units, epochs.
+void BM_MlpFit(benchmark::State& state) {
+  Matrix x;
+  std::vector<double> y;
+  MakeTrainingSet(static_cast<size_t>(state.range(0)),
+                  static_cast<size_t>(state.range(1)), 7, &x, &y);
+  MlpConfig cfg;
+  cfg.hidden_units = static_cast<size_t>(state.range(2));
+  cfg.sgd.epochs = static_cast<int>(state.range(3));
+  cfg.sgd.learning_rate = 0.2;
+  for (auto _ : state) {
+    Mlp model;
+    benchmark::DoNotOptimize(model.Fit(x, y, cfg));
+    benchmark::DoNotOptimize(model.final_loss());
+  }
+}
+BENCHMARK(BM_MlpFit)
+    ->Args({84, 12, 22, 15})
+    ->Args({126, 7, 18, 13})
+    ->Unit(benchmark::kMicrosecond);
+
+// Args: rows, features, rounds.
+void BM_AdaBoostFit(benchmark::State& state) {
+  Matrix x;
+  std::vector<double> y;
+  MakeTrainingSet(static_cast<size_t>(state.range(0)),
+                  static_cast<size_t>(state.range(1)), 11, &x, &y);
+  AdaBoostConfig cfg;
+  cfg.rounds = static_cast<int>(state.range(2));
+  for (auto _ : state) {
+    AdaBoost model;
+    benchmark::DoNotOptimize(model.Fit(x, y, cfg));
+    benchmark::DoNotOptimize(model.final_round_error());
+  }
+}
+BENCHMARK(BM_AdaBoostFit)->Args({42, 26, 45})->Unit(benchmark::kMicrosecond);
+
+// Args: sequence length, states, EM iterations.
+void BM_HmmFitSmooth(benchmark::State& state) {
+  const size_t t_len = static_cast<size_t>(state.range(0));
+  Pcg32 rng(5);
+  std::vector<double> seq(t_len);
+  double level = 0;
+  for (double& v : seq) {
+    if (rng.Bernoulli(0.2)) level = rng.Uniform(-2, 2);
+    v = level + 0.5 * rng.NextGaussian();
+  }
+  HmmConfig cfg;
+  cfg.num_states = static_cast<size_t>(state.range(1));
+  cfg.em_iterations = static_cast<int>(state.range(2));
+  for (auto _ : state) {
+    GaussianHmm hmm;
+    benchmark::DoNotOptimize(hmm.Fit(seq, cfg));
+    benchmark::DoNotOptimize(hmm.Smooth(seq));
+  }
+}
+BENCHMARK(BM_HmmFitSmooth)->Args({12, 3, 10})->Unit(benchmark::kMicrosecond);
+
+// Args: images, side, max order.
+void BM_ZernikeFeatures(benchmark::State& state) {
+  pipeline::LibraryRegistry registry;
+  if (!sim::RegisterWorkloadLibraries(&registry).ok()) {
+    state.SkipWithError("registry");
+    return;
+  }
+  auto gen = registry.Get("gen_digits");
+  auto zernike = registry.Get("zernike_features");
+  if (!gen.ok() || !zernike.ok()) {
+    state.SkipWithError("libraries");
+    return;
+  }
+  Json gen_params = Json::Object();
+  gen_params.Set("rows", Json::Int(state.range(0)));
+  gen_params.Set("side", Json::Int(state.range(1)));
+  pipeline::ExecInput gen_in;
+  gen_in.params = &gen_params;
+  auto images = (**gen)(gen_in);
+  if (!images.ok()) {
+    state.SkipWithError("gen_digits");
+    return;
+  }
+  Json params = Json::Object();
+  params.Set("max_order", Json::Int(state.range(2)));
+  pipeline::ExecInput in;
+  in.input = &images->table;
+  in.inputs = {&images->table};
+  in.params = &params;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((**zernike)(in));
+  }
+}
+BENCHMARK(BM_ZernikeFeatures)->Args({120, 16, 6})->Unit(benchmark::kMicrosecond);
+
+}  // namespace
+}  // namespace mlcask::ml
+
+BENCHMARK_MAIN();

@@ -151,38 +151,60 @@ class Reader {
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   StatusOr<uint64_t> U64() {
-    if (pos_ + 8 > bytes_.size()) return Truncated();
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<uint8_t>(bytes_[pos_ + static_cast<size_t>(i)]);
-    }
+    if (remaining() < 8) return Truncated();
+    uint64_t v = LoadU64(pos_);
     pos_ += 8;
     return v;
   }
 
   StatusOr<std::string> Str() {
     MLCASK_ASSIGN_OR_RETURN(uint64_t len, U64());
-    if (pos_ + len > bytes_.size()) return Truncated();
+    if (len > remaining()) return Truncated();
     std::string s(bytes_.substr(pos_, len));
     pos_ += len;
     return s;
   }
 
-  StatusOr<double> F64() {
-    MLCASK_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double d;
-    std::memcpy(&d, &bits, 8);
-    return d;
+  /// `count` 8-byte words as doubles or int64s (the word's bits are the
+  /// value's bits), bounds-checked once for the whole run.
+  template <typename T>
+  StatusOr<std::vector<T>> Words(uint64_t count) {
+    static_assert(sizeof(T) == 8, "8-byte words only");
+    MLCASK_RETURN_IF_ERROR(CheckFits(count, 8));
+    std::vector<T> values(count);
+    for (size_t i = 0; i < values.size(); ++i) {
+      const uint64_t bits = LoadU64(pos_ + 8 * i);
+      std::memcpy(&values[i], &bits, 8);
+    }
+    pos_ += 8 * values.size();
+    return values;
+  }
+
+  /// Corruption unless the unread bytes can hold `count` items of at least
+  /// `min_bytes` each — checked before sizing anything by `count`.
+  Status CheckFits(uint64_t count, size_t min_bytes) const {
+    if (count > remaining() / min_bytes) return Truncated();
+    return Status::Ok();
   }
 
   StatusOr<uint8_t> Byte() {
-    if (pos_ + 1 > bytes_.size()) return Truncated();
+    if (remaining() < 1) return Truncated();
     return static_cast<uint8_t>(bytes_[pos_++]);
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
 
  private:
+  size_t remaining() const { return bytes_.size() - pos_; }
+
+  uint64_t LoadU64(size_t at) const {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+      v = (v << 8) | static_cast<uint8_t>(bytes_[at + static_cast<size_t>(i)]);
+    }
+    return v;
+  }
+
   Status Truncated() const {
     return Status::Corruption("truncated table at offset " +
                               std::to_string(pos_));
@@ -252,26 +274,20 @@ StatusOr<Table> Table::Deserialize(std::string_view bytes) {
     ColumnType type = static_cast<ColumnType>(type_byte);
     switch (type) {
       case ColumnType::kDouble: {
-        std::vector<double> values;
-        values.reserve(num_rows);
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          MLCASK_ASSIGN_OR_RETURN(double d, r.F64());
-          values.push_back(d);
-        }
+        MLCASK_ASSIGN_OR_RETURN(std::vector<double> values,
+                                r.Words<double>(num_rows));
         MLCASK_RETURN_IF_ERROR(t.AddDoubleColumn(std::move(name), std::move(values)));
         break;
       }
       case ColumnType::kInt: {
-        std::vector<int64_t> values;
-        values.reserve(num_rows);
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          MLCASK_ASSIGN_OR_RETURN(uint64_t v, r.U64());
-          values.push_back(static_cast<int64_t>(v));
-        }
+        MLCASK_ASSIGN_OR_RETURN(std::vector<int64_t> values,
+                                r.Words<int64_t>(num_rows));
         MLCASK_RETURN_IF_ERROR(t.AddIntColumn(std::move(name), std::move(values)));
         break;
       }
       case ColumnType::kString: {
+        // Every string carries an 8-byte length prefix.
+        MLCASK_RETURN_IF_ERROR(r.CheckFits(num_rows, 8));
         std::vector<std::string> values;
         values.reserve(num_rows);
         for (uint64_t i = 0; i < num_rows; ++i) {

@@ -11,10 +11,21 @@ namespace {
 constexpr double kTiny = 1e-300;
 }
 
-double GaussianHmm::Emission(size_t state, double x) const {
-  double var = variances_[state];
-  double d = x - means_[state];
-  return std::exp(-0.5 * d * d / var) / std::sqrt(2.0 * M_PI * var);
+void GaussianHmm::EmissionTable(const std::vector<double>& seq,
+                                std::vector<double>* emit) const {
+  // emit[t][s] = N(seq[t]; mean_s, var_s). The normalizer depends on the
+  // state alone, and the same operands give the same bits at every t.
+  const size_t t_len = seq.size();
+  emit->resize(t_len * k_);
+  for (size_t s = 0; s < k_; ++s) {
+    const double var = variances_[s];
+    const double mean = means_[s];
+    const double denom = std::sqrt(2.0 * M_PI * var);
+    for (size_t t = 0; t < t_len; ++t) {
+      double d = seq[t] - mean;
+      (*emit)[t * k_ + s] = std::exp(-0.5 * d * d / var) / denom;
+    }
+  }
 }
 
 Status GaussianHmm::Fit(const std::vector<double>& sequence,
@@ -56,12 +67,13 @@ Status GaussianHmm::Fit(const std::vector<double>& sequence,
   Pcg32 rng(config.seed);
   for (double& m : means_) m += 1e-6 * rng.NextGaussian();
 
-  std::vector<double> alpha, beta, scale;
+  std::vector<double> emit, alpha, beta, scale;
   std::vector<double> gamma(t_len * k_);
-  std::vector<double> xi_sum(k_ * k_);
+  std::vector<double> xi(k_ * k_), xi_sum(k_ * k_);
 
   for (int iter = 0; iter < config.em_iterations; ++iter) {
-    MLCASK_RETURN_IF_ERROR(ForwardBackward(sequence, &alpha, &beta, &scale));
+    EmissionTable(sequence, &emit);
+    ForwardBackward(emit, t_len, &alpha, &beta, &scale);
 
     // E-step: gamma[t][s] ∝ alpha * beta (already scaled per-step).
     for (size_t t = 0; t < t_len; ++t) {
@@ -75,22 +87,19 @@ Status GaussianHmm::Fit(const std::vector<double>& sequence,
     }
     std::fill(xi_sum.begin(), xi_sum.end(), 0.0);
     for (size_t t = 0; t + 1 < t_len; ++t) {
+      const double* e_next = emit.data() + (t + 1) * k_;
+      const double* b_next = beta.data() + (t + 1) * k_;
       double norm = 0;
       for (size_t i = 0; i < k_; ++i) {
         for (size_t j = 0; j < k_; ++j) {
           double v = alpha[t * k_ + i] * transitions_[i * k_ + j] *
-                     Emission(j, sequence[t + 1]) * beta[(t + 1) * k_ + j];
+                     e_next[j] * b_next[j];
+          xi[i * k_ + j] = v;
           norm += v;
         }
       }
       if (norm < kTiny) norm = kTiny;
-      for (size_t i = 0; i < k_; ++i) {
-        for (size_t j = 0; j < k_; ++j) {
-          double v = alpha[t * k_ + i] * transitions_[i * k_ + j] *
-                     Emission(j, sequence[t + 1]) * beta[(t + 1) * k_ + j];
-          xi_sum[i * k_ + j] += v / norm;
-        }
-      }
+      for (size_t ij = 0; ij < k_ * k_; ++ij) xi_sum[ij] += xi[ij] / norm;
     }
 
     // M-step.
@@ -122,11 +131,10 @@ Status GaussianHmm::Fit(const std::vector<double>& sequence,
   return Status::Ok();
 }
 
-Status GaussianHmm::ForwardBackward(const std::vector<double>& seq,
-                                    std::vector<double>* alpha,
-                                    std::vector<double>* beta,
-                                    std::vector<double>* scale) const {
-  const size_t t_len = seq.size();
+void GaussianHmm::ForwardBackward(const std::vector<double>& emit,
+                                  size_t t_len, std::vector<double>* alpha,
+                                  std::vector<double>* beta,
+                                  std::vector<double>* scale) const {
   alpha->assign(t_len * k_, 0.0);
   beta->assign(t_len * k_, 0.0);
   scale->assign(t_len, 0.0);
@@ -134,7 +142,7 @@ Status GaussianHmm::ForwardBackward(const std::vector<double>& seq,
   // Forward with per-step normalization.
   double norm = 0;
   for (size_t s = 0; s < k_; ++s) {
-    (*alpha)[s] = initial_[s] * Emission(s, seq[0]);
+    (*alpha)[s] = initial_[s] * emit[s];
     norm += (*alpha)[s];
   }
   if (norm < kTiny) norm = kTiny;
@@ -148,7 +156,7 @@ Status GaussianHmm::ForwardBackward(const std::vector<double>& seq,
       for (size_t i = 0; i < k_; ++i) {
         sum += (*alpha)[(t - 1) * k_ + i] * transitions_[i * k_ + j];
       }
-      (*alpha)[t * k_ + j] = sum * Emission(j, seq[t]);
+      (*alpha)[t * k_ + j] = sum * emit[t * k_ + j];
       norm += (*alpha)[t * k_ + j];
     }
     if (norm < kTiny) norm = kTiny;
@@ -162,21 +170,21 @@ Status GaussianHmm::ForwardBackward(const std::vector<double>& seq,
     for (size_t i = 0; i < k_; ++i) {
       double sum = 0;
       for (size_t j = 0; j < k_; ++j) {
-        sum += transitions_[i * k_ + j] * Emission(j, seq[t + 1]) *
+        sum += transitions_[i * k_ + j] * emit[(t + 1) * k_ + j] *
                (*beta)[(t + 1) * k_ + j];
       }
       (*beta)[t * k_ + i] = sum / (*scale)[t + 1];
     }
   }
-  return Status::Ok();
 }
 
 StatusOr<std::vector<double>> GaussianHmm::Posteriors(
     const std::vector<double>& sequence) const {
   if (!fitted()) return Status::FailedPrecondition("HMM not fitted");
   if (sequence.empty()) return Status::InvalidArgument("empty sequence");
-  std::vector<double> alpha, beta, scale;
-  MLCASK_RETURN_IF_ERROR(ForwardBackward(sequence, &alpha, &beta, &scale));
+  std::vector<double> emit, alpha, beta, scale;
+  EmissionTable(sequence, &emit);
+  ForwardBackward(emit, sequence.size(), &alpha, &beta, &scale);
   std::vector<double> post(sequence.size() * k_);
   for (size_t t = 0; t < sequence.size(); ++t) {
     double norm = 0;
@@ -206,8 +214,9 @@ StatusOr<double> GaussianHmm::LogLikelihood(
     const std::vector<double>& sequence) const {
   if (!fitted()) return Status::FailedPrecondition("HMM not fitted");
   if (sequence.empty()) return Status::InvalidArgument("empty sequence");
-  std::vector<double> alpha, beta, scale;
-  MLCASK_RETURN_IF_ERROR(ForwardBackward(sequence, &alpha, &beta, &scale));
+  std::vector<double> emit, alpha, beta, scale;
+  EmissionTable(sequence, &emit);
+  ForwardBackward(emit, sequence.size(), &alpha, &beta, &scale);
   double ll = 0;
   for (double s : scale) ll += std::log(s);
   return ll;

@@ -44,12 +44,15 @@ class GaussianHmm {
   const std::vector<double>& transitions() const { return transitions_; }
 
  private:
-  /// Scaled forward-backward; returns per-step scaling factors, alpha, beta.
-  Status ForwardBackward(const std::vector<double>& seq,
-                         std::vector<double>* alpha,
-                         std::vector<double>* beta,
-                         std::vector<double>* scale) const;
-  double Emission(size_t state, double x) const;
+  /// emit[t * k + s]: the density of observation t under state s, for
+  /// the current means and variances (each evaluated once).
+  void EmissionTable(const std::vector<double>& seq,
+                     std::vector<double>* emit) const;
+  /// Scaled forward-backward over an emission table of `t_len` steps;
+  /// fills per-step scaling factors, alpha and beta.
+  void ForwardBackward(const std::vector<double>& emit, size_t t_len,
+                       std::vector<double>* alpha, std::vector<double>* beta,
+                       std::vector<double>* scale) const;
 
   size_t k_ = 0;
   double min_variance_ = 1e-3;

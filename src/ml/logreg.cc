@@ -29,6 +29,9 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<double>& y,
   if (x.rows() == 0) {
     return Status::InvalidArgument("empty training set");
   }
+  if (config.batch_size == 0) {
+    return Status::InvalidArgument("batch_size must be positive");
+  }
   const size_t n = x.rows();
   const size_t d = x.cols();
   weights_.assign(d, 0.0);

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "ml/vec2.h"
 
 namespace mlcask::ml {
 
@@ -21,6 +22,64 @@ double Sigmoid(double z) {
 
 }  // namespace
 
+// The pre-activation z[u] = b1[u] + w[0][u]*x[0] + w[1][u]*x[1] + ... sums
+// each unit's terms in input order exactly as a scalar loop would; the
+// hidden units (independent sums) share the vector lanes: eight units per
+// pass over x in four registers, then at most one pass each of four, two
+// and one units.
+double Mlp::Forward(const double* x, double* h) const {
+  double* z = h;  // pre-activations, turned into activations in place
+  const size_t in = input_dim_, hidden = hidden_;
+  const double* w = w1_.data();
+  const double* b = b1_.data();
+  size_t u = 0;
+  for (; u + 8 <= hidden; u += 8) {
+    V2 z0 = LoadV2(b + u), z1 = LoadV2(b + u + 2);
+    V2 z2 = LoadV2(b + u + 4), z3 = LoadV2(b + u + 6);
+    for (size_t j = 0; j < in; ++j) {
+      const double* wj = w + j * hidden + u;
+      const V2 xj = SplatV2(x[j]);
+      z0 += LoadV2(wj) * xj;
+      z1 += LoadV2(wj + 2) * xj;
+      z2 += LoadV2(wj + 4) * xj;
+      z3 += LoadV2(wj + 6) * xj;
+    }
+    StoreV2(z + u, z0);
+    StoreV2(z + u + 2, z1);
+    StoreV2(z + u + 4, z2);
+    StoreV2(z + u + 6, z3);
+  }
+  if (u + 4 <= hidden) {
+    V2 z0 = LoadV2(b + u), z1 = LoadV2(b + u + 2);
+    for (size_t j = 0; j < in; ++j) {
+      const double* wj = w + j * hidden + u;
+      const V2 xj = SplatV2(x[j]);
+      z0 += LoadV2(wj) * xj;
+      z1 += LoadV2(wj + 2) * xj;
+    }
+    StoreV2(z + u, z0);
+    StoreV2(z + u + 2, z1);
+    u += 4;
+  }
+  if (u + 2 <= hidden) {
+    V2 zu = LoadV2(b + u);
+    for (size_t j = 0; j < in; ++j) {
+      zu += LoadV2(w + j * hidden + u) * SplatV2(x[j]);
+    }
+    StoreV2(z + u, zu);
+    u += 2;
+  }
+  if (u < hidden) {
+    double zu = b[u];
+    for (size_t j = 0; j < in; ++j) zu += w[j * hidden + u] * x[j];
+    z[u] = zu;
+  }
+  for (u = 0; u < hidden; ++u) h[u] = std::tanh(z[u]);
+  double z2 = b2_;
+  for (u = 0; u < hidden; ++u) z2 += w2_[u] * h[u];
+  return Sigmoid(z2);
+}
+
 Status Mlp::Fit(const Matrix& x, const std::vector<double>& y,
                 const MlpConfig& config) {
   if (x.rows() != y.size()) {
@@ -31,6 +90,9 @@ Status Mlp::Fit(const Matrix& x, const std::vector<double>& y,
   }
   if (config.hidden_units == 0) {
     return Status::InvalidArgument("hidden_units must be positive");
+  }
+  if (config.sgd.batch_size == 0) {
+    return Status::InvalidArgument("batch_size must be positive");
   }
   const size_t n = x.rows();
   input_dim_ = x.cols();
@@ -44,7 +106,14 @@ Status Mlp::Fit(const Matrix& x, const std::vector<double>& y,
   };
   double scale1 = 1.0 / std::sqrt(static_cast<double>(input_dim_));
   double scale2 = 1.0 / std::sqrt(static_cast<double>(hidden_));
-  w1_ = init(hidden_ * input_dim_, scale1);
+  // Drawn unit by unit (the RNG order fixes the bits), stored input-major.
+  const std::vector<double> w1_by_unit = init(hidden_ * input_dim_, scale1);
+  w1_.resize(w1_by_unit.size());
+  for (size_t u = 0; u < hidden_; ++u) {
+    for (size_t j = 0; j < input_dim_; ++j) {
+      w1_[j * hidden_ + u] = w1_by_unit[u * input_dim_ + j];
+    }
+  }
   b1_.assign(hidden_, 0.0);
   w2_ = init(hidden_, scale2);
   b2_ = 0.0;
@@ -52,8 +121,9 @@ Status Mlp::Fit(const Matrix& x, const std::vector<double>& y,
 
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::vector<double> h(hidden_), grad_w2(hidden_), grad_b1(hidden_);
-  std::vector<double> grad_w1(hidden_ * input_dim_);
+  std::vector<double> h(hidden_), delta1(hidden_), grad_w2(hidden_),
+      grad_b1(hidden_);
+  std::vector<double> grad_w1(hidden_ * input_dim_);  // input-major, as w1_
 
   const double lr = config.sgd.learning_rate;
   const double l2 = config.sgd.l2;
@@ -69,16 +139,7 @@ Status Mlp::Fit(const Matrix& x, const std::vector<double>& y,
       for (size_t bi = start; bi < end; ++bi) {
         size_t i = order[bi];
         const double* row = x.Row(i);
-        // Forward.
-        for (size_t u = 0; u < hidden_; ++u) {
-          double z = b1_[u];
-          const double* wrow = w1_.data() + u * input_dim_;
-          for (size_t j = 0; j < input_dim_; ++j) z += wrow[j] * row[j];
-          h[u] = std::tanh(z);
-        }
-        double z2 = b2_;
-        for (size_t u = 0; u < hidden_; ++u) z2 += w2_[u] * h[u];
-        double p = Sigmoid(z2);
+        double p = Forward(row, h.data());
         double pc = std::clamp(p, 1e-12, 1.0 - 1e-12);
         loss_sum += y[i] > 0.5 ? -std::log(pc) : -std::log(1.0 - pc);
         // Backward.
@@ -86,10 +147,18 @@ Status Mlp::Fit(const Matrix& x, const std::vector<double>& y,
         grad_b2 += delta2;
         for (size_t u = 0; u < hidden_; ++u) {
           grad_w2[u] += delta2 * h[u];
-          double delta1 = delta2 * w2_[u] * (1.0 - h[u] * h[u]);
-          grad_b1[u] += delta1;
-          double* grow = grad_w1.data() + u * input_dim_;
-          for (size_t j = 0; j < input_dim_; ++j) grow[j] += delta1 * row[j];
+          delta1[u] = delta2 * w2_[u] * (1.0 - h[u] * h[u]);
+          grad_b1[u] += delta1[u];
+        }
+        // grad_w1[j][u] += delta1[u] * row[j], two units per lane pair.
+        for (size_t j = 0; j < input_dim_; ++j) {
+          double* g = grad_w1.data() + j * hidden_;
+          const V2 xj = SplatV2(row[j]);
+          size_t u = 0;
+          for (; u + 2 <= hidden_; u += 2) {
+            StoreV2(g + u, LoadV2(g + u) + LoadV2(delta1.data() + u) * xj);
+          }
+          if (u < hidden_) g[u] += delta1[u] * row[j];
         }
       }
       double scale = lr / static_cast<double>(end - start);
@@ -119,16 +188,7 @@ StatusOr<std::vector<double>> Mlp::PredictProba(const Matrix& x) const {
   out.reserve(x.rows());
   std::vector<double> h(hidden_);
   for (size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.Row(i);
-    for (size_t u = 0; u < hidden_; ++u) {
-      double z = b1_[u];
-      const double* wrow = w1_.data() + u * input_dim_;
-      for (size_t j = 0; j < input_dim_; ++j) z += wrow[j] * row[j];
-      h[u] = std::tanh(z);
-    }
-    double z2 = b2_;
-    for (size_t u = 0; u < hidden_; ++u) z2 += w2_[u] * h[u];
-    out.push_back(Sigmoid(z2));
+    out.push_back(Forward(x.Row(i), h.data()));
   }
   return out;
 }

@@ -35,9 +35,13 @@ class Mlp {
   const std::vector<double>& loss_history() const { return loss_history_; }
 
  private:
+  /// Forward pass of one input row x: fills the hidden activations h
+  /// (hidden_ values) and returns the output probability.
+  double Forward(const double* x, double* h) const;
+
   size_t input_dim_ = 0;
   size_t hidden_ = 0;
-  std::vector<double> w1_;  // hidden x input
+  std::vector<double> w1_;  // input x hidden (input-major)
   std::vector<double> b1_;  // hidden
   std::vector<double> w2_;  // hidden
   double b2_ = 0;

@@ -488,11 +488,14 @@ StatusOr<ExecOutput> ZernikeFeatures(const ExecInput& in) {
     side = static_cast<size_t>(s);
   }
 
-  ml::ZernikeExtractor extractor(max_order);
+  // The pixel-independent terms (radial polynomials, angles) are shared by
+  // every image of the table.
+  MLCASK_ASSIGN_OR_RETURN(ml::ZernikeBasis basis,
+                          ml::ZernikeExtractor(max_order).MakeBasis(side));
   const size_t rows = in.input->num_rows();
-  std::vector<std::vector<double>> features(extractor.NumFeatures(),
+  std::vector<std::vector<double>> features(basis.NumFeatures(),
                                             std::vector<double>(rows));
-  std::vector<double> pixels(side * side);
+  std::vector<double> pixels(side * side), f(basis.NumFeatures());
   // Pre-resolve pixel columns to avoid per-row lookups.
   std::vector<const Column*> px_cols(side * side);
   for (size_t k = 0; k < side * side; ++k) {
@@ -501,7 +504,7 @@ StatusOr<ExecOutput> ZernikeFeatures(const ExecInput& in) {
   }
   for (size_t i = 0; i < rows; ++i) {
     for (size_t k = 0; k < side * side; ++k) pixels[k] = px_cols[k]->doubles[i];
-    MLCASK_ASSIGN_OR_RETURN(std::vector<double> f, extractor.Extract(pixels, side));
+    basis.Apply(pixels.data(), f.data());
     for (size_t k = 0; k < f.size(); ++k) features[k][i] = f[k];
   }
 

@@ -115,6 +115,9 @@ TEST(LogRegTest, ErrorsOnMisuse) {
   ASSERT_TRUE(model.Fit(x, {1.0, 0.0, 1.0}, {}).ok());
   Matrix wrong(2, 5);
   EXPECT_FALSE(model.PredictProba(wrong).ok());  // width mismatch
+  SgdConfig no_batch;
+  no_batch.batch_size = 0;  // would never advance through the rows
+  EXPECT_TRUE(model.Fit(x, {1.0, 0.0, 1.0}, no_batch).IsInvalidArgument());
 }
 
 TEST(LogRegTest, DeterministicGivenSeed) {
@@ -176,6 +179,9 @@ TEST(MlpTest, ErrorsOnMisuse) {
   MlpConfig cfg;
   cfg.hidden_units = 0;
   EXPECT_FALSE(mlp.Fit(x, {0.0, 1.0}, cfg).ok());
+  MlpConfig no_batch;
+  no_batch.sgd.batch_size = 0;  // would never advance through the rows
+  EXPECT_TRUE(mlp.Fit(x, {0.0, 1.0}, no_batch).IsInvalidArgument());
 }
 
 TEST(AdaBoostTest, LearnsAxisAlignedConcept) {

@@ -110,6 +110,33 @@ TEST(TableTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Table::Deserialize(bytes).ok());
   std::string trailing = t.Serialize() + "x";
   EXPECT_FALSE(Table::Deserialize(trailing).ok());
+
+  // Hostile counts in otherwise well-formed headers must be refused as
+  // corrupt, never trusted to size an allocation or move the read position.
+  auto u64 = [](uint64_t v) {
+    std::string s;
+    for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
+    return s;
+  };
+  const std::string magic = u64(0x4d4c544231ULL);
+  // One column holding one 8-byte value while the header claims `rows`.
+  auto one_column = [&](uint64_t rows, ColumnType type) {
+    return magic + u64(rows) + u64(1) + u64(0) + u64(4) + "ages" +
+           std::string(1, static_cast<char>(type)) + u64(0x3ff0000000000000ULL);
+  };
+  for (ColumnType type :
+       {ColumnType::kDouble, ColumnType::kInt, ColumnType::kString}) {
+    for (uint64_t rows : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+      auto back = Table::Deserialize(one_column(rows, type));
+      EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
+          << static_cast<int>(type) << " rows=" << rows;
+    }
+  }
+  // num_meta = 2^62 and a first key length of 2^64 - 8: a bounds check that
+  // wraps would rewind onto that same length field on every read.
+  auto spin = Table::Deserialize(magic + u64(0) + u64(0) +
+                                 u64(uint64_t{1} << 62) + u64(~uint64_t{7}));
+  EXPECT_EQ(spin.status().code(), StatusCode::kCorruption);
 }
 
 TEST(TableTest, EmptyTableRoundTrip) {

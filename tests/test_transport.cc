@@ -70,19 +70,26 @@ TEST(LoopbackTransportTest, StatsSnapshotIsConsistentUnderConcurrency) {
 
   constexpr int kWriters = 4;
   constexpr int kCallsPerWriter = 2000;
+  constexpr int kReaders = 2;
   std::atomic<bool> done{false};
+  std::atomic<int> readers_ready{0};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> snapshots{0};
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         TransportStats s = transport.stats();
         snapshots.fetch_add(1, std::memory_order_relaxed);
         if (s.request_bytes != s.calls * request.size() ||
             s.response_bytes != s.calls * response.size()) {
           torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (first) {
+          readers_ready.fetch_add(1, std::memory_order_release);
+          first = false;
         }
       }
     });
@@ -91,6 +98,11 @@ TEST(LoopbackTransportTest, StatsSnapshotIsConsistentUnderConcurrency) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&] {
+      // Write only once every reader has taken its first snapshot, so the
+      // readers are running for the whole write phase.
+      while (readers_ready.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kCallsPerWriter; ++i) {
         ASSERT_TRUE(transport.Call(request).ok());
       }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+
 #include "common/logging.h"
+#include "common/strings.h"
 
 #include "pipeline/executor.h"
 #include "sim/libraries.h"
@@ -60,6 +64,91 @@ TEST_F(WorkloadTest, FourWorkloadsBuildAndValidate) {
 class WorkloadRunSweep : public WorkloadTest,
                          public ::testing::WithParamInterface<const char*> {};
 
+// A registry, engine and executor of its own: a fresh version history.
+struct FreshExecutor {
+  FreshExecutor() : executor(&registry, &engine, &clock) {
+    MLCASK_CHECK_OK(RegisterWorkloadLibraries(&registry));
+  }
+  pipeline::LibraryRegistry registry;
+  storage::ForkBaseEngine engine;
+  SimClock clock;
+  pipeline::Executor executor;
+};
+
+// One run's bits: the model's metrics as IEEE-754 bit patterns, then each
+// component's output id. Output ids are content-derived, so any changed
+// artifact byte (a feature, a smoothed value, a prediction) changes one.
+std::string RunFingerprint(const pipeline::PipelineRunResult& r) {
+  std::string out;
+  for (const auto& [name, value] : r.metrics) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    out += StrFormat("%s=%016llx;", name.c_str(),
+                     static_cast<unsigned long long>(bits));
+  }
+  for (const auto& c : r.components) {
+    out += StrFormat("%s:%s;", c.name.c_str(), c.output_id.ShortHex(16).c_str());
+  }
+  return out;
+}
+
+// Fingerprints of each workload's initial pipeline, recorded before the ML
+// kernels were rewritten for speed: the rewritten kernels must reproduce
+// every bit. These are x86-64 results under the repository's own compile
+// flags (SSE2 doubles, no FMA contraction, no -ffast-math); another ISA or
+// flag set may round differently and would need its own recording.
+const std::map<std::pair<std::string, double>, std::string>& GoldenRuns() {
+  static const std::map<std::pair<std::string, double>, std::string> golden{
+    {{"readmission", 0.15},
+     "accuracy=3fe60b60b60b60b6;auc=3fe9770b96a673e3;"
+     "inv_logloss=3ffb97e51f12cd24;dataset:60e78185df7f7e5d;"
+     "data_cleansing:ff990ea18350f817;"
+     "feature_extract:01a2417c0736a239;cnn:d5668c8ad22cfabf;"},
+    {{"readmission", 0.06},
+     "accuracy=3fe38e38e38e38e4;auc=3feaf42f42f42f43;"
+     "inv_logloss=3ff92fb16eda7105;dataset:bc16c236bc842a9d;"
+     "data_cleansing:3ebff78b0dd06f16;"
+     "feature_extract:361985926c1c9c60;cnn:b0c457feb7419941;"},
+    {{"dpm", 0.15},
+     "accuracy=3fe5e50d79435e51;auc=3fe7b65c0cefd437;"
+     "inv_logloss=3ffbca747c56ba4f;dataset:8a9e9c0759e03e7a;"
+     "data_cleansing:c9c3479abe723d88;"
+     "feature_extract:10fea1c7907ef5e4;"
+     "hmm_processing:993e18e1d7e551c4;dl_model:68ed120e6420e9bd;"},
+    {{"dpm", 0.06},
+     "accuracy=3fe25ed097b425ed;auc=3fe3357f7620506d;"
+     "inv_logloss=3ff72154734af4c6;dataset:5ce6bd4aef75d178;"
+     "data_cleansing:53f55811150a88c7;"
+     "feature_extract:4ea753ae97969992;"
+     "hmm_processing:84e7c437e1a94db1;dl_model:7c65932a2fd49cf8;"},
+    {{"sa", 0.15},
+     "accuracy=3fed9ca81e9131ac;auc=3fef581240cc6f58;"
+     "inv_logloss=4013c5794126e445;dataset:dad49059d2f770cf;"
+     "corpus_process:df11c43ac7a6de81;"
+     "word_embedding:fb3cdacad517459b;"
+     "feature_pooling:dae9ce787d7e7513;dl_model:efe6fc8ca753f642;"},
+    {{"sa", 0.06},
+     "accuracy=3feed097b425ed09;auc=3ff0000000000000;"
+     "inv_logloss=400c8ed47928bf4e;dataset:d454096842627364;"
+     "corpus_process:3003faa738c3006c;"
+     "word_embedding:1fefe05cc6ec1f4c;"
+     "feature_pooling:74ddf1b3f98844c9;dl_model:69f8fa79e4063a98;"},
+    {{"autolearn", 0.15},
+     "accuracy=3feb425ed097b426;auc=3fedc21c21c21c22;"
+     "inv_logloss=4006a252111b07e5;dataset:3b0d30d6c43818b4;"
+     "zernike_moments:4acd75085c021e21;"
+     "feature_generation:9174d222f7288e35;"
+     "feature_selection:0757e235f8971fb2;adaboost:c17f55522eeb8df1;"},
+    {{"autolearn", 0.06},
+     "accuracy=3fe8618618618618;auc=3feda12f684bda13;"
+     "inv_logloss=3ff675ee843502f1;dataset:55a67befd8dc6087;"
+     "zernike_moments:4eaf15471e1f1d56;"
+     "feature_generation:a06ddbe114fbb078;"
+     "feature_selection:89fecfa99cd31913;adaboost:b47e4ffa3b51a277;"},
+  };
+  return golden;
+}
+
 TEST_P(WorkloadRunSweep, RunsEndToEndWithLearnedScore) {
   auto w = MakeWorkload(GetParam(), 0.15);
   ASSERT_TRUE(w.ok());
@@ -73,6 +162,18 @@ TEST_P(WorkloadRunSweep, RunsEndToEndWithLearnedScore) {
   EXPECT_LE(result->score, 1.0);
   EXPECT_GT(result->time.preprocess_s, 0.0);
   EXPECT_GT(result->time.train_s, 0.0);
+
+  // Bit-exact against the recorded runs, at this scale and a smaller one
+  // (run on a fresh engine, so version ids start from the same history).
+  EXPECT_EQ(RunFingerprint(*result), GoldenRuns().at({GetParam(), 0.15}))
+      << GetParam() << " @0.15";
+  FreshExecutor fresh;
+  auto small = MakeWorkload(GetParam(), 0.06);
+  ASSERT_TRUE(small.ok());
+  auto small_result = fresh.executor.Run(small->initial, {});
+  ASSERT_TRUE(small_result.ok());
+  EXPECT_EQ(RunFingerprint(*small_result), GoldenRuns().at({GetParam(), 0.06}))
+      << GetParam() << " @0.06";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadRunSweep,
