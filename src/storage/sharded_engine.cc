@@ -17,6 +17,10 @@ namespace mlcask::storage {
 
 namespace {
 
+/// The replicated namespaces: the `pipeline/` commit logs that persist the
+/// branch table and the `library/` metafiles.
+constexpr std::string_view kReplicatedPrefixes[] = {"pipeline/", "library/"};
+
 constexpr std::string_view kStagingPrefix = "__2pc__/";
 /// Prefix of a transaction's commit-decision payload (`kIntentHeader` +
 /// "commit"). Recovery acts on the decision record's presence alone, so the
@@ -39,12 +43,18 @@ uint64_t RingPoint(std::string_view label) {
   return point;
 }
 
-bool IsStagingKey(std::string_view key) {
-  return StartsWith(key, kStagingPrefix);
+/// Router-internal keys (2PC staging, migration plan/cursor/topology) that
+/// must never surface in listings or migrate.
+bool IsInternalKey(std::string_view key) {
+  return StartsWith(key, kStagingPrefix) || StartsWith(key, kMigrationPrefix);
 }
 
-bool IsMigrationKey(std::string_view key) {
-  return StartsWith(key, kMigrationPrefix);
+/// `status` with `context` before its message (and `suffix` after it), its
+/// code kept: how every shard failure the router passes on names its hop.
+Status Annotate(const Status& status, const std::string& context,
+                std::string_view suffix = {}) {
+  return Status(status.code(),
+                context + ": " + status.message() + std::string(suffix));
 }
 
 /// Consumes one `<label><digits>/` segment of a staging key from the front
@@ -136,108 +146,66 @@ bool ParseSlots(std::string_view text, std::vector<size_t>* slots) {
   return true;
 }
 
-/// Durable rebalance plan: everything a fresh router needs to re-install
-/// the dual-epoch window a killed one left mid-flight.
-std::string SerializePlan(const ShardRing& from, const ShardRing& to,
-                          size_t vnodes) {
-  std::string out = "mlcask-migration-plan v1\n";
-  out += "epoch=" + std::to_string(to.epoch) + "\n";
-  out += "from=" + SerializeSlots(from.members) + "\n";
-  out += "to=" + SerializeSlots(to.members) + "\n";
-  out += "vnodes=" + std::to_string(vnodes) + "\n";
+/// The durable rebalance records share one format: a header line naming
+/// the record and its version, then one `name=value` line per field. The
+/// plan (`kPlanHeader`, on the new ring's first member) is everything a
+/// fresh router needs to re-install the dual-epoch window a killed one left
+/// mid-flight; the topology (`kTopologyHeader`, on every surviving member)
+/// records the last FINALIZED membership, so a router rebuilt from a stale
+/// endpoint list (one that still dials a drained slot) can restore the real
+/// ring in ResumeMigration.
+constexpr std::string_view kPlanHeader = "mlcask-migration-plan v1";
+constexpr std::string_view kTopologyHeader = "mlcask-topology v1";
+using RecordFields = std::map<std::string_view, std::string_view>;
+
+std::string SerializeRecord(
+    std::string_view header,
+    const std::vector<std::pair<std::string_view, std::string>>& fields) {
+  std::string out(header);
+  out += "\n";
+  for (const auto& [name, value] : fields) {
+    out.append(name).append("=").append(value).append("\n");
+  }
   return out;
 }
 
-bool ParsePlan(std::string_view text, uint64_t* epoch,
-               std::vector<size_t>* from, std::vector<size_t>* to,
-               size_t* vnodes) {
-  bool have_epoch = false, have_from = false, have_to = false,
-       have_vnodes = false;
+/// Splits a record into its fields (views into `text`). Blank lines are
+/// skipped, and unknown fields are kept but never read: older routers
+/// tolerate newer records.
+bool ParseRecord(std::string_view text, std::string_view header,
+                 RecordFields* fields) {
   bool first = true;
   while (!text.empty()) {
     const size_t nl = text.find('\n');
-    std::string_view line =
-        nl == std::string_view::npos ? text : text.substr(0, nl);
+    std::string_view line = text.substr(0, nl);
     text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
     if (first) {
-      if (line != "mlcask-migration-plan v1") return false;
+      if (line != header) return false;
       first = false;
       continue;
     }
     if (line.empty()) continue;
     const size_t eq = line.find('=');
     if (eq == std::string_view::npos) return false;
-    std::string_view name = line.substr(0, eq);
-    std::string_view value = line.substr(eq + 1);
-    if (name == "epoch") {
-      std::vector<size_t> one;
-      if (!ParseSlots(value, &one) || one.size() != 1) return false;
-      *epoch = one[0];
-      have_epoch = true;
-    } else if (name == "from") {
-      if (!ParseSlots(value, from)) return false;
-      have_from = true;
-    } else if (name == "to") {
-      if (!ParseSlots(value, to)) return false;
-      have_to = true;
-    } else if (name == "vnodes") {
-      std::vector<size_t> one;
-      if (!ParseSlots(value, &one) || one.size() != 1) return false;
-      *vnodes = one[0];
-      have_vnodes = true;
-    }  // Unknown fields are skipped: older routers tolerate newer plans.
+    (*fields)[line.substr(0, eq)] = line.substr(eq + 1);
   }
-  return have_epoch && have_from && have_to && have_vnodes &&
-         !from->empty() && !to->empty();
+  return !first;
 }
 
-/// Durable record of the last FINALIZED membership, written to every
-/// surviving member when a rebalance completes. A router rebuilt from a
-/// stale endpoint list (one that still dials a drained slot) reads it back
-/// in ResumeMigration to restore the real ring.
-std::string SerializeTopology(const ShardRing& ring, size_t vnodes) {
-  std::string out = "mlcask-topology v1\n";
-  out += "epoch=" + std::to_string(ring.epoch) + "\n";
-  out += "members=" + SerializeSlots(ring.members) + "\n";
-  out += "vnodes=" + std::to_string(vnodes) + "\n";
-  return out;
+/// Reads field `name` as a (non-empty) slot list.
+bool RecordSlots(const RecordFields& fields, std::string_view name,
+                 std::vector<size_t>* slots) {
+  auto it = fields.find(name);
+  return it != fields.end() && ParseSlots(it->second, slots);
 }
 
-bool ParseTopology(std::string_view text, uint64_t* epoch,
-                   std::vector<size_t>* members, size_t* vnodes) {
-  bool have_epoch = false, have_members = false, have_vnodes = false;
-  bool first = true;
-  while (!text.empty()) {
-    const size_t nl = text.find('\n');
-    std::string_view line =
-        nl == std::string_view::npos ? text : text.substr(0, nl);
-    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-    if (first) {
-      if (line != "mlcask-topology v1") return false;
-      first = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    const size_t eq = line.find('=');
-    if (eq == std::string_view::npos) return false;
-    std::string_view name = line.substr(0, eq);
-    std::string_view value = line.substr(eq + 1);
-    if (name == "epoch") {
-      std::vector<size_t> one;
-      if (!ParseSlots(value, &one) || one.size() != 1) return false;
-      *epoch = one[0];
-      have_epoch = true;
-    } else if (name == "members") {
-      if (!ParseSlots(value, members)) return false;
-      have_members = true;
-    } else if (name == "vnodes") {
-      std::vector<size_t> one;
-      if (!ParseSlots(value, &one) || one.size() != 1) return false;
-      *vnodes = one[0];
-      have_vnodes = true;
-    }  // Unknown fields are skipped: older routers tolerate newer records.
-  }
-  return have_epoch && have_members && have_vnodes && !members->empty();
+/// Reads field `name` as a single number.
+bool RecordNumber(const RecordFields& fields, std::string_view name,
+                  uint64_t* value) {
+  std::vector<size_t> one;
+  if (!RecordSlots(fields, name, &one) || one.size() != 1) return false;
+  *value = one[0];
+  return true;
 }
 
 }  // namespace
@@ -320,17 +288,17 @@ ShardedStorageEngine::ShardedStorageEngine(
 void ShardedStorageEngine::NoteShardResult(size_t shard,
                                            const Status& status) const {
   std::lock_guard<std::mutex> lock(health_mu_);
-  if (status.ok()) {
+  if (status.ok() || status.IsNotFound()) {
+    // The shard looked and answered: it is up.
     consecutive_failures_[shard] = 0;
     half_open_skips_[shard] = 0;
-    return;
-  }
-  // Only unreachability counts against health: a shard that ANSWERS with
-  // NotFound / InvalidArgument / etc. is alive and routing to it is fine.
-  if (status.code() == StatusCode::kUnavailable ||
-      status.code() == StatusCode::kDeadlineExceeded) {
+  } else if (status.IsUnavailable() || status.IsDeadlineExceeded()) {
+    // Only unreachability counts against health.
     consecutive_failures_[shard] += 1;
   }
+  // Any other status proves nothing either way — it may be the shard's own
+  // refusal (InvalidArgument, Corruption) or a client-side verdict such as
+  // a spent retry budget (ResourceExhausted) — so it leaves the streak.
 }
 
 bool ShardedStorageEngine::SkipDownShard(size_t shard) const {
@@ -374,23 +342,21 @@ void ShardedStorageEngine::MarkShardRecovered(size_t shard) {
 
 // --------------------------------------------------------------- routing ---
 
-size_t ShardedStorageEngine::num_shards() const { return SlotCount(); }
-
-size_t ShardedStorageEngine::SlotCount() const {
+size_t ShardedStorageEngine::num_shards() const {
   std::shared_lock<std::shared_mutex> lock(topo_mu_);
   return shards_.size();
 }
 
 std::vector<size_t> ShardedStorageEngine::live_members() const {
   std::shared_lock<std::shared_mutex> lock(topo_mu_);
-  if (!migrating_.load(std::memory_order_acquire)) {
-    return current_ring_.members;
-  }
+  return LiveMembersLocked();
+}
+
+std::vector<size_t> ShardedStorageEngine::LiveMembersLocked() const {
   std::vector<size_t> live = current_ring_.members;
+  if (!migrating_.load(std::memory_order_acquire)) return live;
   for (size_t s : prev_ring_.members) {
-    if (std::find(live.begin(), live.end(), s) == live.end()) {
-      live.push_back(s);
-    }
+    if (!current_ring_.Contains(s)) live.push_back(s);
   }
   std::sort(live.begin(), live.end());
   return live;
@@ -400,8 +366,6 @@ size_t ShardedStorageEngine::coordinator_shard() const {
   std::shared_lock<std::shared_mutex> lock(topo_mu_);
   return current_ring_.members.front();
 }
-
-size_t ShardedStorageEngine::plan_shard() const { return coordinator_shard(); }
 
 uint64_t ShardedStorageEngine::ring_epoch() const {
   std::shared_lock<std::shared_mutex> lock(topo_mu_);
@@ -454,28 +418,16 @@ void ShardedStorageEngine::WaitRouteUnblocked(std::string_view key,
   });
 }
 
-size_t ShardedStorageEngine::RouteKeyBlocking(std::string_view key,
-                                              bool for_write) const {
-  while (true) {
-    Route r = TryRouteKey(key, for_write);
-    if (!r.in_flight) return r.shard;
-    WaitRouteUnblocked(key, for_write);
-  }
-}
-
 size_t ShardedStorageEngine::ShardForKey(std::string_view key) const {
-  return RouteKeyBlocking(key, /*for_write=*/false);
+  return WithStableRoute(key, /*for_write=*/false,
+                         [](size_t shard) { return shard; });
 }
 
 bool ShardedStorageEngine::IsReplicated(std::string_view key) const {
-  for (const std::string& prefix : options_.replicated_prefixes) {
+  for (std::string_view prefix : kReplicatedPrefixes) {
     if (StartsWith(key, prefix)) return true;
   }
   return false;
-}
-
-bool ShardedStorageEngine::IsInternalKey(std::string_view key) const {
-  return IsStagingKey(key) || IsMigrationKey(key);
 }
 
 void ShardedStorageEngine::RecordVersion(const Hash256& id, size_t shard) {
@@ -483,15 +435,22 @@ void ShardedStorageEngine::RecordVersion(const Hash256& id, size_t shard) {
   version_shard_[id] = shard;
 }
 
+std::optional<size_t> ShardedStorageEngine::IndexedShard(
+    const Hash256& id) const {
+  std::shared_lock<std::shared_mutex> lock(index_mu_);
+  auto it = version_shard_.find(id);
+  if (it == version_shard_.end()) return std::nullopt;
+  return it->second;
+}
+
 StatusOr<PutResult> ShardedStorageEngine::DirectPut(const std::string& key,
                                                     std::string_view data) {
   return WithStableRoute(key, /*for_write=*/true,
                          [&](size_t shard) -> StatusOr<PutResult> {
     auto result = shards_[shard]->Put(key, data);
-    NoteShardResult(shard, result.ok() ? Status::Ok() : result.status());
-    if (!result.ok()) return result.status();
-    RecordVersion(result->id, shard);
-    return *result;
+    NoteShardResult(shard, result.status());
+    if (result.ok()) RecordVersion(result->id, shard);
+    return result;
   });
 }
 
@@ -518,6 +477,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
   // structure actually achieved — the overlapped fan-out reaches the
   // participant count, a serial issue-wait loop never leaves 1.
   struct {
+    uint64_t prepared_writes = 0;  ///< Writes in acknowledged stagings.
     uint64_t prepare_round_trips = 0;
     uint64_t apply_round_trips = 0;
     uint64_t decision_round_trips = 0;
@@ -529,14 +489,14 @@ Status ShardedStorageEngine::RunTransactionLocked(
     }
     void Collect() { meter.Collect(); }
   } ledger;
-  ledger.per_shard.assign(SlotCount(), 0);
+  ledger.per_shard.assign(num_shards(), 0);
   // Telemetry lands in tp_stats_ as ONE unit when the transaction resolves
   // (commit or abort), never piecemeal: a concurrent stats reader must see
   // transactions == commits + aborts in every snapshot.
   auto resolve = [&](bool committed) {
-    std::lock_guard<std::mutex> stats_lock(tp_stats_mu_);
+    std::lock_guard<std::mutex> stats_lock(health_mu_);
     tp_stats_.transactions += 1;
-    tp_stats_.prepared_writes += writes.size();
+    tp_stats_.prepared_writes += ledger.prepared_writes;
     if (committed) {
       tp_stats_.commits += 1;
     } else {
@@ -607,16 +567,12 @@ Status ShardedStorageEngine::RunTransactionLocked(
   auto cleanup_staged = [&]() {
     for (const auto& [shard, indices] : by_shard) {
       for (size_t i : indices) {
-        for (const Hash256& id : shards_[shard]->Versions(staging_key_for(i))) {
-          (void)shards_[shard]->DeleteVersion(id);
-        }
+        (void)DeleteAllVersions(shard, staging_key_for(i));
       }
     }
     // The decision record is part of the transaction's staging footprint:
     // commit and abort alike must leave zero __2pc__/ keys behind.
-    for (const Hash256& id : shards_[coord]->Versions(decision_key)) {
-      (void)shards_[coord]->DeleteVersion(id);
-    }
+    (void)DeleteAllVersions(coord, decision_key);
   };
 
   // Phase 1: stage every value, raw, on its participant shard — ONE
@@ -644,8 +600,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
   for (auto& [shard, deferred] : prepares) {
     auto prepared = deferred.Get();
     ledger.Collect();
-    NoteShardResult(shard,
-                    prepared.ok() ? Status::Ok() : prepared.status());
+    NoteShardResult(shard, prepared.status());
     if (!prepared.ok()) {
       if (prepare_failure.ok()) {
         prepare_failure = prepared.status();
@@ -658,6 +613,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
     for (size_t k = 0; k < indices.size(); ++k) {
       staged_ids[indices[k]] = (*prepared)[k].id;
     }
+    ledger.prepared_writes += indices.size();
   }
   // One completed fan-out round consumed at least one accounting unit of
   // the caller's budget: the decision-phase stamps must be STRICTLY below
@@ -667,10 +623,8 @@ Status ShardedStorageEngine::RunTransactionLocked(
   if (!prepare_failure.ok()) {
     cleanup_staged();
     resolve(/*committed=*/false);
-    return Status(prepare_failure.code(),
-                  "2pc prepare failed on shard " +
-                      std::to_string(prepare_failed_shard) + ": " +
-                      prepare_failure.message());
+    return Annotate(prepare_failure, "2pc prepare failed on shard " +
+                                         std::to_string(prepare_failed_shard));
   }
   // Last safe bail-out: past the decision write the transaction MUST roll
   // forward (the durable decision makes recovery re-apply it), so a spent
@@ -697,15 +651,14 @@ Status ShardedStorageEngine::RunTransactionLocked(
     auto decided = shards_[coord]->Put(decision_key, decision);
     ledger.Collect();
     DeadlineScope::ChargeCurrent(1);  // decision round collected
-    NoteShardResult(coord, decided.ok() ? Status::Ok() : decided.status());
+    NoteShardResult(coord, decided.status());
     if (!decided.ok()) {
       cleanup_staged();
       resolve(/*committed=*/false);
-      return Status(decided.status().code(),
-                    "2pc decision write failed on shard " +
-                        std::to_string(coord) + ": " +
-                        decided.status().message() +
-                        " (transaction aborted, nothing applied)");
+      return Annotate(decided.status(),
+                      "2pc decision write failed on shard " +
+                          std::to_string(coord),
+                      " (transaction aborted, nothing applied)");
     }
     decision_id = decided->id;
   }
@@ -734,9 +687,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
   for (size_t i = 0; i < applies.size(); ++i) {
     applied_results.push_back(applies[i].Get());
     ledger.Collect();
-    NoteShardResult(writes[i].shard, applied_results.back().ok()
-                                         ? Status::Ok()
-                                         : applied_results.back().status());
+    NoteShardResult(writes[i].shard, applied_results.back().status());
   }
   DeadlineScope::ChargeCurrent(1);  // apply round collected
   for (size_t i = 0; i < writes.size(); ++i) {
@@ -749,9 +700,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
     // (If the coordinator dies between this delete and the rollback, the
     // already-applied writes survive as real versions — a known limitation;
     // the recovery scan at least can no longer resurrect the rest.)
-    for (const Hash256& did : shards_[coord]->Versions(decision_key)) {
-      (void)shards_[coord]->DeleteVersion(did);
-    }
+    (void)DeleteAllVersions(coord, decision_key);
     // Roll back every write that DID apply (safe even for
     // deduplicated applies: both engines derive version ids from
     // key + ordinal, so a fresh Put always creates a fresh id and the
@@ -843,19 +792,11 @@ StatusOr<PutResult> ShardedStorageEngine::Put(const std::string& key,
   }
   // Replicated namespace: coordinate all live shards even for one key —
   // this is the branch-table/commit-log write path, and every shard must
-  // agree. During a rebalance "all live" is the UNION of both epochs'
-  // members: the leaving shard still serves replicated reads until it
-  // drains, the joining one was pre-seeded by AddShard.
-  std::lock_guard<std::mutex> txn_lock(txn_mu_);
-  PutRequest request{key, std::string(data)};
-  std::vector<ShardWrite> writes;
-  const std::vector<size_t> replicas = live_members();
-  writes.reserve(replicas.size());
-  for (size_t s : replicas) {
-    writes.push_back({s, 0, &request});
-  }
-  std::vector<PutResult> results(1);
-  MLCASK_RETURN_IF_ERROR(RunTransactionLocked(writes, &results));
+  // agree (PutMany's transaction below). Built by push_back, so the value
+  // is copied once: an initializer list would copy it twice.
+  std::vector<PutRequest> batch;
+  batch.push_back({key, std::string(data)});
+  MLCASK_ASSIGN_OR_RETURN(auto results, PutMany(batch));
   return results[0];
 }
 
@@ -871,6 +812,10 @@ StatusOr<std::vector<PutResult>> ShardedStorageEngine::PutMany(
   }
   // Route under the transaction lock: migration batches serialize on it,
   // so a shard decided here cannot lose the key before the apply lands.
+  // A replicated key goes to every live shard; during a rebalance "all
+  // live" is the UNION of both epochs' members: the leaving shard still
+  // serves replicated reads until it drains, the joining one was pre-seeded
+  // by AddShard.
   std::lock_guard<std::mutex> txn_lock(txn_mu_);
   std::vector<ShardWrite> writes;
   const std::vector<size_t> replicas = live_members();
@@ -880,8 +825,9 @@ StatusOr<std::vector<PutResult>> ShardedStorageEngine::PutMany(
         writes.push_back({s, i, &batch[i]});
       }
     } else {
-      writes.push_back(
-          {RouteKeyBlocking(batch[i].key, /*for_write=*/true), i, &batch[i]});
+      writes.push_back({WithStableRoute(batch[i].key, /*for_write=*/true,
+                                        [](size_t shard) { return shard; }),
+                        i, &batch[i]});
     }
   }
   std::vector<PutResult> results(batch.size());
@@ -898,16 +844,49 @@ StatusOr<std::string> ShardedStorageEngine::Get(const std::string& key) {
                          [&](size_t shard) { return shards_[shard]->Get(key); });
 }
 
-StatusOr<std::string> ShardedStorageEngine::GetVersion(const Hash256& id) {
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    auto it = version_shard_.find(id);
-    if (it != version_shard_.end()) {
-      const size_t shard =
-          it->second == kReplicated ? coordinator_shard() : it->second;
-      lock.unlock();
-      return shards_[shard]->GetVersion(id);
+template <typename Call, typename Fold>
+std::vector<size_t> ShardedStorageEngine::ProbeShards(
+    const std::vector<size_t>& shards, bool skip_down, Call&& call,
+    Fold&& fold) const {
+  std::vector<std::pair<size_t, decltype(call(size_t{0}))>> probes;
+  std::vector<size_t> probed;
+  std::vector<size_t> skipped;
+  probes.reserve(shards.size());
+  InflightMeter meter;
+  for (size_t s : shards) {
+    if (skip_down && SkipDownShard(s)) {
+      skipped.push_back(s);
+      continue;
     }
+    probes.emplace_back(s, call(s));
+    probed.push_back(s);
+    meter.Issue();
+  }
+  {
+    // One broadcast, accounted as a single unit. The peak is the meter's
+    // real measurement, so a regression to a serial probe loop shows up as
+    // 1 (and fails the ledger tests) instead of being papered over; down
+    // shards the fan-out skipped are not probes.
+    std::lock_guard<std::mutex> lock(health_mu_);
+    bc_stats_.broadcasts += 1;
+    bc_stats_.probe_round_trips += probed.size();
+    bc_stats_.max_inflight_probes =
+        std::max(bc_stats_.max_inflight_probes, meter.peak);
+    for (size_t s : probed) bc_stats_.per_shard_probes[s] += 1;
+  }
+  for (auto& [s, probe] : probes) {
+    auto answer = probe.Get();
+    meter.Collect();
+    NoteShardResult(s, answer.status());
+    if (!fold(s, std::move(answer))) break;
+  }
+  return skipped;
+}
+
+StatusOr<std::string> ShardedStorageEngine::GetVersion(const Hash256& id) {
+  if (std::optional<size_t> shard = IndexedShard(id)) {
+    return shards_[*shard == kReplicated ? coordinator_shard() : *shard]
+        ->GetVersion(id);
   }
   // Not in the router index (e.g. a restored shard): broadcast probe, every
   // shard's round trip issued before the first response is inspected.
@@ -918,84 +897,45 @@ StatusOr<std::string> ShardedStorageEngine::GetVersion(const Hash256& id) {
   // burned); if the id is then found nowhere, the honest answer is a typed
   // Unavailable naming them, NOT NotFound — the version may well live on a
   // shard we could not ask.
-  std::vector<std::pair<size_t, Deferred<std::string>>> probes;
-  std::vector<size_t> probed;
-  std::vector<size_t> skipped;
-  const std::vector<size_t> live = live_members();
-  probes.reserve(live.size());
-  InflightMeter meter;
-  for (size_t s : live) {
-    if (SkipDownShard(s)) {
-      skipped.push_back(s);
-      continue;
-    }
-    probes.emplace_back(s, shards_[s]->AsyncGetVersion(id));
-    probed.push_back(s);
-    meter.Issue();
-  }
-  RecordBroadcast(meter.peak, probed);
+  std::optional<StatusOr<std::string>> answer;
+  const std::vector<size_t> skipped = ProbeShards(
+      live_members(), /*skip_down=*/true,
+      [&](size_t s) { return shards_[s]->AsyncGetVersion(id); },
+      [&](size_t, StatusOr<std::string> data) {
+        if (!data.ok() && data.status().IsNotFound()) return true;
+        answer = std::move(data);
+        return false;
+      });
   // One broadcast round = one accounting charge against the caller's
-  // deadline budget, win or lose (early returns included): downstream
-  // stamps after this probe must be strictly smaller.
+  // deadline budget, win or lose: downstream stamps after this probe must
+  // be strictly smaller.
   DeadlineScope::ChargeCurrent(1);
-  for (auto& [s, probe] : probes) {
-    auto data = probe.Get();
-    meter.Collect();
-    NoteShardResult(s, data.ok() || data.status().IsNotFound()
-                           ? Status::Ok()
-                           : data.status());
-    if (data.ok()) return data;
-    if (!data.status().IsNotFound()) return data.status();
-  }
+  if (answer.has_value()) return *std::move(answer);
   if (!skipped.empty()) {
-    std::string names;
-    for (size_t s : skipped) {
-      if (!names.empty()) names += ",";
-      names += std::to_string(s);
-    }
     return Status::Unavailable("version " + id.ShortHex() +
                                " not on any reachable shard (shard(s) " +
-                               names + " down, not probed)");
+                               SerializeSlots(skipped) + " down, not probed)");
   }
   return Status::NotFound("version " + id.ShortHex() + " not on any shard");
 }
 
 bool ShardedStorageEngine::HasVersion(const Hash256& id) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    auto it = version_shard_.find(id);
-    if (it != version_shard_.end()) {
-      const size_t shard =
-          it->second == kReplicated ? coordinator_shard() : it->second;
-      lock.unlock();
-      return shards_[shard]->HasVersion(id);
-    }
+  if (std::optional<size_t> shard = IndexedShard(id)) {
+    return shards_[*shard == kReplicated ? coordinator_shard() : *shard]
+        ->HasVersion(id);
   }
   // Down shards are skipped: HasVersion has no error channel, so the
   // degraded answer for an unreachable holder is false (the documented
-  // fallback for transport failure anyway).
-  std::vector<std::pair<size_t, Deferred<bool>>> probes;
-  std::vector<size_t> probed;
-  const std::vector<size_t> live = live_members();
-  probes.reserve(live.size());
-  InflightMeter meter;
-  for (size_t s : live) {
-    if (SkipDownShard(s)) continue;
-    probes.emplace_back(s, shards_[s]->AsyncHasVersion(id));
-    probed.push_back(s);
-    meter.Issue();
-  }
-  RecordBroadcast(meter.peak, probed);
-  DeadlineScope::ChargeCurrent(1);  // broadcast round issued+collected below
+  // fallback for transport failure anyway). Every probe is collected (each
+  // answer feeds the health tracker); any holder makes the answer true.
   bool found = false;
-  for (auto& [s, probe] : probes) {
-    auto has = probe.Get();
-    meter.Collect();
-    // Every probe is collected (each answer feeds the health tracker);
-    // any holder makes the answer true.
-    NoteShardResult(s, has.ok() ? Status::Ok() : has.status());
-    if (has.ok() && *has) found = true;
-  }
+  ProbeShards(live_members(), /*skip_down=*/true,
+              [&](size_t s) { return shards_[s]->AsyncHasVersion(id); },
+              [&](size_t, StatusOr<bool> has) {
+                found = found || (has.ok() && *has);
+                return true;
+              });
+  DeadlineScope::ChargeCurrent(1);  // one broadcast round
   return found;
 }
 
@@ -1031,16 +971,7 @@ ShardedStorageEngine::ListAllVersions() const {
 }
 
 StatusOr<uint64_t> ShardedStorageEngine::DeleteVersion(const Hash256& id) {
-  size_t shard = kReplicated;
-  bool indexed = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    auto it = version_shard_.find(id);
-    if (it != version_shard_.end()) {
-      shard = it->second;
-      indexed = true;
-    }
-  }
+  std::optional<size_t> shard = IndexedShard(id);
   const std::vector<size_t> live = live_members();
   // A delete must be able to reach EVERY potential holder: deciding with a
   // down shard in the cluster risks leaking its replica or leaving a
@@ -1053,30 +984,22 @@ StatusOr<uint64_t> ShardedStorageEngine::DeleteVersion(const Hash256& id) {
           std::to_string(s) + " is down and may hold a replica");
     }
   }
-  if (!indexed) {
+  if (!shard.has_value()) {
     // Not in the router index (a restored shard): probe everywhere
     // (overlapped broadcast). More than one holder means a replicated
     // version — fall through to the delete-every-replica branch, otherwise
     // replicas would leak.
-    std::vector<std::pair<size_t, Deferred<bool>>> probes;
-    std::vector<size_t> probed;
-    probes.reserve(live.size());
-    InflightMeter meter;
-    for (size_t s : live) {
-      probes.emplace_back(s, shards_[s]->AsyncHasVersion(id));
-      probed.push_back(s);
-      meter.Issue();
-    }
-    RecordBroadcast(meter.peak, probed);
     std::vector<size_t> holders;
     Status probe_failure;
-    for (auto& [s, probe] : probes) {
-      auto has = probe.Get();
-      meter.Collect();
-      NoteShardResult(s, has.ok() ? Status::Ok() : has.status());
-      if (!has.ok() && probe_failure.ok()) probe_failure = has.status();
-      if (has.ok() && *has) holders.push_back(s);
-    }
+    ProbeShards(live, /*skip_down=*/false,
+                [&](size_t s) { return shards_[s]->AsyncHasVersion(id); },
+                [&](size_t s, StatusOr<bool> has) {
+                  if (!has.ok() && probe_failure.ok()) {
+                    probe_failure = has.status();
+                  }
+                  if (has.ok() && *has) holders.push_back(s);
+                  return true;
+                });
     if (!probe_failure.ok()) {
       // A shard that cannot answer might be the holder: deciding NotFound
       // here would leak its replica (and deleting only the reachable
@@ -1091,7 +1014,7 @@ StatusOr<uint64_t> ShardedStorageEngine::DeleteVersion(const Hash256& id) {
     shard = holders.size() == 1 ? holders[0] : kReplicated;
   }
   uint64_t freed = 0;
-  if (shard == kReplicated) {
+  if (*shard == kReplicated) {
     // Drop every replica; report one replica's freed bytes (the logical
     // view counts one copy).
     bool counted = false;
@@ -1106,7 +1029,7 @@ StatusOr<uint64_t> ShardedStorageEngine::DeleteVersion(const Hash256& id) {
       }
     }
   } else {
-    MLCASK_ASSIGN_OR_RETURN(freed, shards_[shard]->DeleteVersion(id));
+    MLCASK_ASSIGN_OR_RETURN(freed, shards_[*shard]->DeleteVersion(id));
   }
   {
     std::unique_lock<std::shared_mutex> lock(index_mu_);
@@ -1140,7 +1063,7 @@ double ShardedStorageEngine::ReadCost(uint64_t bytes) const {
 
 ShardedStorageEngine::TwoPhaseStats ShardedStorageEngine::two_phase_stats()
     const {
-  std::lock_guard<std::mutex> lock(tp_stats_mu_);
+  std::lock_guard<std::mutex> lock(health_mu_);
   return tp_stats_;
 }
 
@@ -1181,6 +1104,9 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
   uint64_t fenced = 0;
   uint64_t replayed = 0;
   Status first_failure;
+  auto fail = [&first_failure](Status failure) {
+    if (first_failure.ok()) first_failure = std::move(failure);
+  };
 
   for (auto& [txn, records] : txns) {
     bool roll_forward = committed.count(txn) > 0;
@@ -1204,23 +1130,17 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
         if (record.is_decision) continue;
         std::string_view target_key;
         if (!ParseStagingTarget(record.key, &target_key)) {
-          if (first_failure.ok()) {
-            first_failure = Status::Corruption(
-                "2pc recovery found a staging key without a target key: " +
-                record.key);
-          }
+          fail(Status::Corruption(
+              "2pc recovery found a staging key without a target key: " +
+              record.key));
           txn_ok = false;
           break;
         }
         auto payload = shards_[record.shard]->GetVersion(record.id);
         if (!payload.ok()) {
-          if (first_failure.ok()) {
-            first_failure = Status(
-                payload.status().code(),
-                "2pc recovery cannot read staged write " + record.key +
-                    " on shard " + std::to_string(record.shard) + ": " +
-                    payload.status().message());
-          }
+          fail(Annotate(payload.status(),
+                        "2pc recovery cannot read staged write " + record.key +
+                            " on shard " + std::to_string(record.shard)));
           txn_ok = false;
           break;
         }
@@ -1245,13 +1165,9 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
         auto put =
             shards_[replay.shard]->CopyVersion(replay.key, replay.staged_id);
         if (!put.ok()) {
-          if (first_failure.ok()) {
-            first_failure = Status(
-                put.status().code(),
-                "2pc recovery failed to replay " + replay.key +
-                    " on shard " + std::to_string(replay.shard) + ": " +
-                    put.status().message());
-          }
+          fail(Annotate(put.status(), "2pc recovery failed to replay " +
+                                          replay.key + " on shard " +
+                                          std::to_string(replay.shard)));
           txn_ok = false;
           break;
         }
@@ -1285,7 +1201,7 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
   }
 
   {
-    std::lock_guard<std::mutex> stats_lock(tp_stats_mu_);
+    std::lock_guard<std::mutex> stats_lock(health_mu_);
     tp_stats_.recovered_transactions += recovered;
     tp_stats_.fenced_transactions += fenced;
     tp_stats_.replayed_writes += replayed;
@@ -1293,19 +1209,9 @@ Status ShardedStorageEngine::RecoverTwoPhaseLocked() {
   return first_failure;
 }
 
-void ShardedStorageEngine::RecordBroadcast(
-    uint64_t measured_peak_inflight, const std::vector<size_t>& probed) const {
-  std::lock_guard<std::mutex> lock(bc_stats_mu_);
-  bc_stats_.broadcasts += 1;
-  bc_stats_.probe_round_trips += probed.size();
-  bc_stats_.max_inflight_probes =
-      std::max(bc_stats_.max_inflight_probes, measured_peak_inflight);
-  for (size_t s : probed) bc_stats_.per_shard_probes[s] += 1;
-}
-
 ShardedStorageEngine::BroadcastStats ShardedStorageEngine::broadcast_stats()
     const {
-  std::lock_guard<std::mutex> lock(bc_stats_mu_);
+  std::lock_guard<std::mutex> lock(health_mu_);
   return bc_stats_;
 }
 
@@ -1313,8 +1219,31 @@ ShardedStorageEngine::BroadcastStats ShardedStorageEngine::broadcast_stats()
 
 ShardedStorageEngine::MigrationStats ShardedStorageEngine::migration_stats()
     const {
-  std::lock_guard<std::mutex> lock(mig_stats_mu_);
+  std::lock_guard<std::mutex> lock(health_mu_);
   return mig_stats_;
+}
+
+Status ShardedStorageEngine::DeleteAllVersions(size_t shard,
+                                               const std::string& key) {
+  for (const Hash256& id : shards_[shard]->Versions(key)) {
+    auto freed = shards_[shard]->DeleteVersion(id);
+    if (!freed.ok() && !freed.status().IsNotFound()) return freed.status();
+  }
+  return Status::Ok();
+}
+
+Status ShardedStorageEngine::CheckSlotsConnected(
+    const std::string& record, const std::vector<size_t>& slots) const {
+  const size_t connected = num_shards();
+  for (size_t s : slots) {
+    if (s >= connected) {
+      return Status::FailedPrecondition(
+          record + " references slot " + std::to_string(s) + " but only " +
+          std::to_string(connected) + " are connected (re-dial the full slot "
+          "list, drained endpoints included)");
+    }
+  }
+  return Status::Ok();
 }
 
 Status ShardedStorageEngine::PersistPlan(const ShardRing& from,
@@ -1322,16 +1251,54 @@ Status ShardedStorageEngine::PersistPlan(const ShardRing& from,
   // The plan lives on the NEW ring's first member: a slot that survives
   // the change by construction (a leaving slot is never in `to`).
   const size_t home = to.members.front();
-  auto put = shards_[home]->Put(std::string(kPlanKey),
-                                SerializePlan(from, to,
-                                              options_.virtual_nodes_per_shard));
-  NoteShardResult(home, put.ok() ? Status::Ok() : put.status());
+  auto put = shards_[home]->Put(
+      std::string(kPlanKey),
+      SerializeRecord(
+          kPlanHeader,
+          {{"epoch", std::to_string(to.epoch)},
+           {"from", SerializeSlots(from.members)},
+           {"to", SerializeSlots(to.members)},
+           {"vnodes", std::to_string(options_.virtual_nodes_per_shard)}}));
+  NoteShardResult(home, put.status());
   if (!put.ok()) {
-    return Status(put.status().code(),
-                  "cannot persist migration plan on shard " +
-                      std::to_string(home) + ": " + put.status().message());
+    return Annotate(put.status(), "cannot persist migration plan on shard " +
+                                      std::to_string(home));
   }
   return Status::Ok();
+}
+
+void ShardedStorageEngine::InstallMigrationLocked(
+    ShardRing prev, ShardRing next, std::string cursor,
+    std::unique_ptr<StorageEngine> joining, bool resumed) {
+  {
+    // Per-slot telemetry grows BEFORE the slot goes live: a broadcast may
+    // probe it (and account for it) the moment the ring names it.
+    const size_t slots = num_shards() + (joining != nullptr ? 1 : 0);
+    std::lock_guard<std::mutex> lock(health_mu_);
+    consecutive_failures_.resize(slots, 0);
+    half_open_skips_.resize(slots, 0);
+    tp_stats_.per_shard_round_trips.resize(slots, 0);
+    bc_stats_.per_shard_probes.resize(slots, 0);
+    mig_stats_.epoch = next.epoch;
+    if (resumed) mig_stats_.resumes += 1;
+  }
+  {
+    std::unique_lock<std::shared_mutex> topo(topo_mu_);
+    if (joining != nullptr) shards_.push_back(std::move(joining));
+    prev_ring_ = std::move(prev);
+    current_ring_ = std::move(next);
+    migrating_.store(true, std::memory_order_release);
+  }
+  {
+    std::lock_guard<std::mutex> mig(mig_mu_);
+    mig_cursor_ = std::move(cursor);
+    mig_dirty_.clear();
+  }
+  // Drain in-flight writes routed under the PRE-install single-epoch ring:
+  // they carry no dirty mark (routing predates the dual-epoch window), so
+  // they must have landed before the first enumeration pass or the cursor
+  // could overtake them. Writes routed after the install are dirty-tracked.
+  { std::unique_lock<std::shared_mutex> drain(mig_write_mu_); }
 }
 
 Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard) {
@@ -1346,17 +1313,20 @@ Status ShardedStorageEngine::ResumeMigration() {
   return ResumeMigration(MigrationOptions());
 }
 
+Status ShardedStorageEngine::NoRebalanceInProgress() const {
+  if (!migration_in_progress()) return Status::Ok();
+  return Status::FailedPrecondition(
+      "a rebalance is already in progress (epoch " +
+      std::to_string(ring_epoch()) + ")");
+}
+
 Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard,
                                       const MigrationOptions& opts) {
   if (shard == nullptr) {
     return Status::InvalidArgument("AddShard needs an engine");
   }
   std::unique_lock<std::mutex> txn_lock(txn_mu_);
-  if (migration_in_progress()) {
-    return Status::FailedPrecondition(
-        "a rebalance is already in progress (epoch " +
-        std::to_string(ring_epoch()) + ")");
-  }
+  MLCASK_RETURN_IF_ERROR(NoRebalanceInProgress());
   ShardRing old_ring;
   size_t new_slot = 0;
   {
@@ -1387,9 +1357,8 @@ Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard,
     for (const Hash256& id : shards_[coord]->Versions(key)) {
       auto data = shards_[coord]->GetVersion(id);
       if (!data.ok()) {
-        return Status(data.status().code(),
-                      "cannot read replicated key '" + key +
-                          "' for the new shard: " + data.status().message());
+        return Annotate(data.status(), "cannot read replicated key '" + key +
+                                           "' for the new shard");
       }
       entry.versions.emplace_back(id, std::move(*data));
     }
@@ -1398,9 +1367,8 @@ Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard,
   if (!seed.empty()) {
     auto copied = shard->MigrateBatch(seed);
     if (!copied.ok()) {
-      return Status(copied.status().code(),
-                    "cannot seed replicated namespace on the new shard: " +
-                        copied.status().message());
+      return Annotate(copied.status(),
+                      "cannot seed replicated namespace on the new shard");
     }
   }
   std::vector<size_t> members = old_ring.members;
@@ -1411,41 +1379,8 @@ Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard,
   // install still leaves a resumable record behind. A failed plan write
   // aborts cleanly — nothing changed yet.
   MLCASK_RETURN_IF_ERROR(PersistPlan(old_ring, next));
-  {
-    std::unique_lock<std::shared_mutex> topo(topo_mu_);
-    shards_.push_back(std::move(shard));
-    prev_ring_ = current_ring_;
-    current_ring_ = std::move(next);
-    migrating_.store(true, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> mig(mig_mu_);
-    mig_cursor_.clear();
-    mig_dirty_.clear();
-  }
-  // Drain in-flight writes routed under the PRE-install single-epoch ring:
-  // they carry no dirty mark (routing predates the dual-epoch window), so
-  // they must have landed before the first enumeration pass or the cursor
-  // could overtake them. Writes routed after the install are dirty-tracked.
-  { std::unique_lock<std::shared_mutex> drain(mig_write_mu_); }
-  // Grow the per-slot telemetry under each owner's lock.
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    consecutive_failures_.push_back(0);
-    half_open_skips_.push_back(0);
-  }
-  {
-    std::lock_guard<std::mutex> lock(tp_stats_mu_);
-    tp_stats_.per_shard_round_trips.push_back(0);
-  }
-  {
-    std::lock_guard<std::mutex> lock(bc_stats_mu_);
-    bc_stats_.per_shard_probes.push_back(0);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mig_stats_mu_);
-    mig_stats_.epoch = ring_epoch();
-  }
+  InstallMigrationLocked(std::move(old_ring), std::move(next), /*cursor=*/"",
+                         std::move(shard), /*resumed=*/false);
   txn_lock.unlock();
   return DriveMigration(opts);
 }
@@ -1453,11 +1388,7 @@ Status ShardedStorageEngine::AddShard(std::unique_ptr<StorageEngine> shard,
 Status ShardedStorageEngine::RemoveShard(size_t slot,
                                          const MigrationOptions& opts) {
   std::unique_lock<std::mutex> txn_lock(txn_mu_);
-  if (migration_in_progress()) {
-    return Status::FailedPrecondition(
-        "a rebalance is already in progress (epoch " +
-        std::to_string(ring_epoch()) + ")");
-  }
+  MLCASK_RETURN_IF_ERROR(NoRebalanceInProgress());
   ShardRing old_ring;
   {
     std::shared_lock<std::shared_mutex> topo(topo_mu_);
@@ -1482,23 +1413,8 @@ Status ShardedStorageEngine::RemoveShard(size_t slot,
   ShardRing next = BuildShardRing(old_ring.epoch + 1, std::move(members),
                                   options_.virtual_nodes_per_shard);
   MLCASK_RETURN_IF_ERROR(PersistPlan(old_ring, next));
-  {
-    std::unique_lock<std::shared_mutex> topo(topo_mu_);
-    prev_ring_ = current_ring_;
-    current_ring_ = std::move(next);
-    migrating_.store(true, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> mig(mig_mu_);
-    mig_cursor_.clear();
-    mig_dirty_.clear();
-  }
-  // Same pre-install write drain as AddShard (see the comment there).
-  { std::unique_lock<std::shared_mutex> drain(mig_write_mu_); }
-  {
-    std::lock_guard<std::mutex> lock(mig_stats_mu_);
-    mig_stats_.epoch = ring_epoch();
-  }
+  InstallMigrationLocked(std::move(old_ring), std::move(next), /*cursor=*/"",
+                         /*joining=*/nullptr, /*resumed=*/false);
   txn_lock.unlock();
   return DriveMigration(opts);
 }
@@ -1519,9 +1435,7 @@ Status ShardedStorageEngine::ResumeMigration(const MigrationOptions& opts) {
   bool found = false;
   for (size_t s : live_members()) {
     auto plan = shards_[s]->Get(std::string(kPlanKey));
-    NoteShardResult(s, plan.ok() || plan.status().IsNotFound()
-                           ? Status::Ok()
-                           : plan.status());
+    NoteShardResult(s, plan.status());
     if (plan.ok()) {
       plan_bytes = std::move(*plan);
       plan_slot = s;
@@ -1529,39 +1443,29 @@ Status ShardedStorageEngine::ResumeMigration(const MigrationOptions& opts) {
       break;
     }
     if (!plan.status().IsNotFound()) {
-      return Status(plan.status().code(),
-                    "cannot scan shard " + std::to_string(s) +
-                        " for a resumable migration plan: " +
-                        plan.status().message());
+      return Annotate(plan.status(),
+                      "cannot scan shard " + std::to_string(s) +
+                          " for a resumable migration plan");
     }
   }
   // No migration to resume: honor the durable record of the last
   // FINALIZED topology instead, if any (a rebuilt router dialing a stale
   // endpoint list needs it to stop routing keys to a drained slot).
   if (!found) return RestoreDurableTopology();
+  RecordFields plan;
   uint64_t epoch = 0;
+  uint64_t vnodes = 0;
   std::vector<size_t> from;
   std::vector<size_t> to;
-  size_t vnodes = 0;
-  if (!ParsePlan(plan_bytes, &epoch, &from, &to, &vnodes)) {
+  if (!ParseRecord(plan_bytes, kPlanHeader, &plan) ||
+      !RecordNumber(plan, "epoch", &epoch) ||
+      !RecordSlots(plan, "from", &from) || !RecordSlots(plan, "to", &to) ||
+      !RecordNumber(plan, "vnodes", &vnodes)) {
     return Status::Corruption("unparseable migration plan on shard " +
                               std::to_string(plan_slot));
   }
-  const size_t slots = SlotCount();
-  for (size_t s : from) {
-    if (s >= slots) {
-      return Status::FailedPrecondition(
-          "migration plan references slot " + std::to_string(s) +
-          " but only " + std::to_string(slots) + " are connected");
-    }
-  }
-  for (size_t s : to) {
-    if (s >= slots) {
-      return Status::FailedPrecondition(
-          "migration plan references slot " + std::to_string(s) +
-          " but only " + std::to_string(slots) + " are connected");
-    }
-  }
+  MLCASK_RETURN_IF_ERROR(CheckSlotsConnected("migration plan", from));
+  MLCASK_RETURN_IF_ERROR(CheckSlotsConnected("migration plan", to));
   std::string cursor;
   auto cur = shards_[plan_slot]->Get(std::string(kCursorKey));
   if (cur.ok()) {
@@ -1570,25 +1474,11 @@ Status ShardedStorageEngine::ResumeMigration(const MigrationOptions& opts) {
     return cur.status();
   }
   {
-    std::unique_lock<std::mutex> txn_lock(txn_mu_);
-    {
-      std::unique_lock<std::shared_mutex> topo(topo_mu_);
-      prev_ring_ = BuildShardRing(epoch > 0 ? epoch - 1 : 0, from, vnodes);
-      current_ring_ = BuildShardRing(epoch, to, vnodes);
-      migrating_.store(true, std::memory_order_release);
-    }
-    {
-      std::lock_guard<std::mutex> mig(mig_mu_);
-      mig_cursor_ = std::move(cursor);
-      mig_dirty_.clear();
-    }
-    // Same pre-install write drain as AddShard (see the comment there).
-    { std::unique_lock<std::shared_mutex> drain(mig_write_mu_); }
-    {
-      std::lock_guard<std::mutex> lock(mig_stats_mu_);
-      mig_stats_.resumes += 1;
-      mig_stats_.epoch = epoch;
-    }
+    std::lock_guard<std::mutex> txn_lock(txn_mu_);
+    InstallMigrationLocked(
+        BuildShardRing(epoch > 0 ? epoch - 1 : 0, from, vnodes),
+        BuildShardRing(epoch, to, vnodes), std::move(cursor),
+        /*joining=*/nullptr, /*resumed=*/true);
   }
   return DriveMigration(opts);
 }
@@ -1599,26 +1489,27 @@ Status ShardedStorageEngine::RestoreDurableTopology() {
   // re-added after a drain may still hold an older record.
   uint64_t best_epoch = 0;
   std::vector<size_t> best_members;
-  size_t best_vnodes = 0;
+  uint64_t best_vnodes = 0;
   bool have_topology = false;
   for (size_t s : live_members()) {
     auto record = shards_[s]->Get(std::string(kTopologyKey));
-    NoteShardResult(s, record.ok() || record.status().IsNotFound()
-                           ? Status::Ok()
-                           : record.status());
+    NoteShardResult(s, record.status());
     if (!record.ok()) {
       if (record.status().IsNotFound()) continue;
       // Same rationale as the plan scan: an unreachable shard may hold the
       // record that retires a drained slot from the ring.
-      return Status(record.status().code(),
-                    "cannot scan shard " + std::to_string(s) +
-                        " for a durable topology record: " +
-                        record.status().message());
+      return Annotate(record.status(),
+                      "cannot scan shard " + std::to_string(s) +
+                          " for a durable topology record");
     }
+    RecordFields topology;
     uint64_t epoch = 0;
+    uint64_t vnodes = 0;
     std::vector<size_t> members;
-    size_t vnodes = 0;
-    if (!ParseTopology(*record, &epoch, &members, &vnodes)) {
+    if (!ParseRecord(*record, kTopologyHeader, &topology) ||
+        !RecordNumber(topology, "epoch", &epoch) ||
+        !RecordSlots(topology, "members", &members) ||
+        !RecordNumber(topology, "vnodes", &vnodes)) {
       return Status::Corruption("unparseable topology record on shard " +
                                 std::to_string(s));
     }
@@ -1630,25 +1521,15 @@ Status ShardedStorageEngine::RestoreDurableTopology() {
     }
   }
   if (!have_topology) return Status::Ok();
-  const size_t slots = SlotCount();
-  for (size_t s : best_members) {
-    if (s >= slots) {
-      return Status::FailedPrecondition(
-          "topology record references slot " + std::to_string(s) +
-          " but only " + std::to_string(slots) + " are connected (re-dial "
-          "the full slot list, drained endpoints included)");
-    }
-  }
+  MLCASK_RETURN_IF_ERROR(CheckSlotsConnected("topology record", best_members));
   std::lock_guard<std::mutex> txn_lock(txn_mu_);
   {
     std::unique_lock<std::shared_mutex> topo(topo_mu_);
     if (current_ring_.epoch >= best_epoch) return Status::Ok();
     current_ring_ = BuildShardRing(best_epoch, best_members, best_vnodes);
   }
-  {
-    std::lock_guard<std::mutex> lock(mig_stats_mu_);
-    mig_stats_.epoch = best_epoch;
-  }
+  std::lock_guard<std::mutex> lock(health_mu_);
+  mig_stats_.epoch = best_epoch;
   return Status::Ok();
 }
 
@@ -1659,14 +1540,8 @@ std::vector<KeyMove> ShardedStorageEngine::EnumerateMoves() const {
     std::shared_lock<std::shared_mutex> topo(topo_mu_);
     if (!migrating_.load(std::memory_order_acquire)) return {};
     current = current_ring_;
-    live = current_ring_.members;
-    for (size_t s : prev_ring_.members) {
-      if (std::find(live.begin(), live.end(), s) == live.end()) {
-        live.push_back(s);
-      }
-    }
+    live = LiveMembersLocked();
   }
-  std::sort(live.begin(), live.end());
   // Any object key sitting on a live slot the CURRENT ring does not route
   // it to must move there: the initial reassignment, keys written to old
   // owners mid-migration, and crash residue (copied but not yet cleared)
@@ -1737,17 +1612,28 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
               [](const KeyMove& a, const KeyMove& b) { return a.key < b.key; });
     for (const KeyMove& mv : batch) inflight_keys_.insert(mv.key);
   }
+  // However this batch ends — landed or failed — its keys leave the
+  // in-flight set and the write gate reopens, waking every blocked route.
+  class Unblock {
+   public:
+    explicit Unblock(ShardedStorageEngine* engine) : engine_(engine) {}
+    Unblock(const Unblock&) = delete;
+    Unblock& operator=(const Unblock&) = delete;
+    ~Unblock() {
+      std::lock_guard<std::mutex> mig(engine_->mig_mu_);
+      engine_->inflight_keys_.clear();
+      engine_->mig_batch_active_ = false;
+      engine_->mig_cv_.notify_all();
+    }
+
+   private:
+    ShardedStorageEngine* engine_;
+  } unblock(this);
   // Drain: once this unique lock has been held (however briefly), every
   // routed call that decided BEFORE the keys went in flight (and before
   // the write gate closed) has finished; later calls observe the in-flight
   // set / the gate and wait for the batch.
   { std::unique_lock<std::shared_mutex> drain(mig_write_mu_); }
-  auto unblock = [this] {
-    std::lock_guard<std::mutex> mig(mig_mu_);
-    inflight_keys_.clear();
-    mig_batch_active_ = false;
-    mig_cv_.notify_all();
-  };
 
   // Read every version of every moving key from its source shard, up to
   // the byte budget: a truncated batch ships its sorted PREFIX (the cursor
@@ -1771,11 +1657,9 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
     for (const Hash256& id : ids) {
       auto data = shards_[mv.from]->GetVersion(id);
       if (!data.ok()) {
-        unblock();
-        return Status(data.status().code(),
-                      "rebalance cannot read '" + mv.key + "' from shard " +
-                          std::to_string(mv.from) + ": " +
-                          data.status().message());
+        return Annotate(data.status(), "rebalance cannot read '" + mv.key +
+                                           "' from shard " +
+                                           std::to_string(mv.from));
       }
       bytes += data->size();
       entry.versions.emplace_back(id, std::move(*data));
@@ -1796,7 +1680,7 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
   size_t failed_shard = 0;
   for (auto& [dest, deferred] : ships) {
     auto result = deferred.Get();
-    NoteShardResult(dest, result.ok() ? Status::Ok() : result.status());
+    NoteShardResult(dest, result.status());
     if (!result.ok()) {
       if (ship_failure.ok()) {
         ship_failure = result.status();
@@ -1811,13 +1695,11 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
   // deadline budget — later hops (cursor persist, next batch) stamp less.
   DeadlineScope::ChargeCurrent(1);
   if (!ship_failure.ok()) {
-    unblock();
-    return Status(ship_failure.code(),
-                  "rebalance batch failed on shard " +
-                      std::to_string(failed_shard) + ": " +
-                      ship_failure.message() +
-                      " (migration still installed; resume when the shard "
-                      "is back)");
+    return Annotate(ship_failure,
+                    "rebalance batch failed on shard " +
+                        std::to_string(failed_shard),
+                    " (migration still installed; resume when the shard is "
+                    "back)");
   }
 
   // Persist the cursor BEFORE clearing the sources: a crash after this
@@ -1832,16 +1714,15 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
     std::lock_guard<std::mutex> mig(mig_mu_);
     new_cursor = std::max(mig_cursor_, last_key);
   }
-  const size_t home = plan_shard();
+  // The cursor lives beside the plan, on the current ring's first member
+  // (a leaving slot never hosts them).
+  const size_t home = coordinator_shard();
   auto persisted = shards_[home]->Put(std::string(kCursorKey), new_cursor);
-  NoteShardResult(home,
-                  persisted.ok() ? Status::Ok() : persisted.status());
+  NoteShardResult(home, persisted.status());
   if (!persisted.ok()) {
-    unblock();
-    return Status(persisted.status().code(),
-                  "rebalance cannot persist cursor on shard " +
-                      std::to_string(home) + ": " +
-                      persisted.status().message());
+    return Annotate(persisted.status(),
+                    "rebalance cannot persist cursor on shard " +
+                        std::to_string(home));
   }
   size_t dirty_consumed = 0;
   {
@@ -1863,17 +1744,16 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
     for (const Hash256& id : m.ids) {
       auto freed = shards_[m.mv->from]->DeleteVersion(id);
       if (!freed.ok() && !freed.status().IsNotFound()) {
-        unblock();
-        return Status(freed.status().code(),
-                      "rebalance cannot clear source copy of '" + m.mv->key +
-                          "' on shard " + std::to_string(m.mv->from) + ": " +
-                          freed.status().message());
+        return Annotate(freed.status(),
+                        "rebalance cannot clear source copy of '" +
+                            m.mv->key + "' on shard " +
+                            std::to_string(m.mv->from));
       }
     }
   }
 
   {
-    std::lock_guard<std::mutex> lock(mig_stats_mu_);
+    std::lock_guard<std::mutex> lock(health_mu_);
     mig_stats_.keys_migrated += moved.size();
     mig_stats_.versions_migrated += applied;
     mig_stats_.skipped_versions += skipped;
@@ -1882,7 +1762,6 @@ StatusOr<size_t> ShardedStorageEngine::MigrateOneBatch(
     mig_stats_.cursor_writes += 1;
     mig_stats_.dirty_keys_migrated += dirty_consumed;
   }
-  unblock();
   // How much of the caller's `moves` slice this batch covered (everything
   // at or below the shipped prefix's last key — the rest was truncated by
   // the byte budget and goes around again).
@@ -1943,9 +1822,9 @@ Status ShardedStorageEngine::FinalizeMigrationLocked() {
     for (const auto& [key, id] : shards_[s]->ListAllVersions()) {
       auto freed = shards_[s]->DeleteVersion(id);
       if (!freed.ok() && !freed.status().IsNotFound()) {
-        return Status(freed.status().code(),
-                      "cannot drain leaving shard " + std::to_string(s) +
-                          " (key '" + key + "'): " + freed.status().message());
+        return Annotate(freed.status(), "cannot drain leaving shard " +
+                                            std::to_string(s) + " (key '" +
+                                            key + "')");
       }
     }
   }
@@ -1954,29 +1833,26 @@ Status ShardedStorageEngine::FinalizeMigrationLocked() {
   // list finds this record and restores the post-migration ring instead of
   // routing a slice of the keyspace to a drained slot. Every member carries
   // a copy so the record survives any single surviving shard being down.
-  const std::string topology =
-      SerializeTopology(current, options_.virtual_nodes_per_shard);
+  const std::string topology = SerializeRecord(
+      kTopologyHeader,
+      {{"epoch", std::to_string(current.epoch)},
+       {"members", SerializeSlots(current.members)},
+       {"vnodes", std::to_string(options_.virtual_nodes_per_shard)}});
   for (size_t s : current.members) {
     auto put = shards_[s]->Put(std::string(kTopologyKey), topology);
-    NoteShardResult(s, put.ok() ? Status::Ok() : put.status());
+    NoteShardResult(s, put.status());
     if (!put.ok()) {
-      return Status(put.status().code(),
-                    "cannot persist final topology on shard " +
-                        std::to_string(s) + ": " + put.status().message());
+      return Annotate(put.status(), "cannot persist final topology on shard " +
+                                        std::to_string(s));
     }
   }
   // Retire the durable plan and cursor: the migration is over, a later
   // ResumeMigration must find nothing.
-  const size_t home = current.members.front();
   for (std::string_view bookkeeping : {kPlanKey, kCursorKey}) {
     const std::string key(bookkeeping);
-    for (const Hash256& id : shards_[home]->Versions(key)) {
-      auto freed = shards_[home]->DeleteVersion(id);
-      if (!freed.ok() && !freed.status().IsNotFound()) {
-        return Status(freed.status().code(),
-                      "cannot retire migration record '" + key +
-                          "': " + freed.status().message());
-      }
+    Status retired = DeleteAllVersions(current.members.front(), key);
+    if (!retired.ok()) {
+      return Annotate(retired, "cannot retire migration record '" + key + "'");
     }
   }
   {

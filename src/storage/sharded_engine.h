@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -71,12 +72,12 @@ std::vector<KeyMove> PlanMigration(const ShardRing& from, const ShardRing& to,
 ///
 /// ## Replicated namespaces (cross-shard branch-table coordination)
 ///
-/// Keys matching `replicated_prefixes` — by default the `pipeline/` commit
-/// logs that persist the branch table and the `library/` metafiles — are
-/// written to EVERY live shard through the two-phase protocol below and read
-/// from the COORDINATOR shard (the first live member of the current ring;
-/// slot 0 until a rebalance retires it). Version-control metadata must be
-/// visible cluster-wide; bulky artifacts partition.
+/// Keys under `pipeline/` (the commit logs that persist the branch table)
+/// and `library/` (the library metafiles) are written to EVERY live shard
+/// through the two-phase protocol below and read from the COORDINATOR shard
+/// (the first live member of the current ring; slot 0 until a rebalance
+/// retires it). Version-control metadata must be visible cluster-wide;
+/// bulky artifacts partition.
 ///
 /// ## Two-phase commit (merge winners)
 ///
@@ -124,14 +125,20 @@ std::vector<KeyMove> PlanMigration(const ShardRing& from, const ShardRing& to,
 /// ids derive from key + payload + ordinal, which migration preserves.
 ///
 /// Thread safety: same contract as every StorageEngine — concurrent calls
-/// from many workers are safe (the router index has its own lock; child
-/// engines carry their own guarantees). One rebalance may run at a time,
-/// driven by a single thread.
+/// from many workers are safe (child engines carry their own guarantees).
+/// One rebalance may run at a time, driven by a single thread. The router
+/// has seven locks, always taken in this order (a thread holding one never
+/// waits for an earlier one):
+///   txn_mu_        coordinated transactions, migration batches, installs
+///   mig_write_mu_  routed calls (shared) vs. a batch's drain (unique)
+///   topo_mu_       the rings and the slot list
+///   mig_mu_        cursor, in-flight keys, dirty set; mig_cv_ waits on it
+///   index_mu_      the version-id index
+///   health_mu_     health streaks and every telemetry ledger
+/// index_mu_ and health_mu_ are leaves: nothing else is taken under them.
 class ShardedStorageEngine : public StorageEngine {
  public:
   struct Options {
-    /// Key prefixes replicated to every shard (see above).
-    std::vector<std::string> replicated_prefixes = {"pipeline/", "library/"};
     /// Ring points per shard; more points = smoother key balance. 384
     /// keeps the measured max/min ownership ratio under 1.3 at 2–8 shards
     /// (16 points skewed up to 2.4× at 8 shards); ring build is a one-off
@@ -313,17 +320,19 @@ class ShardedStorageEngine : public StorageEngine {
   BroadcastStats broadcast_stats() const;
 
   /// Availability of one shard as judged from this router's own traffic:
-  /// kUnavailable / kDeadlineExceeded responses bump a consecutive-failure
-  /// count (any other answer — including NotFound — resets it, because the
-  /// shard responded). One failure degrades; kDownFailures consecutive
-  /// failures mark the shard down, after which broadcasts and 2PC fan-outs
-  /// skip it and fail fast with a typed Unavailable instead of burning a
-  /// timeout per call. A freshly-down shard gets ONE immediate probe on
-  /// the first fan-out after the transition (so a blip shorter than the
-  /// fan-out cadence heals in one request), then every kHalfOpenEvery-th
-  /// skip re-probes (half-open), so a recovered shard rejoins without
-  /// manual help; MarkShardRecovered short-circuits that wait after a
-  /// known restart.
+  /// Ok and NotFound (the shard looked and answered) reset a
+  /// consecutive-failure count; kUnavailable / kDeadlineExceeded (no answer
+  /// arrived) extend it; any other status leaves it alone, because it does
+  /// not prove the shard up — a client-side "retry budget spent"
+  /// (ResourceExhausted) never reached it. One failure degrades;
+  /// kDownFailures consecutive failures mark the shard down, after which
+  /// broadcasts and 2PC fan-outs skip it and fail fast with a typed
+  /// Unavailable instead of burning a timeout per call. A freshly-down
+  /// shard gets ONE immediate probe on the first fan-out after the
+  /// transition (so a blip shorter than the fan-out cadence heals in one
+  /// request), then every kHalfOpenEvery-th skip re-probes (half-open), so
+  /// a recovered shard rejoins without manual help; MarkShardRecovered
+  /// short-circuits that wait after a known restart.
   enum class ShardHealth : uint8_t { kUp = 0, kDegraded = 1, kDown = 2 };
   struct ShardHealthView {
     std::vector<ShardHealth> state;                ///< One entry per shard.
@@ -394,12 +403,11 @@ class ShardedStorageEngine : public StorageEngine {
   Route TryRouteKey(std::string_view key, bool for_write) const;
   /// Blocks until TryRouteKey(key, for_write) can answer without waiting.
   void WaitRouteUnblocked(std::string_view key, bool for_write) const;
-  /// Blocking dual-epoch route (loops TryRouteKey + WaitRouteUnblocked).
-  size_t RouteKeyBlocking(std::string_view key, bool for_write) const;
 
-  /// Runs `fn(shard)` with the route pinned: holds the migration write
-  /// guard (shared) so a rebalance batch cannot invalidate the decision
-  /// mid-call, retrying if the key's batch claims it first.
+  /// The blocking dual-epoch route: runs `fn(shard)` with the route pinned
+  /// — holds the migration write guard (shared) so a rebalance batch cannot
+  /// invalidate the decision mid-call, waiting if the key's batch claims it
+  /// first. `fn` returning the shard is a plain blocking route lookup.
   template <typename Fn>
   auto WithStableRoute(std::string_view key, bool for_write, Fn&& fn) const {
     while (true) {
@@ -411,9 +419,28 @@ class ShardedStorageEngine : public StorageEngine {
     }
   }
 
-  /// True for router-internal keys (2PC staging, migration plan/cursor)
-  /// that must never surface in listings or migrate.
-  bool IsInternalKey(std::string_view key) const;
+  /// The union of both epochs' members while migrating, else the current
+  /// ring's, sorted. The caller holds topo_mu_.
+  std::vector<size_t> LiveMembersLocked() const;
+
+  /// The router index's entry for `id` (kReplicated for a replicated
+  /// version), or nullopt when the index never saw it.
+  std::optional<size_t> IndexedShard(const Hash256& id) const;
+
+  /// The index-miss fan-out behind GetVersion, HasVersion and
+  /// DeleteVersion: starts `call(shard)` on each of `shards` before
+  /// collecting any (skipping down shards when `skip_down`), accounts the
+  /// round as one broadcast, then hands each answer, in shard order, to the
+  /// health view and to `fold(shard, answer)` until `fold` returns false.
+  /// Returns the shards it skipped.
+  template <typename Call, typename Fold>
+  std::vector<size_t> ProbeShards(const std::vector<size_t>& shards,
+                                  bool skip_down, Call&& call,
+                                  Fold&& fold) const;
+
+  /// Deletes every version of `key` on `shard`, looked up by key; returns
+  /// the first failure other than NotFound, which stops the loop.
+  Status DeleteAllVersions(size_t shard, const std::string& key);
 
   // --- rebalance internals (all driven by one thread per migration) ---
   Status DriveMigration(const MigrationOptions& opts);
@@ -430,23 +457,25 @@ class ShardedStorageEngine : public StorageEngine {
   std::vector<KeyMove> EnumerateMoves() const;
   Status FinalizeMigrationLocked();
   Status PersistPlan(const ShardRing& from, const ShardRing& to);
-  /// First member of the current ring = where plan/cursor live (chosen so
-  /// it survives the topology change: a leaving slot never hosts them).
-  size_t plan_shard() const;
+  /// FailedPrecondition while a rebalance is installed.
+  Status NoRebalanceInProgress() const;
+  /// Installs the dual-epoch window `prev` -> `next` with the migration
+  /// cursor at `cursor` (empty = nothing migrated yet), appending `joining`
+  /// (if any) as the next slot, and drains routed calls decided under the
+  /// old ring. Shared by AddShard, RemoveShard and ResumeMigration (which
+  /// counts a resume). The caller holds txn_mu_.
+  void InstallMigrationLocked(ShardRing prev, ShardRing next,
+                              std::string cursor,
+                              std::unique_ptr<StorageEngine> joining,
+                              bool resumed);
+  /// FailedPrecondition unless every slot a durable `record` names is
+  /// connected to this router.
+  Status CheckSlotsConnected(const std::string& record,
+                             const std::vector<size_t>& slots) const;
   Status RecoverTwoPhaseLocked();
-  size_t SlotCount() const;
 
-  /// Accounts one index-miss broadcast into bc_stats_ as a single unit.
-  /// `measured_peak_inflight` comes from the call site's issue/collect
-  /// meter — a real measurement, so a regression to a serial probe loop
-  /// shows up as 1 in the stats (and fails the ledger tests) instead of
-  /// being papered over. `probed` lists the shards actually messaged
-  /// (down shards a fan-out skipped are not probes).
-  void RecordBroadcast(uint64_t measured_peak_inflight,
-                       const std::vector<size_t>& probed) const;
-
-  /// Feeds one shard response into the health tracker (see shard_health()).
-  /// Pass Ok for any answered call — NotFound is an answer.
+  /// Feeds one shard response into the health tracker (see shard_health()
+  /// for the rule).
   void NoteShardResult(size_t shard, const Status& status) const;
   /// True when `shard` is down and this fan-out should skip it. Mutates the
   /// half-open counter: the FIRST would-be skip after the down transition
@@ -503,9 +532,6 @@ class ShardedStorageEngine : public StorageEngine {
   /// batch reads the source.
   mutable std::shared_mutex mig_write_mu_;
 
-  mutable std::mutex mig_stats_mu_;
-  MigrationStats mig_stats_;
-
   mutable std::shared_mutex index_mu_;
   std::unordered_map<Hash256, size_t, Hash256Hasher> version_shard_;
 
@@ -517,19 +543,19 @@ class ShardedStorageEngine : public StorageEngine {
   std::mutex txn_mu_;
   /// Staging-key id generator only; telemetry lives in tp_stats_.
   std::atomic<uint64_t> txn_counter_{0};
-  /// 2PC telemetry, updated as one unit at transaction resolution so
-  /// two_phase_stats() snapshots are consistent (see TwoPhaseStats).
-  mutable std::mutex tp_stats_mu_;
-  TwoPhaseStats tp_stats_;
-  /// Broadcast-probe telemetry, one unit per broadcast (see BroadcastStats).
-  mutable std::mutex bc_stats_mu_;
-  mutable BroadcastStats bc_stats_;
 
-  /// Health tracker state (see shard_health()); mutable because query-side
-  /// const calls observe failures too.
+  /// Health tracker state (see shard_health()) and every telemetry ledger.
+  /// Each ledger is updated as one unit under this lock, so its snapshot is
+  /// consistent (see TwoPhaseStats). Mutable because query-side const calls
+  /// observe failures and broadcasts too.
   mutable std::mutex health_mu_;
   mutable std::vector<uint64_t> consecutive_failures_;
   mutable std::vector<uint64_t> half_open_skips_;
+  /// 2PC telemetry, updated at transaction resolution.
+  TwoPhaseStats tp_stats_;
+  /// Broadcast-probe telemetry, one unit per broadcast.
+  mutable BroadcastStats bc_stats_;
+  MigrationStats mig_stats_;
 };
 
 /// Builds the canonical loopback cluster: `shards` backends (from

@@ -239,17 +239,12 @@ TransportFuture SocketTransport::AsyncCallWithId(std::string_view request,
   }
   Status sent = SendRequest(id, request, fault);
   if (!sent.ok()) {
-    if (options_.redial_budget_ms > 0) {
-      // Degrade instead of failing: the reader notices the dead connection
-      // (the shutdown below guarantees it wakes), redials, and replays this
-      // call along with every other pending one.
-      std::lock_guard<std::mutex> lock(write_mu_);
-      connected_ = false;
-      if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-    } else {
-      // The peer is gone for everyone, not just this call.
-      FailAllPending(sent);
-    }
+    // Degrade instead of failing: the reader notices the dead connection
+    // (the shutdown below guarantees it wakes), redials, and replays this
+    // call along with every other pending one.
+    std::lock_guard<std::mutex> lock(write_mu_);
+    connected_ = false;
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
   return future;
 }
@@ -358,39 +353,10 @@ StatusOr<std::string> SocketTransport::Call(std::string_view request) {
   }
   uint64_t id = 0;
   TransportFuture future = AsyncCallWithId(request, &id);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  return CollectWithDeadline(&future, id, deadline, timeout_ms);
-}
-
-std::vector<StatusOr<std::string>> SocketTransport::CallMany(
-    const std::vector<std::string>& requests) {
-  // Issue everything first (that's the whole point), then collect against
-  // ONE shared deadline — the documented call_timeout bounds the batch the
-  // same way it bounds a single Call.
-  std::vector<uint64_t> ids(requests.size(), 0);
-  std::vector<TransportFuture> futures;
-  futures.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    futures.push_back(AsyncCallWithId(requests[i], &ids[i]));
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.call_timeout_ms);
-  std::vector<StatusOr<std::string>> responses;
-  responses.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    responses.push_back(CollectWithDeadline(&futures[i], ids[i], deadline,
-                                            options_.call_timeout_ms));
-  }
-  return responses;
-}
-
-StatusOr<std::string> SocketTransport::CollectWithDeadline(
-    TransportFuture* future, uint64_t id,
-    std::chrono::steady_clock::time_point deadline, uint64_t timeout_ms) {
   if (timeout_ms == 0 ||
-      future->wait_until(deadline) == std::future_status::ready) {
-    return future->get();
+      future.wait_for(std::chrono::milliseconds(timeout_ms)) ==
+          std::future_status::ready) {
+    return future.get();
   }
   // Deregister the pending call so a LATE response is dropped by the
   // reader instead of being counted as a completed round trip — the caller
@@ -399,7 +365,7 @@ StatusOr<std::string> SocketTransport::CollectWithDeadline(
   // the future between the timeout and this lock: honor that result.
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
-    if (pending_.erase(id) == 0) return future->get();
+    if (pending_.erase(id) == 0) return future.get();
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -439,12 +405,6 @@ void SocketTransport::ReaderLoop() {
     bool delivered = false;
     Status session = PumpSession(&delivered);
     if (stopping_.load(std::memory_order_acquire)) {
-      conn_state_.store(ConnState::kFailed, std::memory_order_relaxed);
-      FailAllPending(session);
-      return;
-    }
-    if (options_.redial_budget_ms == 0) {
-      // Fail-fast mode: first connection loss fails the session.
       conn_state_.store(ConnState::kFailed, std::memory_order_relaxed);
       FailAllPending(session);
       return;

@@ -66,12 +66,11 @@ enum class ConnState : uint8_t {
 /// exhausted does the session fail:
 ///   connect refused / no such socket      Unavailable (from Connect)
 ///   peer gone + redial budget exhausted   Unavailable, fails EVERY pending
-///   call outliving options.call_timeout   DeadlineExceeded (Call/CallMany)
+///   call outliving options.call_timeout   DeadlineExceeded (Call)
 ///   wire-format version skew              Unimplemented (from the peer's
 ///                                         error frame, or local decode)
 ///   garbled stream / bad chunk manifest   redial; terminal only on budget
-///                                         exhaustion (redial_budget_ms=0
-///                                         restores fail-fast Corruption)
+///                                         exhaustion
 ///
 /// stats() is a consistent snapshot under one mutex, same contract as
 /// LoopbackTransport; completed calls count {calls, request, response} as
@@ -79,7 +78,7 @@ enum class ConnState : uint8_t {
 class SocketTransport : public Transport {
  public:
   struct Options {
-    /// Milliseconds a blocking Call/CallMany waits before giving up with
+    /// Milliseconds a blocking Call waits before giving up with
     /// DeadlineExceeded. 0 = wait forever. AsyncCall futures are not
     /// deadline-bound (the waiter chooses how long to wait) but always
     /// resolve on response or connection loss.
@@ -93,8 +92,7 @@ class SocketTransport : public Transport {
     /// before declaring the session broken. While redialing, in-flight
     /// calls stay pending and are REPLAYED on the fresh connection (the
     /// server's replay ledger makes replayed mutations apply once). 0
-    /// restores the old fail-fast behavior: first connection loss fails
-    /// every pending call.
+    /// allows one immediate redial attempt.
     uint64_t redial_budget_ms = 2000;
     /// First redial backoff. The sleep before attempt N is drawn uniformly
     /// from [0, min(500ms, initial << N)] — FULL JITTER, so a fleet of
@@ -137,10 +135,6 @@ class SocketTransport : public Transport {
 
   StatusOr<std::string> Call(std::string_view request) override;
   TransportFuture AsyncCall(std::string_view request) override;
-  /// Overridden so the batch honors call_timeout_ms too: all requests are
-  /// issued first, then collected against one shared deadline.
-  std::vector<StatusOr<std::string>> CallMany(
-      const std::vector<std::string>& requests) override;
   TransportStats stats() const override;
   std::string Name() const override;
   uint64_t call_timeout_ms() const override {
@@ -158,21 +152,16 @@ class SocketTransport : public Transport {
  private:
   SocketTransport(int fd, Endpoint endpoint, Options options);
 
-  /// AsyncCall plus the assigned correlation id, so deadline-bound callers
-  /// can deregister the pending entry on timeout.
-  TransportFuture AsyncCallWithId(std::string_view request, uint64_t* id_out);
-  /// Waits for `future` until `deadline` (forever when `timeout_ms` is 0).
-  /// On timeout the pending entry for `id` is removed, so the one call is
+  /// AsyncCall plus the assigned correlation id, so a deadline-bound Call
+  /// can deregister the pending entry on timeout (the one call is then
   /// accounted exactly once: as a transport error, never ALSO as a
-  /// completed round trip when its response straggles in later.
-  StatusOr<std::string> CollectWithDeadline(
-      TransportFuture* future, uint64_t id,
-      std::chrono::steady_clock::time_point deadline, uint64_t timeout_ms);
+  /// completed round trip when its response straggles in later).
+  TransportFuture AsyncCallWithId(std::string_view request, uint64_t* id_out);
 
   /// Sends one already-registered request (monolithic or chunk-streamed),
   /// applying `fault` on the way out. A degraded connection silently skips
   /// the send — the redial replay delivers it. Send failures degrade the
-  /// connection (redial enabled) or fail the session (budget 0).
+  /// connection, so the redial replays the call.
   Status SendRequest(uint64_t id, std::string_view request,
                      const SendFault& fault);
   /// Streams one large payload as CHUNK frames + CHUNK_END, all from one

@@ -59,7 +59,6 @@ using TransportHandler = std::function<std::string(std::string_view)>;
 ///              before the first wait overlap their wire latency, which is
 ///              what the sharded engine's fan-outs (2PC phases, broadcast
 ///              probes, replicated puts) are built on
-///   CallMany   batch convenience over AsyncCall: issue all, collect all
 ///
 /// Thread safety: all methods may be invoked concurrently from many workers
 /// (storage engines are themselves concurrent); implementations must
@@ -84,23 +83,6 @@ class Transport {
     std::promise<StatusOr<std::string>> promise;
     promise.set_value(Call(request));
     return promise.get_future();
-  }
-
-  /// Issues every request before collecting any response, so the batch's
-  /// round trips overlap on a real wire. Results come back in request order.
-  virtual std::vector<StatusOr<std::string>> CallMany(
-      const std::vector<std::string>& requests) {
-    std::vector<TransportFuture> futures;
-    futures.reserve(requests.size());
-    for (const std::string& request : requests) {
-      futures.push_back(AsyncCall(request));
-    }
-    std::vector<StatusOr<std::string>> responses;
-    responses.reserve(requests.size());
-    for (TransportFuture& future : futures) {
-      responses.push_back(future.get());
-    }
-    return responses;
   }
 
   virtual TransportStats stats() const = 0;

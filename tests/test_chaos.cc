@@ -29,6 +29,7 @@
 #include "common/strings.h"
 #include "merge/merge_op.h"
 #include "sim/scenario.h"
+#include "storage/deadline.h"
 #include "storage/fault_injector.h"
 #include "storage/forkbase_engine.h"
 #include "storage/remote_engine.h"
@@ -408,6 +409,58 @@ TEST(ChaosTest, HealthViewMarksShardDownAndFastFailsFanouts) {
   EXPECT_EQ(health.state[down], ShardedStorageEngine::ShardHealth::kUp);
   EXPECT_TRUE(cluster->Put(KeyOnShard(*cluster, down, "back"), "y").ok());
   EXPECT_TRUE(cluster->Put("pipeline/health/commits", "json").ok());
+}
+
+/// `prepared_writes` counts staging records a shard acknowledged and
+/// nothing else: a transaction aborted before staging (down-shard pre-check,
+/// spent deadline) adds none, and one whose prepare failed on a dead shard
+/// adds only the live shards' writes.
+TEST(ChaosTest, AbortedTransactionsCountOnlyAcknowledgedStaging) {
+  std::vector<FaultyEngine*> handles;
+  auto cluster = MakeFaultyCluster(3, &handles);
+  const size_t down = 1;
+  handles[down]->set_unavailable(true);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(cluster->Put(KeyOnShard(*cluster, down, "hit"), "x").ok());
+  }
+  ASSERT_EQ(cluster->shard_health().state[down],
+            ShardedStorageEngine::ShardHealth::kDown);
+
+  // The first fan-out after the down transition probes the dead shard: the
+  // two live replicas acknowledge their staging, the dead one cannot.
+  auto before = cluster->two_phase_stats();
+  EXPECT_FALSE(cluster->Put("pipeline/abort/commits", "json").ok());
+  auto after = cluster->two_phase_stats();
+  EXPECT_EQ(after.aborts, before.aborts + 1);
+  EXPECT_EQ(after.prepared_writes, before.prepared_writes + 2);
+
+  // Now the pre-check aborts before a single staging batch is issued.
+  before = after;
+  auto replicated = cluster->Put("pipeline/abort/commits", "json");
+  ASSERT_FALSE(replicated.ok());
+  EXPECT_EQ(replicated.status().code(), StatusCode::kUnavailable);
+  after = cluster->two_phase_stats();
+  EXPECT_EQ(after.aborts, before.aborts + 1);
+  EXPECT_EQ(after.prepare_round_trips, before.prepare_round_trips);
+  EXPECT_EQ(after.prepared_writes, before.prepared_writes);
+
+  // Healthy again, but the caller's deadline is already spent: the same
+  // abort-before-staging, through the deadline fail-fast.
+  handles[down]->set_unavailable(false);
+  cluster->MarkShardRecovered(down);
+  before = cluster->two_phase_stats();
+  {
+    DeadlineBudget spent(1);
+    spent.Charge(10);
+    DeadlineScope scope(&spent);
+    auto late = cluster->Put("pipeline/abort/commits", "json");
+    ASSERT_FALSE(late.ok());
+    EXPECT_TRUE(late.status().IsDeadlineExceeded()) << late.status();
+  }
+  after = cluster->two_phase_stats();
+  EXPECT_EQ(after.aborts, before.aborts + 1);
+  EXPECT_EQ(after.prepared_writes, before.prepared_writes);
+  EXPECT_EQ(CountStagedKeys(*cluster), 0u);
 }
 
 /// Half-open gate accounting. A freshly-down shard gets ONE immediate probe

@@ -294,6 +294,13 @@ TEST(RetryBudgetTest, ReplayBudgetExhaustionFailsTypedResourceExhausted) {
   // (A client-side injector can't build this: replays deliberately carry
   // no injected faults.) With a budget of one replay the call must fail
   // typed ResourceExhausted, promptly.
+  //
+  // The killer holds its FIRST connection until the request bytes arrive,
+  // so the call is pending before any session dies. Closing it at once
+  // would race the client: an idle session cycling connect -> EOF can run
+  // out its barren-session allowance before the call registers, and the
+  // transport then (correctly) declares the flapping peer broken with
+  // Unavailable before the replay budget is ever consulted.
   const std::string path = TempSock("budget");
   ::unlink(path.c_str());
   int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -305,9 +312,15 @@ TEST(RetryBudgetTest, ReplayBudgetExhaustionFailsTypedResourceExhausted) {
       ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   ASSERT_EQ(::listen(listener, 8), 0);
   std::thread killer([&] {
+    bool first = true;
     while (true) {
       int fd = ::accept(listener, nullptr, nullptr);
       if (fd < 0) break;  // listener closed: test over
+      if (first) {
+        char byte = 0;
+        (void)::read(fd, &byte, 1);  // the call's first request byte (or EOF)
+        first = false;
+      }
       ::close(fd);
     }
   });

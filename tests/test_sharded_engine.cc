@@ -1,6 +1,7 @@
 // The distributed storage + merge stack: ShardedStorageEngine routing,
 // replicated namespaces, two-phase commit (including the abort path), the
-// RemoteStorageEngine wire protocol — and the headline equivalence harness:
+// RemoteStorageEngine wire protocol, a golden of the router's shard RPC
+// sequence — and the headline equivalence harness:
 // a sharded merge drain (MergeOptions::shards ∈ {1,2,4,8}) must produce the
 // identical winner, execution count, and persisted artifact hashes as the
 // single-node path on the fig9 and fig11 scenarios, with and without
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "storage/local_dir_engine.h"
 #include "storage/remote_engine.h"
 #include "storage/transport.h"
+#include "storage/wire_codec.h"
 
 namespace mlcask::storage {
 namespace {
@@ -387,6 +391,284 @@ TEST(RemoteEngineTest, WireProtocolMatchesDirectEngine) {
   EXPECT_GT(ts.calls, 8u);
   EXPECT_GT(ts.request_bytes, payload.size());  // the whole payload went over
   EXPECT_GT(ts.response_bytes, 0u);
+}
+
+/// One decoded shard request as "s<slot> <method> <key or short id>".
+/// Replay tokens are left out: they are per-proxy nonces, not routing.
+std::string DescribeRequest(size_t slot, std::string_view message) {
+  static const char* const kNames[] = {
+      "?",        "put",     "putmany", "get",  "getversion",
+      "has",      "versions", "listall", "delete", "stats",
+      "name",     "cost",    "migrate", "copy"};
+  auto request = wire::DecodeRequest(message);
+  if (!request.ok()) return "s" + std::to_string(slot) + " undecodable";
+  const auto method = static_cast<size_t>(request->method);
+  std::string line = "s" + std::to_string(slot) + " " +
+                     (method < std::size(kNames) ? kNames[method] : "?");
+  switch (request->method) {
+    case wire::Method::kPut:
+    case wire::Method::kGet:
+    case wire::Method::kVersions:
+      line += " " + std::string(request->key);
+      break;
+    case wire::Method::kGetVersion:
+    case wire::Method::kHasVersion:
+    case wire::Method::kDeleteVersion:
+      line += " " + request->id.ShortHex(8);
+      break;
+    case wire::Method::kCopyVersion:
+      line += " " + std::string(request->key) + " <- " +
+              request->id.ShortHex(8);
+      break;
+    case wire::Method::kPutMany:
+      for (const auto& [key, data] : request->batch) {
+        (void)data;
+        line += " " + std::string(key);
+      }
+      break;
+    case wire::Method::kMigrateBatch:
+      for (const auto& entry : request->migrate) {
+        line += " " + std::string(entry.key) + "x" +
+                std::to_string(entry.versions.size());
+      }
+      break;
+    default:
+      break;
+  }
+  return line;
+}
+
+/// A loopback shard whose transport logs every decoded request.
+std::unique_ptr<StorageEngine> MakeLoggedShard(
+    size_t slot, std::shared_ptr<std::vector<std::string>> log,
+    std::shared_ptr<std::mutex> log_mu) {
+  auto service = std::make_shared<StorageEngineService>(
+      std::make_unique<ForkBaseEngine>());
+  return std::make_unique<RemoteStorageEngine>(
+      std::make_unique<LoopbackTransport>(
+          [slot, service, log, log_mu](std::string_view request) {
+            {
+              std::lock_guard<std::mutex> lock(*log_mu);
+              log->push_back(DescribeRequest(slot, request));
+            }
+            return service->Handle(request);
+          }));
+}
+
+// The router's shard RPCs, in order, for one script touching every path:
+// direct and replicated puts, a multi-shard 2PC, indexed and index-miss
+// reads and deletes, a grow and a shrink, and 2PC recovery. Loopback
+// resolves every async call inline, so the order is the issue order. A
+// refactor of the router must leave this sequence exactly as it is.
+TEST(ShardedEngineTest, RouterRpcSequenceIsGolden) {
+  auto log = std::make_shared<std::vector<std::string>>();
+  auto log_mu = std::make_shared<std::mutex>();
+  std::vector<std::unique_ptr<StorageEngine>> shards;
+  for (size_t s = 0; s < 3; ++s) {
+    shards.push_back(MakeLoggedShard(s, log, log_mu));
+  }
+  auto joiner = MakeLoggedShard(3, log, log_mu);
+  ShardedStorageEngine cluster(std::move(shards));
+  log->clear();  // drop the proxies' name hellos
+
+  auto direct = cluster.Put("artifact/direct", "direct-bytes");
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  auto replicated = cluster.Put("pipeline/golden/commits", "commit-1");
+  ASSERT_TRUE(replicated.ok()) << replicated.status();
+  std::vector<PutRequest> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back({"artifact/batch/" + std::to_string(i),
+                     "batch-" + std::to_string(i)});
+  }
+  auto batched = cluster.PutMany(batch);
+  ASSERT_TRUE(batched.ok()) << batched.status();
+
+  // Indexed lookups go to the one shard the router index names.
+  ASSERT_TRUE(cluster.GetVersion(direct->id).ok());
+  ASSERT_TRUE(cluster.GetVersion(replicated->id).ok());
+  EXPECT_TRUE(cluster.HasVersion((*batched)[1].id));
+  ASSERT_TRUE(cluster.DeleteVersion((*batched)[2].id).ok());
+
+  // Index misses: a version written behind the router, and one nobody has.
+  auto hidden = cluster.shard(2)->Put("artifact/hidden", "hidden-bytes");
+  ASSERT_TRUE(hidden.ok());
+  ASSERT_TRUE(cluster.GetVersion(hidden->id).ok());
+  EXPECT_TRUE(cluster.HasVersion(hidden->id));
+  const Hash256 missing = Sha256::Digest("no-such-version");
+  EXPECT_TRUE(cluster.GetVersion(missing).status().IsNotFound());
+  EXPECT_FALSE(cluster.HasVersion(missing));
+  ASSERT_TRUE(cluster.DeleteVersion(hidden->id).ok());
+  EXPECT_TRUE(cluster.DeleteVersion(missing).status().IsNotFound());
+
+  // Both rebalances move keys: the joiner takes one, the leaver hands two on.
+  ASSERT_TRUE(cluster.AddShard(std::move(joiner)).ok());
+  EXPECT_EQ(cluster.migration_stats().keys_migrated, 1u);
+  ASSERT_TRUE(cluster.RemoveShard(2).ok());
+  EXPECT_EQ(cluster.migration_stats().keys_migrated, 3u);
+
+  // One committed transaction (its decision is on the coordinator) and one
+  // that never reached its decision.
+  ASSERT_TRUE(cluster.shard(1)
+                  ->Put("__2pc__/txn900/s1/w0/artifact/recovered", "rolled")
+                  .ok());
+  ASSERT_TRUE(cluster.shard(0)
+                  ->Put("__2pc__/txn900/decision",
+                        std::string("__2pc-intent__\x1f") + "commit")
+                  .ok());
+  ASSERT_TRUE(cluster.shard(3)
+                  ->Put("__2pc__/txn901/s3/w0/artifact/fenced", "gone")
+                  .ok());
+  ASSERT_TRUE(cluster.RecoverTwoPhase().ok());
+  EXPECT_EQ(*cluster.shard(1)->Get("artifact/recovered"), "rolled");
+
+  static const char* const kGolden[] = {
+      "s0 put artifact/direct",
+      "s0 putmany __2pc__/txn0/s0/w0/pipeline/golden/commits",
+      "s1 putmany __2pc__/txn0/s1/w1/pipeline/golden/commits",
+      "s2 putmany __2pc__/txn0/s2/w2/pipeline/golden/commits",
+      "s0 put __2pc__/txn0/decision",
+      "s0 copy pipeline/golden/commits <- d1fe5d80",
+      "s1 copy pipeline/golden/commits <- 3a013e0e",
+      "s2 copy pipeline/golden/commits <- cf604c70",
+      "s0 delete d1fe5d80",
+      "s1 delete 3a013e0e",
+      "s2 delete cf604c70",
+      "s0 delete a0fc89b6",
+      "s0 putmany __2pc__/txn1/s0/w0/artifact/batch/0"
+      " __2pc__/txn1/s0/w1/artifact/batch/1"
+      " __2pc__/txn1/s0/w2/artifact/batch/2"
+      " __2pc__/txn1/s0/w3/artifact/batch/3"
+      " __2pc__/txn1/s0/w4/artifact/batch/4",
+      "s2 putmany __2pc__/txn1/s2/w5/artifact/batch/5"
+      " __2pc__/txn1/s2/w6/artifact/batch/6"
+      " __2pc__/txn1/s2/w7/artifact/batch/7",
+      "s0 put __2pc__/txn1/decision",
+      "s0 copy artifact/batch/0 <- 9fd5f72f",
+      "s0 copy artifact/batch/1 <- bb20f4a1",
+      "s0 copy artifact/batch/2 <- 732cce6d",
+      "s0 copy artifact/batch/3 <- e462d852",
+      "s0 copy artifact/batch/4 <- bb5f3890",
+      "s2 copy artifact/batch/5 <- 655ad5ff",
+      "s2 copy artifact/batch/6 <- ef95aad9",
+      "s2 copy artifact/batch/7 <- 43e15ad9",
+      "s0 delete 9fd5f72f",
+      "s0 delete bb20f4a1",
+      "s0 delete 732cce6d",
+      "s0 delete e462d852",
+      "s0 delete bb5f3890",
+      "s2 delete 655ad5ff",
+      "s2 delete ef95aad9",
+      "s2 delete 43e15ad9",
+      "s0 delete b4f2fc52",
+      "s0 getversion b7a123fe",
+      "s0 getversion 7a3849c2",
+      "s0 has b7c6ade0",
+      "s0 delete c9c522ff",
+      "s2 put artifact/hidden",
+      "s0 getversion 757a51d7",
+      "s1 getversion 757a51d7",
+      "s2 getversion 757a51d7",
+      "s0 has 757a51d7",
+      "s1 has 757a51d7",
+      "s2 has 757a51d7",
+      "s0 getversion 4ad1d3b5",
+      "s1 getversion 4ad1d3b5",
+      "s2 getversion 4ad1d3b5",
+      "s0 has 4ad1d3b5",
+      "s1 has 4ad1d3b5",
+      "s2 has 4ad1d3b5",
+      "s0 has 757a51d7",
+      "s1 has 757a51d7",
+      "s2 has 757a51d7",
+      "s2 delete 757a51d7",
+      "s0 has 4ad1d3b5",
+      "s1 has 4ad1d3b5",
+      "s2 has 4ad1d3b5",
+      "s0 listall",
+      "s0 versions pipeline/golden/commits",
+      "s0 getversion 7a3849c2",
+      "s3 migrate pipeline/golden/commitsx1",
+      "s0 put __migration__/plan",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s2 versions artifact/batch/5",
+      "s2 getversion 1482feff",
+      "s3 migrate artifact/batch/5x1",
+      "s0 put __migration__/cursor",
+      "s2 delete 1482feff",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s0 put __migration__/topology",
+      "s1 put __migration__/topology",
+      "s2 put __migration__/topology",
+      "s3 put __migration__/topology",
+      "s0 versions __migration__/plan",
+      "s0 delete f169e731",
+      "s0 versions __migration__/cursor",
+      "s0 delete 2cdb3599",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s0 put __migration__/plan",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s2 versions artifact/batch/6",
+      "s2 getversion 36586cfd",
+      "s2 versions artifact/batch/7",
+      "s2 getversion b4a1fa36",
+      "s0 migrate artifact/batch/6x1",
+      "s3 migrate artifact/batch/7x1",
+      "s0 put __migration__/cursor",
+      "s2 delete 36586cfd",
+      "s2 delete b4a1fa36",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s0 listall",
+      "s1 listall",
+      "s2 listall",
+      "s3 listall",
+      "s2 listall",
+      "s2 delete a8213e28",
+      "s2 delete 7a3849c2",
+      "s0 put __migration__/topology",
+      "s1 put __migration__/topology",
+      "s3 put __migration__/topology",
+      "s0 versions __migration__/plan",
+      "s0 delete e1bbbc9c",
+      "s0 versions __migration__/cursor",
+      "s0 delete 5e6d28fc",
+      "s1 put __2pc__/txn900/s1/w0/artifact/recovered",
+      "s0 put __2pc__/txn900/decision",
+      "s3 put __2pc__/txn901/s3/w0/artifact/fenced",
+      "s0 listall",
+      "s1 listall",
+      "s3 listall",
+      "s1 getversion 711270d5",
+      "s1 versions artifact/recovered",
+      "s1 copy artifact/recovered <- 711270d5",
+      "s0 delete 4402c91f",
+      "s1 delete 711270d5",
+      "s3 delete 77a7f8de",
+      "s1 get artifact/recovered",
+  };
+  std::ostringstream got;
+  for (const std::string& line : *log) got << line << "\n";
+  std::ostringstream want;
+  for (const char* line : kGolden) want << line << "\n";
+  EXPECT_EQ(got.str(), want.str());
 }
 
 }  // namespace

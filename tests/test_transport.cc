@@ -47,17 +47,6 @@ TEST(LoopbackTransportTest, AsyncCallResolvesInlineAndDeterministically) {
   EXPECT_EQ(*result, "a!");
 }
 
-TEST(LoopbackTransportTest, CallManyPreservesOrderAndCountsEveryCall) {
-  LoopbackTransport transport(
-      [](std::string_view request) { return std::string(request) + "?"; });
-  auto responses = transport.CallMany({"x", "y", "z"});
-  ASSERT_EQ(responses.size(), 3u);
-  EXPECT_EQ(*responses[0], "x?");
-  EXPECT_EQ(*responses[1], "y?");
-  EXPECT_EQ(*responses[2], "z?");
-  EXPECT_EQ(transport.stats().calls, 3u);
-}
-
 TEST(LoopbackTransportTest, StatsSnapshotIsConsistentUnderConcurrency) {
   // Fixed-size request/response make consistency checkable: in any honest
   // snapshot, request_bytes == calls * |req| and response_bytes ==
