@@ -1,9 +1,14 @@
 // Micro benchmarks for the ML kernels that dominate a replayed merge, at the
-// shapes the `merge` workload trains on: MLP and AdaBoost fits, an HMM fit
-// plus smoothing pass, and Zernike features of a batch of digit images
-// through the `zernike_features` library entry point.
+// shapes the `merge` workload trains on: MLP and AdaBoost fits, the MLP's
+// hidden-layer tanh, an HMM fit plus smoothing pass, and Zernike features
+// of a batch of digit images through the `zernike_features` library entry
+// point.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "common/json.h"
 #include "common/rng.h"
@@ -11,6 +16,7 @@
 #include "ml/hmm.h"
 #include "ml/matrix.h"
 #include "ml/mlp.h"
+#include "ml/tanh.h"
 #include "pipeline/library_registry.h"
 #include "sim/libraries.h"
 
@@ -52,6 +58,42 @@ BENCHMARK(BM_MlpFit)
     ->Args({84, 12, 22, 15})
     ->Args({126, 7, 18, 13})
     ->Unit(benchmark::kMicrosecond);
+
+// One hidden layer's activations per iteration, from rows of N(0, 1.2)
+// pre-activations. Args: row width (hidden units), kernel (0 = a std::tanh
+// loop, 1 = TanhInPlace). The label names the path that ran.
+void BM_Tanh(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  const bool kernel = state.range(1) != 0;
+  constexpr size_t kRows = 256;
+  Pcg32 rng(3);
+  std::vector<double> rows(kRows * width);
+  for (double& v : rows) v = 1.2 * rng.NextGaussian();
+  std::vector<double> h(width);
+  size_t r = 0;
+  for (auto _ : state) {
+    const double* row = rows.data() + (r++ % kRows) * width;
+    std::copy(row, row + width, h.begin());
+    if (kernel) {
+      TanhInPlace(h.data(), width);
+    } else {
+      for (double& v : h) v = std::tanh(v);
+    }
+    benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(!kernel              ? "std::tanh"
+                 : TanhIsVectorized() ? "TanhInPlace avx2+fma"
+                                      : "TanhInPlace std::tanh");
+  state.counters["per_value"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * width),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Tanh)
+    ->Args({18, 0})
+    ->Args({18, 1})
+    ->Args({22, 0})
+    ->Args({22, 1});
 
 // Args: rows, features, rounds.
 void BM_AdaBoostFit(benchmark::State& state) {

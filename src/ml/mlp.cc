@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "ml/tanh.h"
 #include "ml/vec2.h"
 
 namespace mlcask::ml {
@@ -26,7 +27,7 @@ double Sigmoid(double z) {
 // each unit's terms in input order exactly as a scalar loop would; the
 // hidden units (independent sums) share the vector lanes: eight units per
 // pass over x in four registers, then at most one pass each of four, two
-// and one units.
+// and one units. TanhInPlace then returns std::tanh's bits for every unit.
 double Mlp::Forward(const double* x, double* h) const {
   double* z = h;  // pre-activations, turned into activations in place
   const size_t in = input_dim_, hidden = hidden_;
@@ -74,7 +75,7 @@ double Mlp::Forward(const double* x, double* h) const {
     for (size_t j = 0; j < in; ++j) zu += w[j * hidden + u] * x[j];
     z[u] = zu;
   }
-  for (u = 0; u < hidden; ++u) h[u] = std::tanh(z[u]);
+  TanhInPlace(h, hidden);
   double z2 = b2_;
   for (u = 0; u < hidden; ++u) z2 += w2_[u] * h[u];
   return Sigmoid(z2);

@@ -23,8 +23,10 @@ const char* ChunkTypeName(ChunkType t);
 /// An immutable content-addressed unit of storage.
 class Chunk {
  public:
-  Chunk(ChunkType type, std::string data)
-      : type_(type), data_(std::move(data)), hash_(ComputeHash(type_, data_)) {}
+  /// `hash` is the chunk's address, `ComputeHash(type, data)`; the store
+  /// computes it once, before it looks the chunk up.
+  Chunk(ChunkType type, std::string data, const Hash256& hash)
+      : type_(type), data_(std::move(data)), hash_(hash) {}
 
   ChunkType type() const { return type_; }
   const std::string& data() const { return data_; }

@@ -18,7 +18,7 @@ Hash256 ChunkStore::PutPrehashed(const Hash256& hash, ChunkType type,
     return hash;
   }
   Entry entry;
-  entry.chunk = std::make_unique<Chunk>(type, std::string(data));
+  entry.chunk = std::make_unique<Chunk>(type, std::string(data), hash);
   entry.refs = 1;
   stats_.physical_bytes += data.size();
   stats_.distinct_chunks += 1;
@@ -95,7 +95,7 @@ Status ChunkStore::RestoreChunk(ChunkType type, std::string_view data,
                                  " already present");
   }
   Entry entry;
-  entry.chunk = std::make_unique<Chunk>(type, std::string(data));
+  entry.chunk = std::make_unique<Chunk>(type, std::string(data), hash);
   entry.refs = refs;
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);

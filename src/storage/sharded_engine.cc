@@ -559,20 +559,43 @@ Status ShardedStorageEngine::RunTransactionLocked(
     }
   }
 
-  // Staging keys are deterministic, so cleanup resolves what actually
-  // landed by LOOKUP rather than by remembered ids — it stays correct even
-  // when a prepare batch failed halfway and returned no results. Leftover
-  // staging records would be invisible anyway (filtered from
-  // ListAllVersions); best effort is fine.
-  auto cleanup_staged = [&]() {
+  // What phase 1 and the decision write left behind. An acknowledged
+  // staging batch returned its ids; a failed one may have landed any
+  // prefix of its records.
+  std::vector<Hash256> staged_ids(writes.size());
+  std::set<size_t> unprepared_shards;
+  Hash256 decision_id;
+  enum class Decision { kNone, kUnknown, kWritten };
+
+  // Deletes this transaction's __2pc__/ records, commit and abort alike:
+  // both must leave zero staging keys behind, the decision record
+  // included. A record whose write was acknowledged is deleted by id, every
+  // such delete issued before any is collected. A key is looked up only
+  // where its write's outcome is unknown: the staging keys of a failed
+  // prepare batch (they are deterministic) and a decision whose write
+  // failed. Best effort: a leftover record stays invisible (filtered from
+  // ListAllVersions) until recovery.
+  auto delete_staged = [&](Decision decision) {
+    std::vector<Deferred<uint64_t>> deletes;
+    deletes.reserve(writes.size() + 1);
     for (const auto& [shard, indices] : by_shard) {
+      if (unprepared_shards.count(shard) != 0) continue;
       for (size_t i : indices) {
+        deletes.push_back(shards_[shard]->AsyncDeleteVersion(staged_ids[i]));
+      }
+    }
+    if (decision == Decision::kWritten) {
+      deletes.push_back(shards_[coord]->AsyncDeleteVersion(decision_id));
+    }
+    for (size_t shard : unprepared_shards) {
+      for (size_t i : by_shard[shard]) {
         (void)DeleteAllVersions(shard, staging_key_for(i));
       }
     }
-    // The decision record is part of the transaction's staging footprint:
-    // commit and abort alike must leave zero __2pc__/ keys behind.
-    (void)DeleteAllVersions(coord, decision_key);
+    if (decision == Decision::kUnknown) {
+      (void)DeleteAllVersions(coord, decision_key);
+    }
+    for (Deferred<uint64_t>& deleted : deletes) (void)deleted.Get();
   };
 
   // Phase 1: stage every value, raw, on its participant shard — ONE
@@ -594,7 +617,6 @@ Status ShardedStorageEngine::RunTransactionLocked(
     ledger.Issue(shard);
     ledger.prepare_round_trips += 1;
   }
-  std::vector<Hash256> staged_ids(writes.size());
   Status prepare_failure;
   size_t prepare_failed_shard = 0;
   for (auto& [shard, deferred] : prepares) {
@@ -602,6 +624,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
     ledger.Collect();
     NoteShardResult(shard, prepared.status());
     if (!prepared.ok()) {
+      unprepared_shards.insert(shard);
       if (prepare_failure.ok()) {
         prepare_failure = prepared.status();
         prepare_failed_shard = shard;
@@ -621,7 +644,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
   // even when the whole phase ran faster than the wall clock ticks.
   DeadlineScope::ChargeCurrent(1);
   if (!prepare_failure.ok()) {
-    cleanup_staged();
+    delete_staged(Decision::kNone);
     resolve(/*committed=*/false);
     return Annotate(prepare_failure, "2pc prepare failed on shard " +
                                          std::to_string(prepare_failed_shard));
@@ -631,7 +654,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
   // budget aborts here — staged intents cleaned, nothing real applied.
   if (Status budget = DeadlineScope::CheckCurrent("2pc decision phase");
       !budget.ok()) {
-    cleanup_staged();
+    delete_staged(Decision::kNone);
     resolve(/*committed=*/false);
     return budget;
   }
@@ -642,7 +665,6 @@ Status ShardedStorageEngine::RunTransactionLocked(
   // rolls the staged writes forward; without it the staged writes are
   // fenced. A failed decision write is therefore a clean abort: nothing real
   // has applied.
-  Hash256 decision_id;
   {
     std::string decision(kIntentHeader);
     decision.append("commit");
@@ -653,7 +675,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
     DeadlineScope::ChargeCurrent(1);  // decision round collected
     NoteShardResult(coord, decided.status());
     if (!decided.ok()) {
-      cleanup_staged();
+      delete_staged(Decision::kUnknown);
       resolve(/*committed=*/false);
       return Annotate(decided.status(),
                       "2pc decision write failed on shard " +
@@ -700,7 +722,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
     // (If the coordinator dies between this delete and the rollback, the
     // already-applied writes survive as real versions — a known limitation;
     // the recovery scan at least can no longer resurrect the rest.)
-    (void)DeleteAllVersions(coord, decision_key);
+    (void)shards_[coord]->DeleteVersion(decision_id);
     // Roll back every write that DID apply (safe even for
     // deduplicated applies: both engines derive version ids from
     // key + ordinal, so a fresh Put always creates a fresh id and the
@@ -711,7 +733,7 @@ Status ShardedStorageEngine::RunTransactionLocked(
         (void)shards_[writes[j].shard]->DeleteVersion(applied_results[j]->id);
       }
     }
-    cleanup_staged();
+    delete_staged(Decision::kNone);  // the decision is revoked above
     resolve(/*committed=*/false);
     // A timed-out apply is INDETERMINATE, not definitely-failed: the write
     // was on the wire, and a wedged-but-alive shard may still apply it
@@ -757,20 +779,9 @@ Status ShardedStorageEngine::RunTransactionLocked(
       slot.result = applied;
     }
   }
-  // Committed: every staging record is known by id, so cleanup is ONE
-  // overlapped round of deletes — issued in the order cleanup_staged()
-  // visits them, then collected — instead of a lookup and a delete per
-  // record in series. Best effort like every cleanup: a leftover record
-  // stays invisible (filtered from ListAllVersions) until recovery.
-  std::vector<Deferred<uint64_t>> deletes;
-  deletes.reserve(writes.size() + 1);
-  for (const auto& [shard, indices] : by_shard) {
-    for (size_t i : indices) {
-      deletes.push_back(shards_[shard]->AsyncDeleteVersion(staged_ids[i]));
-    }
-  }
-  deletes.push_back(shards_[coord]->AsyncDeleteVersion(decision_id));
-  for (Deferred<uint64_t>& deleted : deletes) (void)deleted.Get();
+  // Committed: every staging record and the decision are known by id, so
+  // cleanup is one overlapped round of deletes.
+  delete_staged(Decision::kWritten);
   resolve(/*committed=*/true);
 
   for (auto& [batch_index, slot] : slots) {

@@ -19,8 +19,10 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "merge/merge_op.h"
 #include "sim/scenario.h"
+#include "storage/fault_injector.h"
 #include "storage/forkbase_engine.h"
 #include "storage/local_dir_engine.h"
 #include "storage/remote_engine.h"
@@ -441,9 +443,10 @@ std::string DescribeRequest(size_t slot, std::string_view message) {
 /// A loopback shard whose transport logs every decoded request.
 std::unique_ptr<StorageEngine> MakeLoggedShard(
     size_t slot, std::shared_ptr<std::vector<std::string>> log,
-    std::shared_ptr<std::mutex> log_mu) {
-  auto service = std::make_shared<StorageEngineService>(
-      std::make_unique<ForkBaseEngine>());
+    std::shared_ptr<std::mutex> log_mu,
+    std::unique_ptr<StorageEngine> engine =
+        std::make_unique<ForkBaseEngine>()) {
+  auto service = std::make_shared<StorageEngineService>(std::move(engine));
   return std::make_unique<RemoteStorageEngine>(
       std::make_unique<LoopbackTransport>(
           [slot, service, log, log_mu](std::string_view request) {
@@ -669,6 +672,49 @@ TEST(ShardedEngineTest, RouterRpcSequenceIsGolden) {
   std::ostringstream want;
   for (const char* line : kGolden) want << line << "\n";
   EXPECT_EQ(got.str(), want.str());
+}
+
+// A replicated Put whose prepare fails on one shard. The abort cleanup
+// deletes the acknowledged staging records by id, looks up only the failed
+// shard's staging key, whose outcome is unknown, and no decision key, since
+// none was written.
+TEST(ShardedEngineTest, AbortCleanupDeletesAcknowledgedStagingById) {
+  auto log = std::make_shared<std::vector<std::string>>();
+  auto log_mu = std::make_shared<std::mutex>();
+  auto down = std::make_unique<FaultyEngine>(
+      std::make_unique<ForkBaseEngine>(),
+      std::make_shared<FaultInjector>(FaultSpec{}));
+  FaultyEngine* shard1 = down.get();
+  std::vector<std::unique_ptr<StorageEngine>> shards;
+  shards.push_back(MakeLoggedShard(0, log, log_mu));
+  shards.push_back(MakeLoggedShard(1, log, log_mu, std::move(down)));
+  shards.push_back(MakeLoggedShard(2, log, log_mu));
+  ShardedStorageEngine cluster(std::move(shards));
+  shard1->set_unavailable(true);
+  log->clear();  // drop the proxies' name hellos
+
+  auto put = cluster.Put("pipeline/abort/commits", "commit-1");
+  EXPECT_TRUE(put.status().IsUnavailable()) << put.status();
+
+  static const char* const kGolden[] = {
+      "s0 putmany __2pc__/txn0/s0/w0/pipeline/abort/commits",
+      "s1 putmany __2pc__/txn0/s1/w1/pipeline/abort/commits",
+      "s2 putmany __2pc__/txn0/s2/w2/pipeline/abort/commits",
+      "s0 delete fcf6ce86",
+      "s2 delete a9c82c82",
+      "s1 versions __2pc__/txn0/s1/w1/pipeline/abort/commits",
+  };
+  {
+    std::lock_guard<std::mutex> lock(*log_mu);
+    EXPECT_EQ(*log, std::vector<std::string>(std::begin(kGolden),
+                                             std::end(kGolden)));
+  }
+  for (size_t s : {0u, 2u}) {
+    for (const auto& [key, id] : cluster.shard(s)->ListAllVersions()) {
+      (void)id;
+      EXPECT_FALSE(StartsWith(key, "__2pc__/")) << "shard " << s << ": " << key;
+    }
+  }
 }
 
 }  // namespace
