@@ -4,13 +4,19 @@
 //      RemoteStorageEngine over LoopbackTransport, so the numbers are the
 //      binary codec's serialization and dispatch cost with no wire.
 //
-//   2. Streaming: does chunked transfer bound the receiver's memory and
-//      dedupe repeated content? Measured over real unix sockets against
-//      two epoll servers — one with chunking disabled (monolithic frames),
-//      one with the default 256 KiB threshold. GATEs: the streamed
-//      client's peak decoder buffer stays under a quarter of the value
-//      size, and re-sending the same value scores chunk-cache dedup hits
-//      on the server.
+//   2. Streaming: does chunked transfer bound the receiver's memory, and
+//      does a repeated value cost the shard nothing? Measured over real
+//      unix sockets against two epoll servers — one with chunking disabled
+//      (monolithic frames), one with the default 256 KiB threshold. GATEs:
+//      the streamed client's peak decoder buffer stays under a quarter of
+//      the value size, it saw chunk frames, and re-sending the same value
+//      adds no physical bytes at the shard.
+//
+//   3. Cluster: a 512 KiB Put under library/ (replicated, so a two-phase
+//      commit to both shards) into a 2-shard ShardedStorageEngine over two
+//      in-process unix-socket servers with ForkBase backends, and a 512 KiB
+//      GetVersion back — the shape of a `cluster` commit and checkout.
+//      Printed in ms per op, not gated.
 //
 // Flags: --short (CI-sized iteration counts), --json <path> (write
 // BENCH_micro_transport.json for tools/bench_compare.py).
@@ -26,6 +32,7 @@
 #include "bench_util.h"
 #include "storage/forkbase_engine.h"
 #include "storage/remote_engine.h"
+#include "storage/server_cluster.h"
 #include "storage/socket_transport.h"
 #include "storage/transport.h"
 #include "storage/wire_codec.h"
@@ -42,13 +49,32 @@ double NowSeconds() {
 }
 
 /// Deterministic byte soup: varied enough that the content-defined chunker
-/// produces realistic cuts, cheap enough to generate at any size.
-std::string PatternedValue(size_t size) {
+/// produces realistic cuts, cheap enough to generate at any size. Each
+/// `seed` gives different bytes.
+std::string PatternedValue(size_t size, uint64_t seed = 0) {
   std::string value(size, '\0');
+  uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
   for (size_t i = 0; i < size; ++i) {
-    value[i] = static_cast<char>((i * 2654435761u) >> 13);
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    value[i] = seed == 0 ? static_cast<char>((i * 2654435761u) >> 13)
+                         : static_cast<char>(x);
   }
   return value;
+}
+
+/// Serves `engine` on `spec` until the returned server is shut down.
+std::unique_ptr<SocketTransportServer> ServeEngine(
+    const std::string& spec, StorageEngineService* service,
+    SocketTransportServer::Options options = {}) {
+  auto server = SocketTransportServer::Bind(spec, options);
+  bench::CheckOk(server.status(), ("Bind " + spec).c_str());
+  bench::CheckOk((*server)->Serve([service](std::string_view request) {
+    return service->Handle(request);
+  }),
+                 ("Serve " + spec).c_str());
+  return *std::move(server);
 }
 
 /// Times `iters` Gets of `key` (whose value is `size` bytes) and returns
@@ -152,12 +178,7 @@ int main(int argc, char** argv) {
     SocketTransportServer::Options server_options;
     server_options.chunk_threshold = lane.threshold;
     const std::string spec = "unix:" + dir + "/" + lane.name + ".sock";
-    auto server = SocketTransportServer::Bind(spec, server_options);
-    bench::CheckOk(server.status(), ("Bind " + spec).c_str());
-    bench::CheckOk((*server)->Serve([&service](std::string_view request) {
-      return service.Handle(request);
-    }),
-                   ("Serve " + spec).c_str());
+    auto server = ServeEngine(spec, &service, server_options);
 
     SocketTransport::Options client_options;
     client_options.chunk_threshold = lane.threshold;
@@ -195,26 +216,75 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "FAIL: streamed lane never saw a chunk frame\n");
         return 1;
       }
-      // GATE: re-sending the same bytes dedupes on the receiving shard.
-      bench::CheckOk(remote.Put("large-again", large).status(),
-                     "Put large-again");
-      const ChunkStoreStats chunk_stats = (*server)->wire_chunk_stats();
-      std::printf("  %-10s  server chunk cache: %llu dedup hits, %llu -> "
-                  "%llu bytes\n",
-                  "", static_cast<unsigned long long>(chunk_stats.dedup_hits),
-                  static_cast<unsigned long long>(chunk_stats.logical_bytes),
-                  static_cast<unsigned long long>(chunk_stats.physical_bytes));
-      reporter.Metric("streaming", "server_dedup_hits",
-                      static_cast<double>(chunk_stats.dedup_hits));
-      if (chunk_stats.dedup_hits == 0) {
+      // GATE: re-sending the same bytes adds nothing at the shard.
+      const uint64_t physical_before = service.engine()->stats().physical_bytes;
+      auto again = remote.Put("large-again", large);
+      bench::CheckOk(again.status(), "Put large-again");
+      const uint64_t physical_after = service.engine()->stats().physical_bytes;
+      std::printf("  %-10s  repeat put: %llu new bytes, shard physical %llu "
+                  "-> %llu bytes\n",
+                  "", static_cast<unsigned long long>(again->new_physical_bytes),
+                  static_cast<unsigned long long>(physical_before),
+                  static_cast<unsigned long long>(physical_after));
+      if (again->new_physical_bytes != 0 || physical_after != physical_before) {
         std::fprintf(stderr,
-                     "FAIL: repeated transfer produced no chunk dedup hits\n");
+                     "FAIL: re-sending the same value added bytes at the "
+                     "shard\n");
         return 1;
       }
     }
 
-    (*server)->Shutdown();
+    server->Shutdown();
     ::unlink((dir + "/" + lane.name + ".sock").c_str());
+  }
+
+  // ---- 3. replicated put + read through a 2-shard router ---------------
+  bench::Section("cluster: 512 KiB library put + read, 2 shards over sockets");
+  {
+    constexpr size_t kLibraryBytes = 512u << 10;
+    const long iters = args.short_mode ? 20 : 100;
+    std::vector<std::unique_ptr<StorageEngineService>> services;
+    std::vector<std::unique_ptr<SocketTransportServer>> servers;
+    std::vector<std::string> specs;
+    for (int s = 0; s < 2; ++s) {
+      specs.push_back("unix:" + dir + "/shard" + std::to_string(s) + ".sock");
+      services.push_back(std::make_unique<StorageEngineService>(
+          std::make_unique<ForkBaseEngine>()));
+      servers.push_back(ServeEngine(specs.back(), services.back().get()));
+    }
+    auto router = ConnectCluster(specs);
+    bench::CheckOk(router.status(), "ConnectCluster");
+    std::vector<std::string> values;
+    values.reserve(iters);
+    for (long i = 0; i < iters; ++i) {
+      values.push_back(PatternedValue(kLibraryBytes, 1000 + i));
+    }
+    std::vector<Hash256> ids;
+    ids.reserve(iters);
+    double start = NowSeconds();
+    for (long i = 0; i < iters; ++i) {
+      auto put = (*router)->Put("library/micro/lib", values[i]);
+      bench::CheckOk(put.status(), "router Put");
+      ids.push_back(put->id);
+    }
+    const double put_ms = (NowSeconds() - start) * 1e3 / iters;
+    start = NowSeconds();
+    for (long i = 0; i < iters; ++i) {
+      auto read = (*router)->GetVersion(ids[i]);
+      bench::CheckOk(read.status(), "router GetVersion");
+      if (*read != values[i]) {
+        std::fprintf(stderr, "FAIL: GetVersion returned other bytes\n");
+        return 1;
+      }
+    }
+    const double get_ms = (NowSeconds() - start) * 1e3 / iters;
+    std::printf("  put  %7.3f ms/op   get_version  %7.3f ms/op   (x%ld)\n",
+                put_ms, get_ms, iters);
+    router->reset();
+    for (size_t s = 0; s < servers.size(); ++s) {
+      servers[s]->Shutdown();
+      ::unlink(specs[s].substr(5).c_str());
+    }
   }
   ::rmdir(dir.c_str());
 

@@ -25,7 +25,9 @@ constexpr uint32_t kTagNumWorkers = 11;     // varint
 constexpr uint32_t kTagSeed = 12;           // varint
 constexpr uint32_t kTagSessionId = 13;      // bytes (session requests)
 
-// Response tags (per-message tag spaces, like the storage codec).
+// Response tags (per-message tag spaces, like the storage codec). No
+// message, request or response, may use tag 14: it is wire::kTagRecipe in
+// every message.
 constexpr uint32_t kTagRespSession = 1;     // submit: session id (bytes)
 constexpr uint32_t kTagRespCoalesced = 2;   // submit: joined a batch (varint)
 

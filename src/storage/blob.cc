@@ -39,6 +39,55 @@ BlobPlan PlanBlob(const Chunker& chunker, std::string_view data) {
   return plan;
 }
 
+StatusOr<BlobPlan> PlanFromRecipe(std::string_view index,
+                                  std::string_view data) {
+  if (index.size() % kIndexEntrySize != 0) {
+    return Status::InvalidArgument(
+        "recipe index of " + std::to_string(index.size()) +
+        " bytes is not a whole number of entries");
+  }
+  const size_t n = index.size() / kIndexEntrySize;
+  BlobPlan plan;
+  plan.pieces.reserve(n);
+  size_t offset = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t len = ReadU64(index.data() + i * kIndexEntrySize + 32);
+    if (len == 0 || len > kStoreChunkMaxBytes ||
+        (i + 1 < n && len < kStoreChunkMinBytes)) {
+      return Status::InvalidArgument("recipe piece " + std::to_string(i) +
+                                     " has an illegal length " +
+                                     std::to_string(len));
+    }
+    if (len > data.size() - offset) {
+      return Status::InvalidArgument("recipe pieces overrun the " +
+                                     std::to_string(data.size()) +
+                                     "-byte value");
+    }
+    plan.pieces.emplace_back(offset, static_cast<size_t>(len));
+    offset += len;
+  }
+  if (offset != data.size()) {
+    return Status::InvalidArgument(
+        "recipe pieces cover " + std::to_string(offset) + " of " +
+        std::to_string(data.size()) + " bytes");
+  }
+  plan.piece_hashes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto& [off, len] = plan.pieces[i];
+    const Hash256 h =
+        Chunk::ComputeHash(ChunkType::kData, data.substr(off, len));
+    if (std::memcmp(h.bytes.data(), index.data() + i * kIndexEntrySize, 32) !=
+        0) {
+      return Status::Corruption("recipe piece " + std::to_string(i) +
+                                " does not match its address");
+    }
+    plan.piece_hashes[i] = h;
+  }
+  plan.index.assign(index);
+  plan.index_hash = Chunk::ComputeHash(ChunkType::kIndex, plan.index);
+  return plan;
+}
+
 BlobWriteInfo CommitBlob(ChunkStore* store, const BlobPlan& plan,
                          std::string_view data) {
   BlobWriteInfo info;
@@ -96,10 +145,12 @@ Status ParseIndex(const Chunk& index_chunk,
 
 }  // namespace
 
-StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref) {
+StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref,
+                               std::string* index) {
   MLCASK_ASSIGN_OR_RETURN(const Chunk* index_chunk, store.Get(ref.root));
   std::vector<std::pair<Hash256, uint64_t>> entries;
   MLCASK_RETURN_IF_ERROR(ParseIndex(*index_chunk, &entries));
+  if (index != nullptr) *index = index_chunk->data();
   std::string out;
   out.reserve(ref.size);
   for (const auto& [hash, len] : entries) {

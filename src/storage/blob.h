@@ -45,6 +45,22 @@ struct BlobPlan {
 };
 BlobPlan PlanBlob(const Chunker& chunker, std::string_view data);
 
+/// A value's chunk recipe is its plan's `index`: the index chunk PlanBlob
+/// writes with StoreChunker(), one (address, length) entry per piece. A
+/// recipe that travels with its value lets the receiver store the value by
+/// address without cutting it again, and check each piece with one hash.
+///
+/// Rebuilds the plan of `data` from a received recipe, treating the recipe
+/// as outside input. Structure is checked before any byte is hashed: the
+/// index must be a whole number of 40-byte entries, every piece non-empty,
+/// at most kStoreChunkMaxBytes and (all but the last) at least
+/// kStoreChunkMinBytes, and the lengths must sum to data.size() — any
+/// failure is InvalidArgument. Then each piece is hashed once against its
+/// address; a mismatch is Corruption. An honest recipe yields exactly
+/// PlanBlob(StoreChunker(), data).
+StatusOr<BlobPlan> PlanFromRecipe(std::string_view index,
+                                  std::string_view data);
+
 /// The insertion half: stores the planned chunks and index. The caller must
 /// hold whatever lock guards `store`. `data` must be the same bytes the
 /// plan was computed from.
@@ -60,8 +76,10 @@ BlobWriteInfo WriteBlob(ChunkStore* store, const Chunker& chunker,
                         std::string_view data);
 
 /// Reassembles a blob. Returns Corruption if the index is malformed and
-/// NotFound if any chunk is missing.
-StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref);
+/// NotFound if any chunk is missing. A non-null `index` receives the bytes
+/// of the blob's index chunk.
+StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref,
+                               std::string* index = nullptr);
 
 /// Lists the data-chunk addresses of a blob in order.
 StatusOr<std::vector<Hash256>> ListBlobChunks(const ChunkStore& store,

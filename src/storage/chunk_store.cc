@@ -84,12 +84,11 @@ void ChunkStore::ForEachChunk(
   }
 }
 
-Status ChunkStore::RestoreChunk(ChunkType type, std::string_view data,
-                                uint64_t refs) {
+Status ChunkStore::RestoreChunk(const Hash256& hash, ChunkType type,
+                                std::string_view data, uint64_t refs) {
   if (refs == 0) {
     return Status::InvalidArgument("restored chunk needs refs > 0");
   }
-  Hash256 hash = Chunk::ComputeHash(type, data);
   if (chunks_.count(hash) != 0) {
     return Status::AlreadyExists("chunk " + hash.ShortHex() +
                                  " already present");

@@ -83,8 +83,11 @@ class ChunkStore {
       const std::function<void(const Chunk&, uint64_t refs)>& fn) const;
 
   /// Restores a chunk with an explicit reference count; used when loading a
-  /// persisted store. Fails if the chunk already exists.
-  Status RestoreChunk(ChunkType type, std::string_view data, uint64_t refs);
+  /// persisted store, which has already checked `hash` against the bytes
+  /// (`hash` MUST be Chunk::ComputeHash(type, data), as for PutPrehashed).
+  /// Fails if the chunk already exists.
+  Status RestoreChunk(const Hash256& hash, ChunkType type,
+                      std::string_view data, uint64_t refs);
 
   ChunkStoreStats stats() const {
     std::lock_guard<std::mutex> lock(stats_mu_);

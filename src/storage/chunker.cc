@@ -89,4 +89,17 @@ std::vector<std::pair<size_t, size_t>> GearChunker::Split(
   return out;
 }
 
+const GearChunker& StoreChunker() {
+  static const GearChunker chunker;
+  return chunker;
+}
+
+bool CutsLikeStoreChunker(const Chunker& chunker) {
+  // The gear table is fixed, so equal bounds mean equal cuts.
+  const auto* gear = dynamic_cast<const GearChunker*>(&chunker);
+  return gear != nullptr && gear->min_size() == kStoreChunkMinBytes &&
+         gear->avg_size() == kStoreChunkAvgBytes &&
+         gear->max_size() == kStoreChunkMaxBytes;
+}
+
 }  // namespace mlcask::storage

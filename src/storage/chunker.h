@@ -39,6 +39,13 @@ class FixedChunker : public Chunker {
   size_t chunk_size_;
 };
 
+/// The store chunker's bounds in bytes: every ForkBaseEngine built without
+/// an explicit chunker cuts with them, and a value's chunk recipe
+/// (storage/blob.h, PlanFromRecipe) is planned and checked against them.
+inline constexpr size_t kStoreChunkMinBytes = 1024;
+inline constexpr size_t kStoreChunkAvgBytes = 4096;
+inline constexpr size_t kStoreChunkMaxBytes = 16384;
+
 /// Content-defined chunking with a Gear rolling hash (the scheme used by
 /// FastCDC-family systems and, in spirit, ForkBase's POS-tree boundary
 /// detection). Boundaries depend only on local content, so an edit in one
@@ -49,8 +56,9 @@ class GearChunker : public Chunker {
   /// `avg_size` must be a power of two; boundaries are declared when the
   /// rolling hash has log2(avg_size) leading zero bits, subject to
   /// [min_size, max_size] clamping.
-  GearChunker(size_t min_size = 1024, size_t avg_size = 4096,
-              size_t max_size = 16384);
+  GearChunker(size_t min_size = kStoreChunkMinBytes,
+              size_t avg_size = kStoreChunkAvgBytes,
+              size_t max_size = kStoreChunkMaxBytes);
 
   std::vector<std::pair<size_t, size_t>> Split(
       std::string_view data) const override;
@@ -67,6 +75,14 @@ class GearChunker : public Chunker {
   uint64_t mask_;
   std::vector<uint64_t> gear_table_;
 };
+
+/// The store chunker: a GearChunker with the kStoreChunk* bounds. Its cuts
+/// are a pure function of the bytes, so a sender that plans a value with it
+/// and a shard that stores the value with it agree chunk for chunk.
+const GearChunker& StoreChunker();
+
+/// True when `chunker` cuts every input exactly as StoreChunker() does.
+bool CutsLikeStoreChunker(const Chunker& chunker);
 
 }  // namespace mlcask::storage
 

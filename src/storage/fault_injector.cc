@@ -178,6 +178,19 @@ StatusOr<std::vector<PutResult>> FaultyEngine::PutMany(
   return inner_->PutMany(batch);
 }
 
+StatusOr<PutResult> FaultyEngine::PutWithRecipe(const std::string& key,
+                                                std::string_view data,
+                                                std::string_view index) {
+  MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/true));
+  return inner_->PutWithRecipe(key, data, index);
+}
+
+StatusOr<std::vector<PutResult>> FaultyEngine::PutManyWithRecipes(
+    const std::vector<RecipePut>& batch) {
+  MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/true));
+  return inner_->PutManyWithRecipes(batch);
+}
+
 StatusOr<PutResult> FaultyEngine::CopyVersion(const std::string& key,
                                               const Hash256& source) {
   MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/true));
@@ -192,6 +205,18 @@ StatusOr<std::string> FaultyEngine::Get(const std::string& key) {
 StatusOr<std::string> FaultyEngine::GetVersion(const Hash256& id) {
   MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/false));
   return inner_->GetVersion(id);
+}
+
+StatusOr<std::string> FaultyEngine::GetWithRecipe(const std::string& key,
+                                                  std::string* index) {
+  MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/false));
+  return inner_->GetWithRecipe(key, index);
+}
+
+StatusOr<std::string> FaultyEngine::GetVersionWithRecipe(const Hash256& id,
+                                                         std::string* index) {
+  MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/false));
+  return inner_->GetVersionWithRecipe(id, index);
 }
 
 // HasVersion/Versions/ListAllVersions have no error channel; a down shard
@@ -240,6 +265,16 @@ Deferred<std::vector<PutResult>> FaultyEngine::AsyncPutMany(
         StatusOr<std::vector<PutResult>>(gate));
   }
   return inner_->AsyncPutMany(batch);
+}
+
+Deferred<std::vector<PutResult>> FaultyEngine::AsyncPutManyWithRecipes(
+    const std::vector<RecipePut>& batch) {
+  Status gate = Gate(/*mutation=*/true);
+  if (!gate.ok()) {
+    return Deferred<std::vector<PutResult>>(
+        StatusOr<std::vector<PutResult>>(gate));
+  }
+  return inner_->AsyncPutManyWithRecipes(batch);
 }
 
 Deferred<PutResult> FaultyEngine::AsyncCopyVersion(const std::string& key,

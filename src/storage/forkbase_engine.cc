@@ -13,7 +13,7 @@ namespace {
 /// holding identical bytes still have distinct version ids (their chunks
 /// are shared regardless); the ordinal distinguishes repeated identical
 /// writes to the same key.
-Hash256 VersionId(const std::string& key, const Hash256& root,
+Hash256 VersionId(std::string_view key, const Hash256& root,
                   uint64_t ordinal) {
   Sha256 h;
   h.Update(key);
@@ -30,6 +30,7 @@ ForkBaseEngine::ForkBaseEngine(StorageTimeModel time_model,
   if (chunker_ == nullptr) {
     chunker_ = std::make_unique<GearChunker>();
   }
+  store_cuts_ = CutsLikeStoreChunker(*chunker_);
 }
 
 StatusOr<PutResult> ForkBaseEngine::Put(const std::string& key,
@@ -37,14 +38,42 @@ StatusOr<PutResult> ForkBaseEngine::Put(const std::string& key,
   // Content-defined chunking and per-chunk hashing are pure functions of
   // the data — do the CPU-heavy work before taking the writer lock so
   // parallel workers only serialize on the map insertions.
-  BlobPlan plan = PlanBlob(*chunker_, data);
+  return Commit(key, PlanBlob(*chunker_, data), data);
+}
 
+StatusOr<PutResult> ForkBaseEngine::PutWithRecipe(const std::string& key,
+                                                  std::string_view data,
+                                                  std::string_view index) {
+  if (!store_cuts_) return StorageEngine::PutWithRecipe(key, data, index);
+  MLCASK_ASSIGN_OR_RETURN(BlobPlan plan, PlanFromRecipe(index, data));
+  return Commit(key, plan, data);
+}
+
+StatusOr<std::vector<PutResult>> ForkBaseEngine::PutManyWithRecipes(
+    const std::vector<RecipePut>& batch) {
+  if (!store_cuts_) return StorageEngine::PutManyWithRecipes(batch);
+  std::vector<BlobPlan> plans;
+  plans.reserve(batch.size());
+  for (const RecipePut& put : batch) {
+    MLCASK_ASSIGN_OR_RETURN(BlobPlan plan, PlanFromRecipe(put.index, put.data));
+    plans.push_back(std::move(plan));
+  }
+  std::vector<PutResult> results;
+  results.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    results.push_back(Commit(batch[i].key, plans[i], batch[i].data));
+  }
+  return results;
+}
+
+PutResult ForkBaseEngine::Commit(std::string_view key, const BlobPlan& plan,
+                                 std::string_view data) {
   PutResult result;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     BlobWriteInfo info = CommitBlob(&chunks_, plan, data);
 
-    std::vector<Hash256>& versions = keys_[key];
+    std::vector<Hash256>& versions = keys_[std::string(key)];
     const Hash256 version_id = VersionId(key, info.ref.root, versions.size());
     blobs_[version_id] = info.ref;
     versions.push_back(version_id);
@@ -99,6 +128,11 @@ StatusOr<PutResult> ForkBaseEngine::CopyVersion(const std::string& key,
 }
 
 StatusOr<std::string> ForkBaseEngine::Get(const std::string& key) {
+  return GetWithRecipe(key, nullptr);
+}
+
+StatusOr<std::string> ForkBaseEngine::GetWithRecipe(const std::string& key,
+                                                    std::string* index) {
   Hash256 latest;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -108,10 +142,15 @@ StatusOr<std::string> ForkBaseEngine::Get(const std::string& key) {
     }
     latest = it->second.back();
   }
-  return GetVersion(latest);
+  return GetVersionWithRecipe(latest, index);
 }
 
 StatusOr<std::string> ForkBaseEngine::GetVersion(const Hash256& id) {
+  return GetVersionWithRecipe(id, nullptr);
+}
+
+StatusOr<std::string> ForkBaseEngine::GetVersionWithRecipe(
+    const Hash256& id, std::string* index) {
   std::string data;
   {
     // Shared is enough: chunk-map mutations happen only under the writer
@@ -121,7 +160,8 @@ StatusOr<std::string> ForkBaseEngine::GetVersion(const Hash256& id) {
     if (it == blobs_.end()) {
       return Status::NotFound("no object version " + id.ShortHex());
     }
-    MLCASK_ASSIGN_OR_RETURN(data, ReadBlob(chunks_, it->second));
+    MLCASK_ASSIGN_OR_RETURN(
+        data, ReadBlob(chunks_, it->second, store_cuts_ ? index : nullptr));
   }
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
   stats_.gets += 1;

@@ -35,12 +35,25 @@ class ForkBaseEngine : public StorageEngine {
 
   StatusOr<PutResult> Put(const std::string& key,
                           std::string_view data) override;
+  /// Checks the recipe (one hash per chunk) and commits its plan by address,
+  /// without cutting the value again. An engine built with another chunker
+  /// takes the default check-then-Put path.
+  StatusOr<PutResult> PutWithRecipe(const std::string& key,
+                                    std::string_view data,
+                                    std::string_view index) override;
+  StatusOr<std::vector<PutResult>> PutManyWithRecipes(
+      const std::vector<RecipePut>& batch) override;
   /// Shares `source`'s chunks (one more reference each) instead of writing
   /// its bytes again; the id is the one a Put of those bytes would get.
   StatusOr<PutResult> CopyVersion(const std::string& key,
                                   const Hash256& source) override;
   StatusOr<std::string> Get(const std::string& key) override;
   StatusOr<std::string> GetVersion(const Hash256& id) override;
+  /// The stored index chunk is the recipe (when cut by StoreChunker()).
+  StatusOr<std::string> GetWithRecipe(const std::string& key,
+                                      std::string* index) override;
+  StatusOr<std::string> GetVersionWithRecipe(const Hash256& id,
+                                             std::string* index) override;
   bool HasVersion(const Hash256& id) const override;
   std::vector<Hash256> Versions(const std::string& key) const override;
   std::vector<std::pair<std::string, Hash256>> ListAllVersions() const override;
@@ -88,8 +101,16 @@ class ForkBaseEngine : public StorageEngine {
   ChunkStore* mutable_chunk_store() { return &chunks_; }
 
  private:
+  /// The insertion half of Put: commits a planned value under the writer
+  /// lock and accounts it.
+  PutResult Commit(std::string_view key, const BlobPlan& plan,
+                   std::string_view data);
+
   StorageTimeModel time_model_;
   std::unique_ptr<Chunker> chunker_;
+  /// True when chunker_ cuts like StoreChunker(), so a received recipe is
+  /// exactly the plan Put would compute.
+  bool store_cuts_ = false;
   // `mu_` guards the version maps and chunk store (shared for readers,
   // exclusive for writers); `stats_mu_` separately guards the cumulative
   // counters so hot read paths do not serialize on the map lock to account

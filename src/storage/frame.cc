@@ -101,7 +101,17 @@ void FrameDecoder::Compact() {
 }
 
 StatusOr<bool> FrameDecoder::Next(Frame* out) {
+  FrameView view;
+  auto next = Next(&view);
+  out->type = view.type;
+  out->id = view.id;
+  out->payload.assign(view.payload);
+  return next;
+}
+
+StatusOr<bool> FrameDecoder::Next(FrameView* out) {
   if (!fatal_.ok()) return fatal_;
+  Compact();
   if (buffer_.size() - pos_ < kHeaderSize) return false;
   const char* h = buffer_.data() + pos_;
   const uint8_t version = static_cast<uint8_t>(h[0]);
@@ -121,9 +131,8 @@ StatusOr<bool> FrameDecoder::Next(Frame* out) {
     if (buffer_.size() - pos_ < kHeaderSize + length) return false;
     out->type = FrameType::kError;
     out->id = id;
-    out->payload.clear();
+    out->payload = {};
     pos_ += kHeaderSize + length;
-    Compact();
     return Status::Unimplemented(
         "peer speaks wire-format version " + std::to_string(version) +
         ", this build speaks " + std::to_string(kWireVersion));
@@ -135,9 +144,8 @@ StatusOr<bool> FrameDecoder::Next(Frame* out) {
   if (buffer_.size() - pos_ < kHeaderSize + length) return false;
   out->type = static_cast<FrameType>(type);
   out->id = id;
-  out->payload.assign(buffer_, pos_ + kHeaderSize, length);
+  out->payload = std::string_view(buffer_.data() + pos_ + kHeaderSize, length);
   pos_ += kHeaderSize + length;
-  Compact();
   return true;
 }
 

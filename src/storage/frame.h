@@ -44,12 +44,12 @@ enum class FrameType : uint8_t {
   /// Payload is "<code>:<message>" describing a transport-level Status the
   /// peer could not express as an application response (e.g. version skew).
   kError = 1,
-  /// One content-defined slice of a large message, sharing the correlation
-  /// id with its siblings.
+  /// One fixed-size slice of a large message, sharing the correlation id
+  /// with its siblings; the first also declares the message's size.
   kChunk = 2,
-  /// Terminates a chunk stream: payload is EncodeChunkEnd() — total size,
-  /// chunk count, and the manifest hash over the chunk addresses, so a
-  /// reassembled value is integrity-checked end to end.
+  /// Terminates a chunk stream: payload is wire::EncodeChunkEnd() — the
+  /// SHA-256 of the message, or of the head of a message whose body its
+  /// chunk recipe checks, so every byte is integrity-checked end to end.
   kChunkEnd = 3,
 };
 
@@ -57,6 +57,14 @@ struct Frame {
   FrameType type = FrameType::kData;
   uint64_t id = 0;
   std::string payload;
+};
+
+/// A frame whose payload is a view into the decoder's buffer, valid until
+/// the decoder's next Feed() or Next().
+struct FrameView {
+  FrameType type = FrameType::kData;
+  uint64_t id = 0;
+  std::string_view payload;
 };
 
 /// Appends one 14-byte frame header (no payload) to `out` — the scatter-
@@ -107,13 +115,16 @@ class FrameDecoder {
       : max_payload_(max_payload) {}
 
   void Feed(std::string_view bytes) {
+    Compact();
     buffer_.append(bytes);
     const uint64_t live = buffer_.size() - pos_;
     if (live > peak_buffer_bytes_) peak_buffer_bytes_ = live;
   }
 
   /// True: one frame extracted into *out. False: need more bytes.
-  /// Error: stream corrupt/unsupported (see above).
+  /// Error: stream corrupt/unsupported (see above). The view form copies
+  /// nothing: a receiver moves each payload byte once, where it belongs.
+  StatusOr<bool> Next(FrameView* out);
   StatusOr<bool> Next(Frame* out);
 
   /// Call at orderly stream end: Ok if no partial frame was buffered.
@@ -124,7 +135,8 @@ class FrameDecoder {
 
  private:
   /// Drops the consumed prefix once it outweighs the live remainder, so the
-  /// buffer never holds more than ~2x the live bytes.
+  /// buffer never holds more than ~2x the live bytes. Runs before a Feed or
+  /// Next, never after one, so the last view handed out stays valid.
   void Compact();
 
   uint32_t max_payload_;

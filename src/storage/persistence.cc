@@ -159,7 +159,7 @@ StatusOr<std::unique_ptr<ForkBaseEngine>> LoadEngine(
       return Status::Corruption("chunk content does not match address " + hex);
     }
     MLCASK_RETURN_IF_ERROR(engine->mutable_chunk_store()->RestoreChunk(
-        type, data, static_cast<uint64_t>(refs.AsInt())));
+        hash, type, data, static_cast<uint64_t>(refs.AsInt())));
   }
 
   const Json* blobs = manifest.Get("blobs");
@@ -240,6 +240,22 @@ StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutMany(
   return results;
 }
 
+StatusOr<PutResult> DurableForkBaseEngine::PutWithRecipe(
+    const std::string& key, std::string_view data, std::string_view index) {
+  MLCASK_ASSIGN_OR_RETURN(PutResult result,
+                          inner_->PutWithRecipe(key, data, index));
+  MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
+  return result;
+}
+
+StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutManyWithRecipes(
+    const std::vector<RecipePut>& batch) {
+  MLCASK_ASSIGN_OR_RETURN(std::vector<PutResult> results,
+                          inner_->PutManyWithRecipes(batch));
+  MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
+  return results;
+}
+
 StatusOr<PutResult> DurableForkBaseEngine::CopyVersion(
     const std::string& key, const Hash256& source) {
   MLCASK_ASSIGN_OR_RETURN(PutResult result, inner_->CopyVersion(key, source));
@@ -253,6 +269,16 @@ StatusOr<std::string> DurableForkBaseEngine::Get(const std::string& key) {
 
 StatusOr<std::string> DurableForkBaseEngine::GetVersion(const Hash256& id) {
   return inner_->GetVersion(id);
+}
+
+StatusOr<std::string> DurableForkBaseEngine::GetWithRecipe(
+    const std::string& key, std::string* index) {
+  return inner_->GetWithRecipe(key, index);
+}
+
+StatusOr<std::string> DurableForkBaseEngine::GetVersionWithRecipe(
+    const Hash256& id, std::string* index) {
+  return inner_->GetVersionWithRecipe(id, index);
 }
 
 bool DurableForkBaseEngine::HasVersion(const Hash256& id) const {

@@ -62,11 +62,21 @@ class DurableForkBaseEngine : public StorageEngine {
                           std::string_view data) override;
   StatusOr<std::vector<PutResult>> PutMany(
       const std::vector<PutRequest>& batch) override;
+  /// The inner engine's recipe commits, then a checkpoint (as Put).
+  StatusOr<PutResult> PutWithRecipe(const std::string& key,
+                                    std::string_view data,
+                                    std::string_view index) override;
+  StatusOr<std::vector<PutResult>> PutManyWithRecipes(
+      const std::vector<RecipePut>& batch) override;
   /// The inner engine's chunk-sharing copy, then a checkpoint (as Put).
   StatusOr<PutResult> CopyVersion(const std::string& key,
                                   const Hash256& source) override;
   StatusOr<std::string> Get(const std::string& key) override;
   StatusOr<std::string> GetVersion(const Hash256& id) override;
+  StatusOr<std::string> GetWithRecipe(const std::string& key,
+                                      std::string* index) override;
+  StatusOr<std::string> GetVersionWithRecipe(const Hash256& id,
+                                             std::string* index) override;
   bool HasVersion(const Hash256& id) const override;
   std::vector<Hash256> Versions(const std::string& key) const override;
   std::vector<std::pair<std::string, Hash256>> ListAllVersions()

@@ -170,40 +170,87 @@ std::string RemoteStorageEngine::NextReplayToken() {
          std::to_string(replay_seq_.fetch_add(1, std::memory_order_relaxed));
 }
 
-StatusOr<PutResult> RemoteStorageEngine::Put(const std::string& key,
-                                             std::string_view data) {
-  return DecodePut(transport_->Call(
-      wire::EncodePutRequest(key, data, NextReplayToken())));
+std::string RemoteStorageEngine::EncodePut(std::string_view key,
+                                           std::string_view data) {
+  if (data.size() < wire::kDefaultChunkThreshold) {
+    return wire::EncodePutRequest(key, data, NextReplayToken());
+  }
+  return wire::EncodeRecipePutRequest(
+      key, data, PlanBlob(StoreChunker(), data).index, NextReplayToken());
 }
 
-Deferred<PutResult> RemoteStorageEngine::AsyncPut(const std::string& key,
-                                                  std::string_view data) {
-  return Deferred<PutResult>(
-      transport_->AsyncCall(
-          wire::EncodePutRequest(key, data, NextReplayToken())),
-      DecodePut, transport_->call_timeout_ms());
-}
-
-StatusOr<std::vector<PutResult>> RemoteStorageEngine::PutMany(
+std::string RemoteStorageEngine::EncodePutMany(
     const std::vector<PutRequest>& batch) {
-  auto raw =
-      transport_->Call(wire::EncodePutManyRequest(batch, NextReplayToken()));
-  if (!raw.ok()) return raw.status();
-  return wire::DecodePutManyResponse(*raw, batch.size());
+  size_t total = 0;
+  for (const PutRequest& put : batch) total += put.data.size();
+  if (total < wire::kDefaultChunkThreshold) {
+    return wire::EncodePutManyRequest(batch, NextReplayToken());
+  }
+  std::vector<std::string> indexes;
+  std::vector<RecipePut> planned;
+  indexes.reserve(batch.size());
+  planned.reserve(batch.size());
+  for (const PutRequest& put : batch) {
+    indexes.push_back(PlanBlob(StoreChunker(), put.data).index);
+    planned.push_back({put.key, put.data, indexes.back()});
+  }
+  return wire::EncodeRecipePutManyRequest(planned, NextReplayToken());
 }
 
-Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutMany(
-    const std::vector<PutRequest>& batch) {
-  const size_t expected = batch.size();
+Deferred<std::vector<PutResult>> RemoteStorageEngine::SendPutMany(
+    const std::string& request, size_t expected) {
   return Deferred<std::vector<PutResult>>(
-      transport_->AsyncCall(
-          wire::EncodePutManyRequest(batch, NextReplayToken())),
+      transport_->AsyncCall(request),
       [expected](StatusOr<std::string> raw)
           -> StatusOr<std::vector<PutResult>> {
         if (!raw.ok()) return raw.status();
         return wire::DecodePutManyResponse(*raw, expected);
       },
       transport_->call_timeout_ms());
+}
+
+StatusOr<PutResult> RemoteStorageEngine::Put(const std::string& key,
+                                             std::string_view data) {
+  return DecodePut(transport_->Call(EncodePut(key, data)));
+}
+
+StatusOr<PutResult> RemoteStorageEngine::PutWithRecipe(
+    const std::string& key, std::string_view data, std::string_view index) {
+  return DecodePut(transport_->Call(
+      wire::EncodeRecipePutRequest(key, data, index, NextReplayToken())));
+}
+
+Deferred<PutResult> RemoteStorageEngine::AsyncPut(const std::string& key,
+                                                  std::string_view data) {
+  return Deferred<PutResult>(transport_->AsyncCall(EncodePut(key, data)),
+                             DecodePut, transport_->call_timeout_ms());
+}
+
+StatusOr<std::vector<PutResult>> RemoteStorageEngine::PutMany(
+    const std::vector<PutRequest>& batch) {
+  auto raw = transport_->Call(EncodePutMany(batch));
+  if (!raw.ok()) return raw.status();
+  return wire::DecodePutManyResponse(*raw, batch.size());
+}
+
+Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutMany(
+    const std::vector<PutRequest>& batch) {
+  return SendPutMany(EncodePutMany(batch), batch.size());
+}
+
+StatusOr<std::vector<PutResult>> RemoteStorageEngine::PutManyWithRecipes(
+    const std::vector<RecipePut>& batch) {
+  auto raw = transport_->Call(
+      wire::EncodeRecipePutManyRequest(batch, NextReplayToken()));
+  if (!raw.ok()) return raw.status();
+  return wire::DecodePutManyResponse(*raw, batch.size());
+}
+
+Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutManyWithRecipes(
+    const std::vector<RecipePut>& batch) {
+  return SendPutMany(
+      wire::EncodeRecipePutManyRequest(batch, NextReplayToken()),
+      batch.size());
 }
 
 StatusOr<PutResult> RemoteStorageEngine::CopyVersion(const std::string& key,

@@ -109,8 +109,15 @@ class RemoteStorageEngine : public StorageEngine {
   /// generic name "remote".
   explicit RemoteStorageEngine(std::unique_ptr<Transport> transport);
 
+  /// A value of wire::kDefaultChunkThreshold or more is planned here with
+  /// the store chunker and sent with its recipe, so the shard checks each
+  /// chunk with one hash and stores it without cutting the value again.
   StatusOr<PutResult> Put(const std::string& key,
                           std::string_view data) override;
+  /// Sends the caller's recipe with the value, whatever its size.
+  StatusOr<PutResult> PutWithRecipe(const std::string& key,
+                                    std::string_view data,
+                                    std::string_view index) override;
   /// Ships the whole batch in ONE round trip. Used directly by
   /// single-engine deployments, and by the sharded router's phase-1
   /// staging, which sends each shard its staged values as one message
@@ -118,6 +125,10 @@ class RemoteStorageEngine : public StorageEngine {
   /// exactly which version ids to roll back).
   StatusOr<std::vector<PutResult>> PutMany(
       const std::vector<PutRequest>& batch) override;
+  /// As PutMany, carrying the caller's recipes; the router plans a
+  /// replicated value once and sends the same recipe to every replica.
+  StatusOr<std::vector<PutResult>> PutManyWithRecipes(
+      const std::vector<RecipePut>& batch) override;
   /// Opcode 13: only the key and the source id cross the wire; the peer
   /// engine makes the copy. Replay-tokened like Put (a mutation).
   StatusOr<PutResult> CopyVersion(const std::string& key,
@@ -152,6 +163,8 @@ class RemoteStorageEngine : public StorageEngine {
                                std::string_view data) override;
   Deferred<std::vector<PutResult>> AsyncPutMany(
       const std::vector<PutRequest>& batch) override;
+  Deferred<std::vector<PutResult>> AsyncPutManyWithRecipes(
+      const std::vector<RecipePut>& batch) override;
   Deferred<PutResult> AsyncCopyVersion(const std::string& key,
                                        const Hash256& source) override;
   Deferred<std::string> AsyncGetVersion(const Hash256& id) override;
@@ -168,6 +181,14 @@ class RemoteStorageEngine : public StorageEngine {
   /// session) and within one (sequence), so the server ledger never
   /// confuses two distinct mutations.
   std::string NextReplayToken();
+
+  /// The put / put-many request for a value or batch: with recipes planned
+  /// here from wire::kDefaultChunkThreshold up, plain below it.
+  std::string EncodePut(std::string_view key, std::string_view data);
+  std::string EncodePutMany(const std::vector<PutRequest>& batch);
+  /// Sends a put-many and decodes its `expected` results when collected.
+  Deferred<std::vector<PutResult>> SendPutMany(const std::string& request,
+                                               size_t expected);
 
   std::unique_ptr<Transport> transport_;
   std::string name_;

@@ -12,6 +12,7 @@
 #include "storage/deadline.h"
 #include "storage/remote_engine.h"
 #include "storage/transport.h"
+#include "storage/wire_codec.h"
 
 namespace mlcask::storage {
 
@@ -604,16 +605,42 @@ Status ShardedStorageEngine::RunTransactionLocked(
   // prepare round trips overlap instead of serializing over the wire. The
   // staging key names the target key, so a recovering router can replay
   // the write; the staged version ids are what phase 2 applies by
-  // reference and what a committed transaction deletes.
+  // reference and what a committed transaction deletes. A batch of
+  // wire::kDefaultChunkThreshold or more carries its values' recipes,
+  // each value planned once however many replicas it goes to.
+  std::map<size_t, std::string> recipes;  // batch index -> index chunk
   std::vector<std::pair<size_t, Deferred<std::vector<PutResult>>>> prepares;
   prepares.reserve(by_shard.size());
   for (const auto& [shard, indices] : by_shard) {
-    std::vector<PutRequest> staging;
-    staging.reserve(indices.size());
+    std::vector<std::string> keys;
+    keys.reserve(indices.size());
+    size_t bytes = 0;
     for (size_t i : indices) {
-      staging.push_back({staging_key_for(i), writes[i].request->data});
+      keys.push_back(staging_key_for(i));
+      bytes += writes[i].request->data.size();
     }
-    prepares.emplace_back(shard, shards_[shard]->AsyncPutMany(staging));
+    if (bytes >= wire::kDefaultChunkThreshold) {
+      std::vector<RecipePut> staging;
+      staging.reserve(indices.size());
+      for (size_t k = 0; k < indices.size(); ++k) {
+        const ShardWrite& w = writes[indices[k]];
+        auto [recipe, fresh] = recipes.try_emplace(w.batch_index);
+        if (fresh) {
+          recipe->second = PlanBlob(StoreChunker(), w.request->data).index;
+        }
+        staging.push_back({keys[k], w.request->data, recipe->second});
+      }
+      prepares.emplace_back(shard,
+                            shards_[shard]->AsyncPutManyWithRecipes(staging));
+    } else {
+      std::vector<PutRequest> staging;
+      staging.reserve(indices.size());
+      for (size_t k = 0; k < indices.size(); ++k) {
+        staging.push_back(
+            {std::move(keys[k]), writes[indices[k]].request->data});
+      }
+      prepares.emplace_back(shard, shards_[shard]->AsyncPutMany(staging));
+    }
     ledger.Issue(shard);
     ledger.prepare_round_trips += 1;
   }

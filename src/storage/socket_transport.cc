@@ -278,65 +278,51 @@ Status SocketTransport::SendRequest(uint64_t id, std::string_view request,
   iov.push_back(MakeIov(header.data(), header.size()));
   if (!request.empty()) iov.push_back(MakeIov(request.data(), request.size()));
   std::lock_guard<std::mutex> lock(write_mu_);
+  return SendLocked(&iov, fault);
+}
+
+Status SocketTransport::SendLocked(std::vector<iovec>* iov,
+                                   const SendFault& fault) {
   if (!connected_) return Status::Ok();  // queued; replay will deliver it
-  Status sent = SendParts(fd_, &iov);
-  if (sent.ok() && fault.drop_after && fd_ >= 0) {
-    // Request delivered, response lost: the replay-ledger scenario.
+  if (fault.drop_after && fd_ >= 0) {
+    // Request delivered, response lost: the replay-ledger scenario. The
+    // read side is shut BEFORE the send, so no response can beat the drop:
+    // the peer's answer has nowhere to land, and the reader's redial (which
+    // waits for this lock) replays the call on a fresh connection.
+    ::shutdown(fd_, SHUT_RD);
+    Status sent = SendParts(fd_, iov);
     ::shutdown(fd_, SHUT_RDWR);
+    return sent;
   }
-  return sent;
+  return SendParts(fd_, iov);
 }
 
 Status SocketTransport::SendChunked(uint64_t id, std::string_view payload,
                                     const SendFault& fault) {
-  const auto cuts = wire::WireChunker().Split(payload);
-  // Hash the chunk addresses for the manifest BEFORE taking the write lock:
+  // Lay out the frames and hash the digest BEFORE taking the write lock:
   // SHA-256 over megabytes must not serialize other callers' sends.
-  Sha256 manifest;
-  std::vector<std::string> headers;
-  headers.reserve(cuts.size() + 1);
-  for (const auto& [offset, length] : cuts) {
-    const Hash256 address =
-        wire::WireChunkAddress(payload.substr(offset, length));
-    manifest.Update(address.bytes.data(), address.bytes.size());
-    std::string header;
-    AppendFrameHeader(&header, FrameType::kChunk, id,
-                      static_cast<uint32_t>(length));
-    headers.push_back(std::move(header));
-  }
-  const std::string end_payload =
-      wire::EncodeChunkEnd(payload.size(), cuts.size(), manifest.Finish());
-  std::string end_header;
-  AppendFrameHeader(&end_header, FrameType::kChunkEnd, id,
-                    static_cast<uint32_t>(end_payload.size()));
-
-  std::vector<iovec> iov;
-  iov.reserve(cuts.size() * 2 + 2);
-  for (size_t i = 0; i < cuts.size(); ++i) {
-    iov.push_back(MakeIov(headers[i].data(), headers[i].size()));
-    iov.push_back(
-        MakeIov(payload.data() + cuts[i].first, cuts[i].second));
-  }
-  iov.push_back(MakeIov(end_header.data(), end_header.size()));
-  iov.push_back(MakeIov(end_payload.data(), end_payload.size()));
-
-  if (fault.garble && !headers.empty()) {
+  std::vector<wire::StreamFrame> frames = wire::StreamFrames(id, payload);
+  if (fault.garble) {
     // Same guaranteed-detectable corruption as the monolithic path.
-    headers[0][10] = headers[0][11] = headers[0][12] = headers[0][13] = '\xff';
+    std::string& header = frames.front().header;
+    header[10] = header[11] = header[12] = header[13] = '\xff';
   }
-
+  std::vector<iovec> iov;
+  iov.reserve(frames.size() * 2);
+  for (const wire::StreamFrame& frame : frames) {
+    iov.push_back(MakeIov(frame.header.data(), frame.header.size()));
+    if (frame.length > 0) {
+      iov.push_back(MakeIov(payload.data() + frame.offset, frame.length));
+    }
+  }
   Status sent;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
-    if (!connected_) return Status::Ok();  // replay will deliver it
-    sent = SendParts(fd_, &iov);
-    if (sent.ok() && fault.drop_after && fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);
-    }
+    sent = SendLocked(&iov, fault);
   }
   if (sent.ok()) {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.chunk_frames_sent += cuts.size() + 1;
+    stats_.chunk_frames_sent += frames.size();
   }
   return sent;
 }
@@ -439,6 +425,7 @@ Status SocketTransport::PumpSession(bool* delivered) {
   FrameDecoder decoder(options_.max_frame_payload);
   // Reassembles incoming chunk-streamed responses; reader-thread-only.
   wire::StreamAssembler assembler(options_.max_frame_payload);
+  std::string streamed;  // a completed stream's message
   int fd = -1;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
@@ -462,7 +449,7 @@ Status SocketTransport::PumpSession(bool* delivered) {
                    decoder.peak_buffer_bytes());
     }
     for (;;) {
-      Frame frame;
+      FrameView frame;
       auto next = decoder.Next(&frame);
       if (!next.ok()) {
         // Version skew on a response is still correlated (frozen header):
@@ -504,18 +491,17 @@ Status SocketTransport::PumpSession(bool* delivered) {
         stats_.chunk_frames_received += 1;
         continue;
       }
-      if (frame.type == FrameType::kChunkEnd) {
-        auto assembled = assembler.OnEnd(frame.id, frame.payload);
-        if (!assembled.ok()) {
-          // Manifest mismatch = the stream delivered corrupt bytes.
-          return assembled.status();
-        }
+      const bool stream_end = frame.type == FrameType::kChunkEnd;
+      if (stream_end) {
+        auto assembled = assembler.Take(frame.id);
+        if (!assembled.ok()) return assembled.status();
+        // A digest mismatch means the stream delivered corrupt bytes.
+        MLCASK_RETURN_IF_ERROR(wire::CheckChunkEnd(*assembled, frame.payload));
         {
           std::lock_guard<std::mutex> lock(stats_mu_);
           stats_.chunk_frames_received += 1;
         }
-        frame.type = FrameType::kData;
-        frame.payload = *std::move(assembled);
+        streamed = *std::move(assembled);
         // Falls through to the pending-call resolution below.
       }
       std::promise<StatusOr<std::string>> waiter;
@@ -541,15 +527,17 @@ Status SocketTransport::PumpSession(bool* delivered) {
         waiter.set_value(DecodeErrorPayload(frame.payload));
         continue;
       }
+      std::string response =
+          stream_end ? std::move(streamed) : std::string(frame.payload);
       {
         // One unit: a reader polling stats never sees a call counted
         // without its bytes (same contract as LoopbackTransport).
         std::lock_guard<std::mutex> lock(stats_mu_);
         stats_.calls += 1;
         stats_.request_bytes += request_bytes;
-        stats_.response_bytes += frame.payload.size();
+        stats_.response_bytes += response.size();
       }
-      waiter.set_value(std::move(frame.payload));
+      waiter.set_value(std::move(response));
     }
   }
 }
@@ -707,8 +695,7 @@ SocketTransportServer::SocketTransportServer(int listen_fd, Endpoint endpoint,
                                              Options options)
     : endpoint_(std::move(endpoint)),
       options_(std::move(options)),
-      listen_fd_(listen_fd),
-      chunk_cache_(options_.chunk_cache_bytes) {}
+      listen_fd_(listen_fd) {}
 
 SocketTransportServer::~SocketTransportServer() { Shutdown(); }
 
@@ -833,8 +820,7 @@ void SocketTransportServer::AcceptReady() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto connection =
-        std::make_shared<Connection>(options_.max_frame_payload, &chunk_cache_);
+    auto connection = std::make_shared<Connection>(options_.max_frame_payload);
     connection->fd = fd;
     connection->epoll_events = EPOLLIN;
     epoll_event ev{};
@@ -865,7 +851,7 @@ void SocketTransportServer::ReadReady(
     }
     connection->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
     for (;;) {
-      Frame frame;
+      FrameView frame;
       auto next = connection->decoder.Next(&frame);
       if (!next.ok()) {
         if (next.status().code() == StatusCode::kUnimplemented) {
@@ -892,14 +878,39 @@ void SocketTransportServer::ReadReady(
       }
       if (!*next) break;  // need more bytes
       if (frame.type == FrameType::kError) continue;  // clients never send
-      const size_t payload_bytes = frame.payload.size();
+      if (frame.type == FrameType::kChunk) {
+        // Straight from the decoder's buffer into the message: the one copy
+        // a streamed byte gets. No hashing here, so the loop stays cheap.
+        if (!connection->assembler.OnChunk(frame.id, frame.payload).ok()) {
+          CloseConnection(connection);
+          return;
+        }
+        continue;
+      }
+      Job job;
+      job.type = frame.type;
+      job.id = frame.id;
+      if (frame.type == FrameType::kChunkEnd) {
+        // The whole message becomes one job; its digest is checked by the
+        // worker, off the event loop.
+        auto assembled = connection->assembler.Take(frame.id);
+        if (!assembled.ok()) {
+          CloseConnection(connection);
+          return;
+        }
+        job.payload = *std::move(assembled);
+        job.end.assign(frame.payload);
+      }
+      const size_t payload_bytes = frame.type == FrameType::kData
+                                       ? frame.payload.size()
+                                       : job.payload.size();
       if (frame.type == FrameType::kData) {
         // Admission control: a DATA frame past any queue cap is shed HERE —
         // answered immediately with a typed ResourceExhausted ERROR frame,
         // never queued, handler never run — so queue depth and memory stay
-        // bounded no matter how far offered load exceeds capacity. Chunk
-        // frames are exempt (dropping one mid-stream would corrupt
-        // reassembly); their memory is bounded by the assembler's limits.
+        // bounded no matter how far offered load exceeds capacity. A
+        // completed stream is exempt, as its chunks were: its memory is
+        // bounded by the assembler's limits.
         bool shed =
             (options_.max_queued_jobs > 0 &&
              queued_jobs_.load(std::memory_order_relaxed) >=
@@ -931,14 +942,11 @@ void SocketTransportServer::ReadReady(
           }
           continue;
         }
+        job.payload.assign(frame.payload);
       }
       bool schedule = false;
       {
         std::lock_guard<std::mutex> lock(connection->mu);
-        Job job;
-        job.type = frame.type;
-        job.id = frame.id;
-        job.payload = std::move(frame.payload);
         job.enqueued = std::chrono::steady_clock::now();
         connection->jobs.push_back(std::move(job));
         connection->queued_bytes += payload_bytes;
@@ -1102,20 +1110,12 @@ void SocketTransportServer::WorkerThread() {
 
 void SocketTransportServer::ProcessJob(
     const std::shared_ptr<Connection>& connection, Job job) {
-  if (job.type == FrameType::kChunk) {
-    Status accepted = connection->assembler.OnChunk(job.id, job.payload);
-    if (!accepted.ok()) AbortConnection(connection);
+  if (job.type == FrameType::kChunkEnd &&
+      !wire::CheckChunkEnd(job.payload, job.end).ok()) {
+    // The stream delivered corrupt bytes, and there is no trustworthy way
+    // to keep decoding it.
+    AbortConnection(connection);
     return;
-  }
-  if (job.type == FrameType::kChunkEnd) {
-    auto assembled = connection->assembler.OnEnd(job.id, job.payload);
-    if (!assembled.ok()) {
-      // Bad manifest/bookkeeping: the stream delivered corrupt bytes, and
-      // there is no trustworthy way to keep decoding it.
-      AbortConnection(connection);
-      return;
-    }
-    job.payload = *std::move(assembled);
   }
   // Deadline check at dequeue: a request whose remaining budget was spent
   // while it sat in the queue is dropped UNEXECUTED with a typed
@@ -1169,26 +1169,18 @@ void SocketTransportServer::EnqueueResponse(
              response.size() >= options_.chunk_threshold) {
     // Stream the response: all chunk parts reference ONE shared buffer.
     auto body = std::make_shared<const std::string>(std::move(response));
-    const auto cuts = wire::WireChunker().Split(*body);
-    Sha256 manifest;
-    parts.reserve(cuts.size() + 1);
-    for (const auto& [offset, length] : cuts) {
-      const Hash256 address = wire::WireChunkAddress(
-          std::string_view(body->data() + offset, length));
-      manifest.Update(address.bytes.data(), address.bytes.size());
+    std::vector<wire::StreamFrame> frames = wire::StreamFrames(id, *body);
+    parts.reserve(frames.size());
+    for (wire::StreamFrame& frame : frames) {
       OutPart part;
-      AppendFrameHeader(&part.header, FrameType::kChunk, id,
-                        static_cast<uint32_t>(length));
-      part.body = body;
-      part.body_off = offset;
-      part.body_len = length;
+      part.header = std::move(frame.header);
+      if (frame.length > 0) {
+        part.body = body;
+        part.body_off = frame.offset;
+        part.body_len = frame.length;
+      }
       parts.push_back(std::move(part));
     }
-    const std::string end_payload =
-        wire::EncodeChunkEnd(body->size(), cuts.size(), manifest.Finish());
-    OutPart end;
-    AppendFrame(&end.header, FrameType::kChunkEnd, id, end_payload);
-    parts.push_back(std::move(end));
   } else {
     OutPart part;
     AppendFrameHeader(&part.header, FrameType::kData, id,

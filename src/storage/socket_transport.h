@@ -1,6 +1,8 @@
 #ifndef MLCASK_STORAGE_SOCKET_TRANSPORT_H_
 #define MLCASK_STORAGE_SOCKET_TRANSPORT_H_
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -51,11 +53,13 @@ enum class ConnState : uint8_t {
 ///   * sends are scatter-gather — the 14-byte header and the payload go out
 ///     as one sendmsg iovec, never coalesced into a copy;
 ///   * payloads at or above options.chunk_threshold are streamed as
-///     content-defined CHUNK frames (shared correlation id, manifest-hashed
-///     CHUNK_END), so the peer's receive buffer stays O(chunk), not
-///     O(value), and the receiving shard can dedupe identical chunks;
-///   * incoming chunk streams are reassembled and integrity-checked before
-///     the waiter sees the value.
+///     fixed-size CHUNK frames (shared correlation id) and a CHUNK_END with
+///     a SHA-256 digest, so the peer's receive buffer stays O(frame), not
+///     O(value). The transport never cuts or hashes by content: a message
+///     that carries its chunk recipe (wire_codec.h) has only its head
+///     digested, and its decoder checks the body against the recipe;
+///   * incoming chunk streams are reassembled, each byte copied once into
+///     its message, and digest-checked before the waiter sees the value.
 ///
 /// Failure surface (all as statuses, never hangs). A lost or garbled
 /// connection first enters the redial state machine (ConnState above):
@@ -69,7 +73,7 @@ enum class ConnState : uint8_t {
 ///   call outliving options.call_timeout   DeadlineExceeded (Call)
 ///   wire-format version skew              Unimplemented (from the peer's
 ///                                         error frame, or local decode)
-///   garbled stream / bad chunk manifest   redial; terminal only on budget
+///   garbled stream / bad chunk digest     redial; terminal only on budget
 ///                                         exhaustion
 ///
 /// stats() is a consistent snapshot under one mutex, same contract as
@@ -168,6 +172,9 @@ class SocketTransport : public Transport {
   /// scatter-gather iovec batch under the write lock.
   Status SendChunked(uint64_t id, std::string_view payload,
                      const SendFault& fault);
+  /// Writes one request's iovecs, applying a drop-after fault. Caller holds
+  /// write_mu_.
+  Status SendLocked(std::vector<iovec>* iov, const SendFault& fault);
 
   void ReaderLoop();
   /// Reads and demultiplexes one connection's worth of frames; returns the
@@ -237,9 +244,9 @@ enum class ServerState : uint8_t {
 ///     application work. Requests on ONE connection are handled in arrival
 ///     order (a per-connection job strand — the per-shard ordering the 2PC
 ///     apply phase relies on); separate connections proceed concurrently.
-///   * Incoming chunk streams are reassembled per connection and deduped
-///     through a server-wide WireChunkCache: identical chunks across
-///     values, versions, and clients hash/store once (wire_chunk_stats()).
+///   * Incoming chunk streams are reassembled per connection on the loop
+///     (one copy per byte, no hashing); a completed stream becomes one job,
+///     and the worker checks its CHUNK_END digest before the handler runs.
 ///   * Responses at or above chunk_threshold stream back as CHUNK frames.
 ///
 /// Version skew and garbled streams are answered per the frame contract:
@@ -256,7 +263,8 @@ class SocketTransportServer : public TransportServer {
     size_t chunk_threshold = wire::kDefaultChunkThreshold;
     /// Handler worker pool size.
     size_t worker_threads = 4;
-    /// Receive-side chunk cache capacity (bytes of retained chunk data).
+    /// Ignored: the receive-side chunk cache it sized is gone. Kept only
+    /// while the benchmark still sets it (ROADMAP item 6 deletes it).
     size_t chunk_cache_bytes = 64u << 20;
     /// Optional deterministic fault policy applied to inbound jobs (delay,
     /// slow-drip, kill -9 on the Nth request). Chaos harness only.
@@ -268,8 +276,7 @@ class SocketTransportServer : public TransportServer {
     /// never enters the worker queue, so queue depth and RSS stay bounded no
     /// matter how far offered load exceeds capacity. Chunk-stream frames are
     /// never shed mid-stream (dropping one would corrupt reassembly); their
-    /// cost is bounded by max_frame_payload + chunk_cache_bytes. 0 = that
-    /// cap unbounded.
+    /// cost is bounded by max_frame_payload. 0 = that cap unbounded.
     size_t max_queued_jobs = 4096;          ///< Server-wide job count cap.
     size_t max_queued_bytes = 256u << 20;   ///< Server-wide job bytes cap.
     size_t max_conn_queued_jobs = 1024;     ///< Per-connection job count cap.
@@ -305,9 +312,6 @@ class SocketTransportServer : public TransportServer {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
 
-  /// Receive-side chunk dedup accounting (telemetry/tests/bench).
-  ChunkStoreStats wire_chunk_stats() const { return chunk_cache_.stats(); }
-
   /// Admission/overload accounting (telemetry/tests/bench).
   uint64_t shed_jobs() const {
     return shed_jobs_.load(std::memory_order_relaxed);
@@ -339,17 +343,20 @@ class SocketTransportServer : public TransportServer {
     size_t body_len = 0;
   };
 
-  /// One decoded request awaiting a worker.
+  /// One decoded request awaiting a worker: a DATA frame's payload, or a
+  /// completed stream's message (type kChunkEnd) with its CHUNK_END payload.
   struct Job {
     FrameType type = FrameType::kData;
     uint64_t id = 0;
     std::string payload;
+    std::string end;
     /// When the loop queued the job — workers check the request's deadline
     /// stamp against time-in-queue and drop expired jobs unexecuted.
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Per-connection state. The event loop owns fd/decoder/outbox flushing;
+  /// Per-connection state. The event loop owns fd/decoder/assembler and
+  /// outbox flushing;
   /// exactly one worker at a time drains `jobs` (the strand), preserving
   /// arrival order. `mu` guards the cross-thread fields.
   struct Connection {
@@ -364,8 +371,8 @@ class SocketTransportServer : public TransportServer {
     bool job_active = false;  ///< A worker currently owns the strand.
     std::deque<OutPart> outbox;
 
-    Connection(uint32_t max_payload, wire::WireChunkCache* cache)
-        : decoder(max_payload), assembler(max_payload, cache) {}
+    explicit Connection(uint32_t max_payload)
+        : decoder(max_payload), assembler(max_payload) {}
   };
 
   SocketTransportServer(int listen_fd, Endpoint endpoint, Options options);
@@ -405,7 +412,6 @@ class SocketTransportServer : public TransportServer {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   TransportHandler handler_;
-  wire::WireChunkCache chunk_cache_;
 
   std::atomic<ServerState> state_{ServerState::kInitial};
   std::atomic<bool> stop_{false};

@@ -11,6 +11,7 @@
 
 #include "common/sha256.h"
 #include "common/status.h"
+#include "storage/blob.h"
 #include "storage/deferred.h"
 
 namespace mlcask::storage {
@@ -42,6 +43,15 @@ struct StorageTimeModel {
 struct PutRequest {
   std::string key;
   std::string data;
+};
+
+/// One write of a batch that carries its value's chunk recipe: `index` is
+/// the index chunk PlanBlob writes for `data` with StoreChunker() (see
+/// storage/blob.h). Views: the caller keeps the bytes alive for the call.
+struct RecipePut {
+  std::string_view key;
+  std::string_view data;
+  std::string_view index;
 };
 
 /// Result of storing one object version.
@@ -132,11 +142,53 @@ class StorageEngine {
     return Put(key, data);
   }
 
+  /// ## Writes and reads that carry the chunk recipe
+  ///
+  /// A large value crosses the wire with its recipe, so the shard stores it
+  /// without cutting it again. A recipe is outside input: it is checked
+  /// (PlanFromRecipe) before anything is stored, a bad one fails typed and
+  /// stores nothing. A good one gives exactly what Put(key, data) gives:
+  /// the same chunks, blob root, version id and PutResult. The defaults
+  /// check the recipe and then Put, which is right for an engine that keeps
+  /// no chunks; ForkBaseEngine commits the checked plan by address.
+  virtual StatusOr<PutResult> PutWithRecipe(const std::string& key,
+                                            std::string_view data,
+                                            std::string_view index) {
+    MLCASK_RETURN_IF_ERROR(PlanFromRecipe(index, data).status());
+    return Put(key, data);
+  }
+  /// PutMany of writes that carry their recipes. Every recipe is checked
+  /// before the first write lands.
+  virtual StatusOr<std::vector<PutResult>> PutManyWithRecipes(
+      const std::vector<RecipePut>& batch) {
+    std::vector<PutRequest> plain;
+    plain.reserve(batch.size());
+    for (const RecipePut& put : batch) {
+      MLCASK_RETURN_IF_ERROR(PlanFromRecipe(put.index, put.data).status());
+      plain.push_back({std::string(put.key), std::string(put.data)});
+    }
+    return PutMany(plain);
+  }
+
   /// Reads the latest version of `key`.
   virtual StatusOr<std::string> Get(const std::string& key) = 0;
 
   /// Reads a specific version by content id.
   virtual StatusOr<std::string> GetVersion(const Hash256& id) = 0;
+
+  /// Get / GetVersion that also return the value's stored recipe in
+  /// `*index` when the engine keeps one cut by StoreChunker(); otherwise
+  /// `*index` is left empty. The defaults keep none.
+  virtual StatusOr<std::string> GetWithRecipe(const std::string& key,
+                                              std::string* index) {
+    (void)index;
+    return Get(key);
+  }
+  virtual StatusOr<std::string> GetVersionWithRecipe(const Hash256& id,
+                                                     std::string* index) {
+    (void)index;
+    return GetVersion(id);
+  }
 
   /// True if a version with this content id exists.
   virtual bool HasVersion(const Hash256& id) const = 0;
@@ -228,6 +280,10 @@ class StorageEngine {
   virtual Deferred<std::vector<PutResult>> AsyncPutMany(
       const std::vector<PutRequest>& batch) {
     return Deferred<std::vector<PutResult>>(PutMany(batch));
+  }
+  virtual Deferred<std::vector<PutResult>> AsyncPutManyWithRecipes(
+      const std::vector<RecipePut>& batch) {
+    return Deferred<std::vector<PutResult>>(PutManyWithRecipes(batch));
   }
   virtual Deferred<PutResult> AsyncCopyVersion(const std::string& key,
                                                const Hash256& source) {

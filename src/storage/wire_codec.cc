@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "storage/chunk.h"
+#include "storage/blob.h"
+#include "storage/chunker.h"
 #include "storage/deadline.h"
+#include "storage/frame.h"
 
 namespace mlcask::storage::wire {
 
@@ -98,14 +100,26 @@ bool MetaReader::Next() {
   return Malformed();
 }
 
-std::string AssembleMessage(uint8_t second, std::string_view meta,
-                            std::string_view body) {
+namespace {
+
+/// The message up to its body, with room reserved for `body_bytes` more:
+/// encoders append the body pieces straight into it, one copy each.
+std::string StartMessage(uint8_t second, std::string_view meta,
+                         size_t body_bytes) {
   std::string out;
-  out.reserve(2 + 10 + meta.size() + body.size());
+  out.reserve(2 + 10 + meta.size() + body_bytes);
   out.push_back(static_cast<char>(kBinaryMagic));
   out.push_back(static_cast<char>(second));
   PutVarint(&out, meta.size());
   out.append(meta);
+  return out;
+}
+
+}  // namespace
+
+std::string AssembleMessage(uint8_t second, std::string_view meta,
+                            std::string_view body) {
+  std::string out = StartMessage(second, meta, body.size());
   out.append(body);  // the single memcpy that moves artifact bytes
   return out;
 }
@@ -155,6 +169,7 @@ constexpr uint32_t kTagBytesArg = 3;   // request: read_cost operand (varint)
 constexpr uint32_t kTagCount = 4;      // put_many batch size (varint)
 constexpr uint32_t kTagReplayToken = 5;  // request: idempotency token (bytes)
 constexpr uint32_t kTagDeadline = 6;     // request: remaining budget ms (varint)
+// kTagRecipe (14, bytes) is public: reserved in every message.
 
 constexpr uint32_t kTagErrMessage = 1;   // error response message (bytes)
 constexpr uint32_t kTagResultId = 1;     // PutResult.id (hash)
@@ -258,19 +273,57 @@ std::string EncodePutManyRequest(const std::vector<PutRequest>& batch,
     PutFieldBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
-  std::string body;
   size_t total = 0;
   for (const PutRequest& put : batch) {
     total += put.key.size() + put.data.size() + 20;
   }
-  body.reserve(total);
+  std::string out =
+      StartMessage(static_cast<uint8_t>(Method::kPutMany), meta, total);
   for (const PutRequest& put : batch) {
-    PutVarint(&body, put.key.size());
-    body.append(put.key);
-    PutVarint(&body, put.data.size());
-    body.append(put.data);
+    PutVarint(&out, put.key.size());
+    out.append(put.key);
+    PutVarint(&out, put.data.size());
+    out.append(put.data);
   }
-  return EncodeRequestMessage(Method::kPutMany, meta, body);
+  return out;
+}
+
+std::string EncodeRecipePutRequest(std::string_view key, std::string_view data,
+                                   std::string_view index,
+                                   std::string_view replay_token) {
+  std::string meta;
+  PutFieldBytes(&meta, kTagKey, key);
+  if (!replay_token.empty()) {
+    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+  }
+  StampAmbientDeadline(&meta);
+  PutFieldBytes(&meta, kTagRecipe, index);
+  return EncodeRequestMessage(Method::kPut, meta, data);
+}
+
+std::string EncodeRecipePutManyRequest(const std::vector<RecipePut>& batch,
+                                       std::string_view replay_token) {
+  std::string meta;
+  PutFieldVarint(&meta, kTagCount, batch.size());
+  if (!replay_token.empty()) {
+    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+  }
+  StampAmbientDeadline(&meta);
+  std::string recipes;
+  size_t values = 0;
+  for (const RecipePut& put : batch) {
+    PutVarint(&recipes, put.key.size());
+    recipes.append(put.key);
+    PutVarint(&recipes, put.data.size());
+    PutVarint(&recipes, put.index.size());
+    recipes.append(put.index);
+    values += put.data.size();
+  }
+  PutFieldBytes(&meta, kTagRecipe, recipes);
+  std::string out =
+      StartMessage(static_cast<uint8_t>(Method::kPutMany), meta, values);
+  for (const RecipePut& put : batch) out.append(put.data);
+  return out;
 }
 
 std::string EncodeKeyRequest(Method method, std::string_view key) {
@@ -324,7 +377,6 @@ std::string EncodeMigrateBatchRequest(
     PutFieldBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
-  std::string body;
   size_t total = 0;
   for (const MigrateKeyVersions& entry : batch) {
     total += entry.key.size() + 20;
@@ -332,19 +384,20 @@ std::string EncodeMigrateBatchRequest(
       total += id.bytes.size() + data.size() + 10;
     }
   }
-  body.reserve(total);
+  std::string out =
+      StartMessage(static_cast<uint8_t>(Method::kMigrateBatch), meta, total);
   for (const MigrateKeyVersions& entry : batch) {
-    PutVarint(&body, entry.key.size());
-    body.append(entry.key);
-    PutVarint(&body, entry.versions.size());
+    PutVarint(&out, entry.key.size());
+    out.append(entry.key);
+    PutVarint(&out, entry.versions.size());
     for (const auto& [id, data] : entry.versions) {
-      body.append(reinterpret_cast<const char*>(id.bytes.data()),
-                  id.bytes.size());
-      PutVarint(&body, data.size());
-      body.append(data);
+      out.append(reinterpret_cast<const char*>(id.bytes.data()),
+                 id.bytes.size());
+      PutVarint(&out, data.size());
+      out.append(data);
     }
   }
-  return EncodeRequestMessage(Method::kMigrateBatch, meta, body);
+  return out;
 }
 
 StatusOr<Request> DecodeRequest(std::string_view message) {
@@ -360,6 +413,7 @@ StatusOr<Request> DecodeRequest(std::string_view message) {
   Request request;
   request.method = static_cast<Method>(opcode);
   uint64_t batch_count = 0;
+  std::string_view recipe;
   FieldReader reader(meta);
   while (reader.Next()) {
     switch (reader.tag()) {
@@ -381,6 +435,13 @@ StatusOr<Request> DecodeRequest(std::string_view message) {
       case kTagDeadline:
         request.deadline_ms = reader.varint();
         break;
+      case kTagRecipe:
+        if (reader.kind() != MetaKind::kBytes) {
+          return Status::InvalidArgument("chunk recipe field is not bytes");
+        }
+        request.has_recipe = true;
+        recipe = reader.bytes();
+        break;
       default:
         break;
     }
@@ -389,7 +450,44 @@ StatusOr<Request> DecodeRequest(std::string_view message) {
     return Status::InvalidArgument("malformed binary request meta");
   }
   request.body = body;
-  if (request.method == Method::kPutMany) {
+  if (request.has_recipe && request.method == Method::kPut) {
+    request.recipes.push_back(recipe);
+  } else if (request.has_recipe && request.method == Method::kPutMany) {
+    // Keys, lengths and indexes sit in the recipe field, the values back
+    // to back in the body. Every count and length is peer controlled, so
+    // each is bounded by the bytes left before anything is reserved: an
+    // entry costs at least three varint bytes of recipe.
+    if (batch_count > recipe.size() / 3) {
+      return Status::InvalidArgument("put_many count exceeds its recipes");
+    }
+    request.batch.reserve(batch_count);
+    request.recipes.reserve(batch_count);
+    std::string_view rest = recipe;
+    std::string_view values = body;
+    for (uint64_t i = 0; i < batch_count; ++i) {
+      uint64_t key_len = 0;
+      uint64_t data_len = 0;
+      uint64_t index_len = 0;
+      if (!GetVarint(&rest, &key_len) || rest.size() < key_len) {
+        return Status::InvalidArgument("malformed put_many recipe key");
+      }
+      std::string_view key = rest.substr(0, key_len);
+      rest.remove_prefix(key_len);
+      if (!GetVarint(&rest, &data_len) || values.size() < data_len ||
+          !GetVarint(&rest, &index_len) || rest.size() < index_len) {
+        return Status::InvalidArgument("malformed put_many recipe entry");
+      }
+      request.batch.emplace_back(key, values.substr(0, data_len));
+      values.remove_prefix(data_len);
+      request.recipes.push_back(rest.substr(0, index_len));
+      rest.remove_prefix(index_len);
+    }
+    if (!rest.empty() || !values.empty()) {
+      return Status::InvalidArgument("put_many recipes do not cover the body");
+    }
+  } else if (request.has_recipe) {
+    return Status::InvalidArgument("chunk recipe on a request with no value");
+  } else if (request.method == Method::kPutMany) {
     // The count varint is peer-controlled; each entry costs at least two
     // length bytes, so anything beyond body.size()/2 cannot parse. Reject it
     // here rather than handing a 2^60 count to reserve(), which would throw
@@ -498,6 +596,13 @@ std::string EncodeErrorResponse(const Status& status) {
 
 std::string EncodeDataResponse(std::string_view data) {
   return Assemble(0, {}, data);
+}
+
+std::string EncodeRecipeDataResponse(std::string_view data,
+                                     std::string_view index) {
+  std::string meta;
+  PutFieldBytes(&meta, kTagRecipe, index);
+  return Assemble(0, meta, data);
 }
 
 std::string EncodePutResponse(const PutResult& result) {
@@ -614,6 +719,20 @@ StatusOr<std::string_view> DecodeDataResponse(std::string_view message) {
   std::string_view meta;
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
+  FieldReader reader(meta);
+  while (reader.Next()) {
+    if (reader.tag() != kTagRecipe) continue;
+    // The recipe is the only check the body's bytes get on their way here:
+    // each chunk is hashed once against its address.
+    Status checked = PlanFromRecipe(reader.bytes(), body).status();
+    if (!checked.ok()) {
+      return Status::Corruption("read response failed its recipe check: " +
+                                checked.message());
+    }
+  }
+  if (reader.malformed()) {
+    return Status::Corruption("data response meta malformed");
+  }
   return body;  // zero copy: a view into the receive buffer
 }
 
@@ -777,6 +896,21 @@ StatusOr<MigrateBatchResult> DecodeMigrateResponse(std::string_view message) {
 
 // --- server dispatch --------------------------------------------------------
 
+namespace {
+
+/// A read's response. From kDefaultChunkThreshold up the value carries its
+/// recipe: the engine's stored index, or, from an engine that keeps none,
+/// one planned here.
+std::string EncodeReadResponse(const StatusOr<std::string>& data,
+                               std::string index) {
+  if (!data.ok()) return EncodeErrorResponse(data.status());
+  if (data->size() < kDefaultChunkThreshold) return EncodeDataResponse(*data);
+  if (index.empty()) index = PlanBlob(StoreChunker(), *data).index;
+  return EncodeRecipeDataResponse(*data, index);
+}
+
+}  // namespace
+
 std::string DispatchBinary(StorageEngine* engine, std::string_view message) {
   auto request = DecodeRequest(message);
   if (!request.ok()) return EncodeErrorResponse(request.status());
@@ -785,11 +919,27 @@ std::string DispatchBinary(StorageEngine* engine, std::string_view message) {
     case Method::kPut: {
       // request->body is a view into the receive buffer: the artifact bytes
       // reach the engine without ever being copied or re-encoded.
-      auto result = engine->Put(std::string(request->key), request->body);
+      const std::string key(request->key);
+      auto result = request->has_recipe
+                        ? engine->PutWithRecipe(key, request->body,
+                                                request->recipes[0])
+                        : engine->Put(key, request->body);
       if (!result.ok()) return EncodeErrorResponse(result.status());
       return EncodePutResponse(*result);
     }
     case Method::kPutMany: {
+      if (request->has_recipe) {
+        // Views into the receive buffer: the shard commits from it.
+        std::vector<RecipePut> batch;
+        batch.reserve(request->batch.size());
+        for (size_t i = 0; i < request->batch.size(); ++i) {
+          batch.push_back({request->batch[i].first, request->batch[i].second,
+                           request->recipes[i]});
+        }
+        auto results = engine->PutManyWithRecipes(batch);
+        if (!results.ok()) return EncodeErrorResponse(results.status());
+        return EncodePutManyResponse(*results);
+      }
       std::vector<PutRequest> batch;
       batch.reserve(request->batch.size());
       for (const auto& [key, data] : request->batch) {
@@ -800,14 +950,14 @@ std::string DispatchBinary(StorageEngine* engine, std::string_view message) {
       return EncodePutManyResponse(*results);
     }
     case Method::kGet: {
-      auto data = engine->Get(std::string(request->key));
-      if (!data.ok()) return EncodeErrorResponse(data.status());
-      return EncodeDataResponse(*data);
+      std::string index;
+      auto data = engine->GetWithRecipe(std::string(request->key), &index);
+      return EncodeReadResponse(data, std::move(index));
     }
     case Method::kGetVersion: {
-      auto data = engine->GetVersion(request->id);
-      if (!data.ok()) return EncodeErrorResponse(data.status());
-      return EncodeDataResponse(*data);
+      std::string index;
+      auto data = engine->GetVersionWithRecipe(request->id, &index);
+      return EncodeReadResponse(data, std::move(index));
     }
     case Method::kHasVersion:
       return EncodeHasResponse(engine->HasVersion(request->id));
@@ -855,102 +1005,125 @@ std::string DispatchBinary(StorageEngine* engine, std::string_view message) {
 
 // --- chunk streaming --------------------------------------------------------
 
-const Chunker& WireChunker() {
-  // Larger than the storage engine's chunking: the wire moves whole
-  // artifacts, so the sweet spot trades per-frame overhead against dedup
-  // granularity at transfer sizes (64 KiB average).
-  static const GearChunker chunker(16u << 10, 64u << 10, 256u << 10);
-  return chunker;
+size_t StreamDigestBytes(std::string_view message) {
+  uint8_t second = 0;
+  std::string_view meta;
+  std::string_view body;
+  // Byte 1 is 0 on an ok response and the opcode on a request: only those
+  // two requests and ok responses can carry a value with its recipe.
+  if (!Disassemble(message, &second, &meta, &body).ok() ||
+      second > static_cast<uint8_t>(Method::kPutMany)) {
+    return message.size();
+  }
+  FieldReader reader(meta);
+  while (reader.Next()) {
+    if (reader.tag() == kTagRecipe && reader.kind() == MetaKind::kBytes) {
+      return message.size() - body.size();
+    }
+  }
+  return message.size();
 }
 
-std::string EncodeChunkEnd(uint64_t total_bytes, uint64_t chunk_count,
-                           const Hash256& manifest) {
+std::string EncodeChunkEnd(std::string_view message) {
+  const size_t covered = StreamDigestBytes(message);
+  const Hash256 digest = Sha256::Digest(message.substr(0, covered));
   std::string out;
-  PutVarint(&out, total_bytes);
-  PutVarint(&out, chunk_count);
-  out.append(reinterpret_cast<const char*>(manifest.bytes.data()),
-             manifest.bytes.size());
+  PutVarint(&out, covered);
+  out.append(reinterpret_cast<const char*>(digest.bytes.data()),
+             digest.bytes.size());
   return out;
 }
 
-Status DecodeChunkEnd(std::string_view payload, uint64_t* total_bytes,
-                      uint64_t* chunk_count, Hash256* manifest) {
-  if (!GetVarint(&payload, total_bytes) ||
-      !GetVarint(&payload, chunk_count) ||
-      payload.size() != manifest->bytes.size()) {
+Status CheckChunkEnd(std::string_view message, std::string_view end_payload) {
+  uint64_t covered = 0;
+  Hash256 digest;
+  if (!GetVarint(&end_payload, &covered) ||
+      end_payload.size() != digest.bytes.size()) {
     return Status::Corruption("malformed chunk-end frame");
   }
-  std::memcpy(manifest->bytes.data(), payload.data(),
-              manifest->bytes.size());
+  std::memcpy(digest.bytes.data(), end_payload.data(), digest.bytes.size());
+  if (covered > message.size() ||
+      (covered < message.size() && StreamDigestBytes(message) != covered)) {
+    // A digest that skips bytes is only honest for a message whose skipped
+    // body its decoder checks against a recipe.
+    return Status::Corruption(
+        "chunk stream digest covers " + std::to_string(covered) + " of " +
+        std::to_string(message.size()) + " bytes of a message without a "
+        "recipe");
+  }
+  if (Sha256::Digest(message.substr(0, covered)) != digest) {
+    return Status::Corruption("chunk stream failed its digest check");
+  }
   return Status::Ok();
 }
 
-Hash256 WireChunkAddress(std::string_view chunk) {
-  return Chunk::ComputeHash(ChunkType::kData, chunk);
+std::vector<StreamFrame> StreamFrames(uint64_t id, std::string_view message) {
+  std::vector<StreamFrame> frames;
+  frames.reserve(message.size() / kStreamFrameBytes + 2);
+  size_t offset = 0;
+  do {
+    StreamFrame frame;
+    frame.offset = offset;
+    frame.length = std::min(kStreamFrameBytes, message.size() - offset);
+    std::string size_prefix;
+    if (offset == 0) PutVarint(&size_prefix, message.size());
+    AppendFrameHeader(&frame.header, FrameType::kChunk, id,
+                      static_cast<uint32_t>(size_prefix.size() + frame.length));
+    frame.header.append(size_prefix);
+    frames.push_back(std::move(frame));
+    offset += frames.back().length;
+  } while (offset < message.size());
+  StreamFrame end;
+  AppendFrame(&end.header, FrameType::kChunkEnd, id, EncodeChunkEnd(message));
+  frames.push_back(std::move(end));
+  return frames;
 }
 
-Hash256 WireChunkCache::Add(std::string_view chunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Hash256 address = store_.Put(ChunkType::kData, chunk);
-  retained_.push_back(address);
-  // Evict oldest references once over capacity — by physical bytes, and also
-  // by reference count: under heavy dedup every Add is a refcount bump with
-  // no physical growth, so a bytes-only cap would let retained_ grow without
-  // bound. Deduped entries hold extra refs on the same chunk, so physical
-  // bytes only drop when the last retained reference goes.
-  const size_t max_entries =
-      std::max<size_t>(1, max_bytes_ / kMinRetainedChunkBytes);
-  while ((store_.stats().physical_bytes > max_bytes_ ||
-          retained_.size() - evict_at_ > max_entries) &&
-         evict_at_ < retained_.size()) {
-    (void)store_.Release(retained_[evict_at_++]);
-  }
-  if (evict_at_ > 0 &&
-      (evict_at_ == retained_.size() || evict_at_ >= max_entries)) {
-    retained_.erase(retained_.begin(),
-                    retained_.begin() + static_cast<ptrdiff_t>(evict_at_));
-    evict_at_ = 0;
-  }
-  return address;
-}
+namespace {
 
-ChunkStoreStats WireChunkCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return store_.stats();
-}
+constexpr size_t kMaxUpfrontBytes = 8u << 20;
 
-Status StreamAssembler::OnChunk(uint64_t id, std::string_view chunk) {
-  Stream& stream = streams_[id];
-  if (stream.data.size() + chunk.size() > max_total_) {
-    streams_.erase(id);
-    return Status::Corruption("chunk stream exceeds the frame payload limit");
+}  // namespace
+
+Status StreamAssembler::OnChunk(uint64_t id, std::string_view payload) {
+  auto it = streams_.find(id);
+  if (it == streams_.end()) {
+    uint64_t declared = 0;
+    if (!GetVarint(&payload, &declared) ||
+        declared > max_total_ - declared_total_) {
+      return Status::Corruption("chunk stream exceeds the frame payload limit");
+    }
+    it = streams_.emplace(id, Stream{}).first;
+    it->second.declared = declared;
+    declared_total_ += declared;
+    // An honest peer has one stream open at a time: allocate its message
+    // once. The cap keeps a bare size claim from allocating more than that
+    // up front; past it, and for any second open stream, the message grows
+    // only as its bytes arrive.
+    if (streams_.size() == 1) {
+      it->second.data.reserve(std::min<uint64_t>(declared, kMaxUpfrontBytes));
+    }
   }
-  const Hash256 address =
-      cache_ != nullptr ? cache_->Add(chunk) : WireChunkAddress(chunk);
-  stream.manifest.Update(address.bytes.data(), address.bytes.size());
-  stream.data.append(chunk);
-  stream.chunks += 1;
+  Stream& stream = it->second;
+  if (payload.size() > stream.declared - stream.data.size()) {
+    declared_total_ -= stream.declared;
+    streams_.erase(it);
+    return Status::Corruption("chunk stream overruns its declared size");
+  }
+  stream.data.append(payload);
   return Status::Ok();
 }
 
-StatusOr<std::string> StreamAssembler::OnEnd(uint64_t id,
-                                             std::string_view end_payload) {
-  uint64_t total_bytes = 0;
-  uint64_t chunk_count = 0;
-  Hash256 manifest;
-  MLCASK_RETURN_IF_ERROR(
-      DecodeChunkEnd(end_payload, &total_bytes, &chunk_count, &manifest));
+StatusOr<std::string> StreamAssembler::Take(uint64_t id) {
   auto it = streams_.find(id);
   if (it == streams_.end()) {
     return Status::Corruption("chunk-end frame without a chunk stream");
   }
   Stream stream = std::move(it->second);
   streams_.erase(it);
-  if (stream.chunks != chunk_count ||
-      stream.data.size() != total_bytes ||
-      stream.manifest.Finish() != manifest) {
-    return Status::Corruption(
-        "chunk stream failed integrity check (manifest mismatch)");
+  declared_total_ -= stream.declared;
+  if (stream.data.size() != stream.declared) {
+    return Status::Corruption("chunk stream ended short of its declared size");
   }
   return std::move(stream.data);
 }

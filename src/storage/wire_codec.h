@@ -2,7 +2,6 @@
 #define MLCASK_STORAGE_WIRE_CODEC_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,8 +10,6 @@
 
 #include "common/sha256.h"
 #include "common/status.h"
-#include "storage/chunk_store.h"
-#include "storage/chunker.h"
 #include "storage/storage_engine.h"
 
 namespace mlcask::storage::wire {
@@ -36,6 +33,13 @@ namespace mlcask::storage::wire {
 //                 here, so encoding a put is one memcpy and decoding returns
 //                 a string_view into the receive buffer: no hex doubling, no
 //                 re-parse, no copy on proxy hops
+//
+// A put or put-many request whose values total at least
+// kDefaultChunkThreshold, and a get or get-version response of at least
+// that size, carry the value's chunk recipe (storage/blob.h) in meta tag
+// kTagRecipe. The receiver hashes each chunk of the body once against it,
+// and a ForkBase shard stores the chunks by address without cutting the
+// value again. Smaller messages are unchanged.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint8_t kBinaryMagic = 0xBC;
@@ -146,6 +150,11 @@ inline constexpr uint8_t kServiceOpcodeBase = 32;
 /// budget (ms) — and use them for nothing else.
 inline constexpr uint32_t kTagRequestReplayToken = 5;
 inline constexpr uint32_t kTagRequestDeadline = 6;
+/// The chunk recipe (bytes kind). Reserved in EVERY binary message,
+/// requests and responses, storage and service: the transport finds
+/// recipe-carrying messages by this tag (StreamDigestBytes) and leaves
+/// their body to the recipe check, so no other field may use it.
+inline constexpr uint32_t kTagRecipe = 14;
 
 // --- request encoding (client side) ---------------------------------------
 
@@ -160,6 +169,17 @@ std::string EncodePutRequest(std::string_view key, std::string_view data,
 /// key, varint data_len, data].
 std::string EncodePutManyRequest(const std::vector<PutRequest>& batch,
                                  std::string_view replay_token = {});
+/// Put with its recipe: meta {key[, replay_token][, deadline], recipe =
+/// the index chunk}, body = artifact bytes.
+std::string EncodeRecipePutRequest(std::string_view key, std::string_view data,
+                                   std::string_view index,
+                                   std::string_view replay_token = {});
+/// PutMany with recipes: meta {count[, replay_token][, deadline], recipe =
+/// count x [varint key_len, key, varint data_len, varint index_len, index]},
+/// body = the values back to back. Every byte but the values' sits in the
+/// meta, ahead of the body.
+std::string EncodeRecipePutManyRequest(const std::vector<RecipePut>& batch,
+                                       std::string_view replay_token = {});
 /// Get / Versions: meta {key}.
 std::string EncodeKeyRequest(Method method, std::string_view key);
 /// GetVersion / HasVersion / DeleteVersion: meta {id[, replay_token]}.
@@ -196,6 +216,10 @@ struct Request {
   std::string_view replay_token;  ///< Empty unless idempotently replayable.
   uint64_t deadline_ms = 0;   ///< Remaining budget stamped by the caller; 0 = none.
   std::vector<std::pair<std::string_view, std::string_view>> batch;
+  /// True when the request carries recipes: then `recipes` holds one index
+  /// per value (kPut: one; kPutMany: one per `batch` entry, in order).
+  bool has_recipe = false;
+  std::vector<std::string_view> recipes;
   /// kMigrateBatch: decoded entries; payload views point into the message.
   struct MigrateEntry {
     std::string_view key;
@@ -221,6 +245,9 @@ uint64_t ExtractDeadline(std::string_view message);
 std::string EncodeErrorResponse(const Status& status);
 /// Get / GetVersion: body = data verbatim. Name: body = name bytes.
 std::string EncodeDataResponse(std::string_view data);
+/// A large Get / GetVersion: meta {recipe = the index chunk}, body = data.
+std::string EncodeRecipeDataResponse(std::string_view data,
+                                     std::string_view index);
 std::string EncodePutResponse(const PutResult& result);
 std::string EncodePutManyResponse(const std::vector<PutResult>& results);
 std::string EncodeHasResponse(bool has);
@@ -239,7 +266,9 @@ std::string EncodeMigrateResponse(const MigrateBatchResult& result);
 /// Strips magic + status byte. Ok: *rest = the remainder (meta + body).
 /// Error responses decode back into the exact remote Status.
 Status DecodeResponseStatus(std::string_view message, std::string_view* rest);
-/// Zero copy: the returned view points into `message`.
+/// Zero copy: the returned view points into `message`. A response that
+/// carries a recipe has each chunk of its body hashed once against it; a
+/// mismatch is Corruption.
 StatusOr<std::string_view> DecodeDataResponse(std::string_view message);
 StatusOr<PutResult> DecodePutResponse(std::string_view message);
 StatusOr<std::vector<PutResult>> DecodePutManyResponse(
@@ -260,87 +289,71 @@ StatusOr<MigrateBatchResult> DecodeMigrateResponse(std::string_view message);
 std::string DispatchBinary(StorageEngine* engine, std::string_view request);
 
 // ---------------------------------------------------------------------------
-// Chunk streaming (wire version 2): payloads at or above the threshold are
-// cut by the content-defined wire chunker and sent as CHUNK frames sharing
-// the correlation id, terminated by a CHUNK_END frame carrying the manifest.
+// Chunk streaming (wire version 2): a message at or above the transport's
+// threshold travels as fixed-size CHUNK frames sharing its correlation id,
+// then one CHUNK_END frame. The transport does not look at the content
+// beyond one meta scan: CHUNK_END carries a SHA-256 over the whole message,
+// or, for a message that carries a recipe, over the head before its body
+// (the body's bytes are checked against the recipe by its decoder).
 // ---------------------------------------------------------------------------
 
 /// Default payload size from which transports stream instead of sending one
-/// monolithic frame.
+/// monolithic frame, and from which values carry their recipe.
 inline constexpr size_t kDefaultChunkThreshold = 256u << 10;  // 256 KiB
 
-/// The shared content-defined cutter for wire streaming: Gear CDC with
-/// 16 KiB / 64 KiB / 256 KiB min/avg/max. Deterministic (fixed gear table),
-/// so both sides of a connection — and different versions of the same
-/// artifact — cut identical content into identical chunks, which is what
-/// makes the receiving shard's chunk cache dedupe across versions.
-const Chunker& WireChunker();
+/// Message bytes per CHUNK frame.
+inline constexpr size_t kStreamFrameBytes = 64u << 10;
 
-/// CHUNK_END payload: varint total_bytes, varint chunk_count, 32-byte
-/// manifest (SHA-256 over the concatenated chunk addresses).
-std::string EncodeChunkEnd(uint64_t total_bytes, uint64_t chunk_count,
-                           const Hash256& manifest);
-Status DecodeChunkEnd(std::string_view payload, uint64_t* total_bytes,
-                      uint64_t* chunk_count, Hash256* manifest);
+/// The prefix of `message` its CHUNK_END digest covers: all of it, unless
+/// it carries a recipe (meta tag kTagRecipe on a put or put-many request
+/// or an ok response) — then the head before its body.
+size_t StreamDigestBytes(std::string_view message);
 
-/// The address of one wire chunk (the unit the stream manifest hashes and
-/// the receive-side cache dedupes on).
-Hash256 WireChunkAddress(std::string_view chunk);
+/// CHUNK_END payload: varint digest_bytes (StreamDigestBytes), then the
+/// SHA-256 of that prefix.
+std::string EncodeChunkEnd(std::string_view message);
+/// Checks a reassembled message against its CHUNK_END payload. Corruption
+/// when the digest mismatches, or when it covers less than the whole
+/// message and the message does not carry a recipe whose head is exactly
+/// the covered prefix.
+Status CheckChunkEnd(std::string_view message, std::string_view end_payload);
 
-/// Receive-side content-addressable chunk cache: identical chunks arriving
-/// on any connection — across values, versions, and clients — are hashed
-/// once and counted as dedup hits. Capacity-capped FIFO so a long-lived
-/// server retains recent chunks (cross-version dedup) without growing
-/// without bound. Thread safe (the underlying ChunkStore's mutations are
-/// externally serialized here, per its contract).
-class WireChunkCache {
- public:
-  explicit WireChunkCache(size_t max_bytes) : max_bytes_(max_bytes) {}
-
-  /// Adds one chunk, returning its address. A repeat of a retained chunk is
-  /// a dedup hit (refcounted, no second copy stored).
-  Hash256 Add(std::string_view chunk);
-
-  ChunkStoreStats stats() const;
-
- private:
-  /// Accounting floor for the retained-reference cap: matches WireChunker's
-  /// minimum cut size, so the FIFO holds at most max_bytes_/16KiB references
-  /// even when dedup keeps physical bytes flat.
-  static constexpr size_t kMinRetainedChunkBytes = 16u << 10;
-
-  const size_t max_bytes_;
-  mutable std::mutex mu_;
-  ChunkStore store_;
-  /// Retention order; every Add pushes one entry holding one reference.
-  std::vector<Hash256> retained_;
-  size_t evict_at_ = 0;  ///< Front of the FIFO within retained_.
+/// One frame of a streamed message: its header bytes (the 14-byte frame
+/// header; the first CHUNK frame's also holds the varint size of the whole
+/// message) and the slice of the message it carries. The last entry is the
+/// whole CHUNK_END frame, with an empty slice.
+struct StreamFrame {
+  std::string header;
+  size_t offset = 0;
+  size_t length = 0;
 };
+std::vector<StreamFrame> StreamFrames(uint64_t id, std::string_view message);
 
-/// Reassembles chunk streams, one per correlation id. OnChunk accumulates;
-/// OnEnd verifies count/size/manifest and returns the whole value. Single
-/// threaded per instance (each connection owns one). With a cache attached
-/// every received chunk is also deposited there for cross-stream dedup.
+/// Reassembles streamed messages, one per correlation id. The first CHUNK
+/// frame of a stream declares the message's size, so each message is
+/// allocated once and each received byte copied once, from the frame
+/// decoder's buffer into its message. The sizes declared by all open
+/// streams are capped at `max_total_bytes` before anything is allocated.
+/// Take() hands a message out unchecked; the receiver checks it with
+/// CheckChunkEnd. Single threaded per instance (each connection owns one).
 class StreamAssembler {
  public:
-  explicit StreamAssembler(size_t max_total_bytes,
-                           WireChunkCache* cache = nullptr)
-      : max_total_(max_total_bytes), cache_(cache) {}
+  explicit StreamAssembler(size_t max_total_bytes)
+      : max_total_(max_total_bytes) {}
 
-  Status OnChunk(uint64_t id, std::string_view chunk);
-  StatusOr<std::string> OnEnd(uint64_t id, std::string_view end_payload);
+  Status OnChunk(uint64_t id, std::string_view payload);
+  StatusOr<std::string> Take(uint64_t id);
 
   size_t active_streams() const { return streams_.size(); }
 
  private:
   struct Stream {
     std::string data;
-    Sha256 manifest;
-    uint64_t chunks = 0;
+    size_t declared = 0;
   };
 
   const size_t max_total_;
-  WireChunkCache* cache_;
+  size_t declared_total_ = 0;
   std::unordered_map<uint64_t, Stream> streams_;
 };
 

@@ -183,6 +183,39 @@ TEST(ChaosTest, DiskFullShardAbortsReplicatedPutWithNoStagedResidue) {
   }
 }
 
+TEST(ChaosTest, DiskFullShardAbortsALargeReplicatedPutThatCarriesRecipes) {
+  // A 512 KiB replicated value is staged with its recipe (planned once by
+  // the router), which FaultyEngine gates as a mutation like any put.
+  size_t built = 0;
+  auto full_injector = std::make_shared<FaultInjector>(
+      *FaultSpec::Parse("seed=3,diskfull=1"));
+  auto none_injector = std::make_shared<FaultInjector>(FaultSpec());
+  auto cluster = MakeLoopbackCluster(3, [&]() {
+    return std::make_unique<FaultyEngine>(
+        std::make_unique<ForkBaseEngine>(),
+        built++ == 2 ? full_injector : none_injector);
+  });
+  const std::string value(512 * 1024, 'L');
+  auto put = cluster->Put("library/chaos/lib", value);
+  ASSERT_FALSE(put.ok());
+  EXPECT_NE(put.status().ToString().find("disk full"), std::string::npos)
+      << put.status();
+  EXPECT_EQ(CountStagedKeys(*cluster), 0u);
+  for (size_t s = 0; s < cluster->num_shards(); ++s) {
+    EXPECT_TRUE(cluster->shard(s)->Versions("library/chaos/lib").empty());
+  }
+
+  // Healthy, the same write commits with the id a direct Put gives.
+  auto healthy = MakeLoopbackCluster(3, [&]() {
+    return std::make_unique<FaultyEngine>(std::make_unique<ForkBaseEngine>(),
+                                          none_injector);
+  });
+  auto committed = healthy->Put("library/chaos/lib", value);
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(committed->id, ForkBaseEngine().Put("library/chaos/lib", value)->id);
+  EXPECT_EQ(CountStagedKeys(*healthy), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Durable 2PC recovery: roll-forward, fencing, idempotent replay
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -516,8 +517,6 @@ TEST(SocketTransportTest, ChunkStreamedRoundTripBoundsTheReceiveBuffer) {
   auto transport = SocketTransport::Connect(spec, client_options);
   ASSERT_TRUE(transport.ok()) << transport.status();
 
-  // Patterned (not constant) payload so the content-defined chunker cuts
-  // realistically.
   std::string payload(4 * 1024 * 1024, '\0');
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>((i * 2654435761u) >> 11);
@@ -532,89 +531,125 @@ TEST(SocketTransportTest, ChunkStreamedRoundTripBoundsTheReceiveBuffer) {
   // THE acceptance bound: the client's receive buffer peaked at O(chunk),
   // not O(value) — a monolithic 4 MiB response would show ~payload here.
   EXPECT_LT(stats.peak_decoder_buffer_bytes * 4, payload.size());
-
-  // The same value sent again is pure dedup on the receiving shard.
-  ChunkStoreStats before = (*server)->wire_chunk_stats();
-  ASSERT_TRUE((*transport)->Call(payload).ok());
-  ChunkStoreStats after = (*server)->wire_chunk_stats();
-  EXPECT_GT(after.dedup_hits, before.dedup_hits);
-  EXPECT_EQ(after.physical_bytes, before.physical_bytes);
 }
 
-TEST(SocketTransportTest, ChunkEndWithoutStreamClosesTheConnection) {
-  const std::string path = TempSocketPath("chunk-orphan");
-  auto server = SocketTransportServer::Bind("unix:" + path);
-  ASSERT_TRUE(server.ok()) << server.status();
-  ASSERT_TRUE((*server)->Serve([](std::string_view) { return "x"; }).ok());
-
+/// A raw client connection to a unix: socket, for hand-built frames.
+int DialUnix(const std::string& path) {
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  if (fd < 0) return -1;
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::string wire;
-  AppendFrame(&wire, FrameType::kChunkEnd, 9,
-              wire::EncodeChunkEnd(0, 0, Hash256{}));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Serves "x" for every request on `path`; the caller keeps the server.
+std::unique_ptr<SocketTransportServer> ServeX(const std::string& path,
+                                              std::atomic<int>* handled) {
+  auto server = SocketTransportServer::Bind("unix:" + path);
+  EXPECT_TRUE(server.ok()) << server.status();
+  EXPECT_TRUE((*server)
+                  ->Serve([handled](std::string_view) {
+                    handled->fetch_add(1);
+                    return std::string("x");
+                  })
+                  .ok());
+  return std::move(*server);
+}
+
+/// Sends `wire` on a fresh raw connection and expects the server to close
+/// it without answering; then checks an honest client is still served.
+void ExpectClosedAndStillServing(const std::string& path,
+                                 const std::string& wire) {
+  int fd = DialUnix(path);
+  ASSERT_GE(fd, 0);
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
             static_cast<ssize_t>(wire.size()));
   char buf[64];
   EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // closed, not hung
   ::close(fd);
-
-  // Honest connections still work afterwards.
   auto transport = SocketTransport::Connect("unix:" + path);
   ASSERT_TRUE(transport.ok());
   auto response = (*transport)->Call("after");
   ASSERT_TRUE(response.ok()) << response.status();
 }
 
-TEST(SocketTransportTest, GarbledChunkManifestClosesTheConnection) {
-  const std::string path = TempSocketPath("chunk-garble");
-  auto server = SocketTransportServer::Bind("unix:" + path);
-  ASSERT_TRUE(server.ok()) << server.status();
-  ASSERT_TRUE((*server)->Serve([](std::string_view) { return "x"; }).ok());
-
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  // Two chunk frames, then an END whose manifest does not match: integrity
-  // check fails, the stream cannot be trusted, the connection dies.
+/// The frames of `message` streamed as an honest sender would, with the
+/// CHUNK_END payload replaced by `end_payload`.
+std::string StreamWithEnd(uint64_t id, std::string_view message,
+                          std::string_view end_payload) {
   std::string wire;
-  AppendFrame(&wire, FrameType::kChunk, 11, "part-one");
-  AppendFrame(&wire, FrameType::kChunk, 11, "part-two");
-  Hash256 wrong;
-  wrong.bytes.fill(0xEE);
-  AppendFrame(&wire, FrameType::kChunkEnd, 11,
-              wire::EncodeChunkEnd(16, 2, wrong));
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
-            static_cast<ssize_t>(wire.size()));
-  char buf[64];
-  EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);
-  ::close(fd);
+  for (const wire::StreamFrame& frame : wire::StreamFrames(id, message)) {
+    if (frame.length == 0 && frame.header[1] ==
+                                 static_cast<char>(FrameType::kChunkEnd)) {
+      AppendFrame(&wire, FrameType::kChunkEnd, id, end_payload);
+      continue;
+    }
+    wire += frame.header;
+    wire.append(message.substr(frame.offset, frame.length));
+  }
+  return wire;
+}
+
+TEST(SocketTransportTest, ChunkEndWithoutStreamClosesTheConnection) {
+  const std::string path = TempSocketPath("chunk-orphan");
+  std::atomic<int> handled{0};
+  auto server = ServeX(path, &handled);
+  std::string wire;
+  AppendFrame(&wire, FrameType::kChunkEnd, 9, wire::EncodeChunkEnd("x"));
+  ExpectClosedAndStillServing(path, wire);
+  EXPECT_EQ(handled.load(), 1);  // only the honest call
+}
+
+TEST(SocketTransportTest, WrongStreamDigestClosesTheConnection) {
+  const std::string path = TempSocketPath("chunk-digest");
+  std::atomic<int> handled{0};
+  auto server = ServeX(path, &handled);
+  // A streamed message with no recipe is checked against the digest over
+  // all of it: one flipped byte and the stream cannot be trusted.
+  const std::string message(200 * 1024, 'm');
+  std::string flipped = message;
+  flipped[123456] ^= 0x01;
+  ExpectClosedAndStillServing(
+      path, StreamWithEnd(11, flipped, wire::EncodeChunkEnd(message)));
 
   // A truncated stream (chunks, then the peer vanishes) must also leave
   // the server serving; the half-built stream is garbage-collected with
   // the connection.
-  int fd2 = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd2, 0);
-  ASSERT_EQ(::connect(fd2, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::string partial;
-  AppendFrame(&partial, FrameType::kChunk, 12, "never-finished");
-  ASSERT_EQ(::send(fd2, partial.data(), partial.size(), 0),
+  int fd = DialUnix(path);
+  ASSERT_GE(fd, 0);
+  std::string partial = StreamWithEnd(12, message, "");
+  partial.resize(partial.size() / 2);
+  ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
             static_cast<ssize_t>(partial.size()));
-  ::close(fd2);
-
+  ::close(fd);
   auto transport = SocketTransport::Connect("unix:" + path);
   ASSERT_TRUE(transport.ok());
-  auto response = (*transport)->Call("after");
-  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE((*transport)->Call("after").ok());
+  EXPECT_EQ(handled.load(), 2);  // the honest calls, nothing else
+}
+
+TEST(SocketTransportTest, DigestlessStreamWithoutRecipeClosesTheConnection) {
+  const std::string path = TempSocketPath("chunk-digestless");
+  std::atomic<int> handled{0};
+  auto server = ServeX(path, &handled);
+  // A CHUNK_END whose digest covers only a prefix is honest only for a
+  // message that carries a recipe; this put carries none, so its body
+  // would reach the engine unchecked.
+  const std::string message =
+      wire::EncodePutRequest("k", std::string(100 * 1024, 'v'));
+  const size_t head = message.size() - 100 * 1024;
+  std::string end;
+  wire::PutVarint(&end, head);
+  const Hash256 digest = Sha256::Digest(message.substr(0, head));
+  end.append(reinterpret_cast<const char*>(digest.bytes.data()),
+             digest.bytes.size());
+  ExpectClosedAndStillServing(path, StreamWithEnd(13, message, end));
+  EXPECT_EQ(handled.load(), 1);
 }
 
 // ------------------------------------------------------ server lifecycle ---

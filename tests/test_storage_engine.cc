@@ -308,6 +308,58 @@ TEST(DurableForkBaseEngineTest, CopyVersionSurvivesReopen) {
   EXPECT_EQ(*got, data);
 }
 
+// ------------------------------------------------------- chunk recipes ---
+
+TEST(DurableForkBaseEngineTest, RecipePutsSurviveReopenAsPutsWould) {
+  TempDir dir("recipe");
+  const std::string data = RandomBytes(300000, 11);
+  const std::string index = PlanBlob(StoreChunker(), data).index;
+  ForkBaseEngine twin;
+  auto want = twin.Put("one", data);
+  ASSERT_TRUE(want.ok());
+  Hash256 id;
+  {
+    auto engine = DurableForkBaseEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto put = (*engine)->PutWithRecipe("one", data, index);
+    ASSERT_TRUE(put.ok()) << put.status();
+    EXPECT_EQ(put->id, want->id);
+    auto many = (*engine)->PutManyWithRecipes({{"two", data, index}});
+    ASSERT_TRUE(many.ok()) << many.status();
+    EXPECT_TRUE((*many)[0].deduplicated);
+    std::string stored;
+    ASSERT_TRUE((*engine)->GetVersionWithRecipe(put->id, &stored).ok());
+    EXPECT_EQ(stored, index);
+    id = put->id;
+  }
+  auto reopened = DurableForkBaseEngine::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto got = (*reopened)->GetVersion(id);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, data);
+  EXPECT_EQ((*reopened)->Versions("two").size(), 1u);
+}
+
+TEST(ForkBaseEngineTest, OtherChunkerChecksTheRecipeThenPuts) {
+  // A recipe cut by the store chunker is not this engine's plan: it is
+  // checked, then the value is cut again, exactly as Put would.
+  ForkBaseEngine engine(StorageTimeModel{}, std::make_unique<FixedChunker>());
+  ForkBaseEngine twin(StorageTimeModel{}, std::make_unique<FixedChunker>());
+  const std::string data = RandomBytes(100000, 12);
+  const std::string index = PlanBlob(StoreChunker(), data).index;
+  auto put = engine.PutWithRecipe("k", data, index);
+  ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_EQ(put->id, twin.Put("k", data)->id);
+  std::string stored = "untouched";
+  ASSERT_TRUE(engine.GetVersionWithRecipe(put->id, &stored).ok());
+  EXPECT_EQ(stored, "untouched");  // its index is no store-chunker recipe
+  std::string bad = index;
+  bad[0] ^= 1;
+  EXPECT_EQ(engine.PutWithRecipe("k", data, bad).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(engine.Versions("k").size(), 1u);
+}
+
 // ------------------------------------------- deleted keys leave the index ---
 
 TEST(ForkBaseEngineTest, DeletingAKeysLastVersionDropsTheKey) {

@@ -1,21 +1,27 @@
 // The binary wire codec (wire version 2): golden encoded-byte vectors that
 // freeze the layout, zero-copy guarantees (decoded payload views point INTO
 // the message buffer), request/response round trips for every RPC type,
-// chunk-stream reassembly with manifest verification, the receive-side
-// chunk cache's dedup/eviction accounting, and a proxy over the service
-// agreeing with a direct engine.
+// chunk-stream reassembly with digest verification, chunk recipes (the
+// identity of a recipe put with a direct Put, and hostile recipes that must
+// store nothing), and a proxy over the service agreeing with a direct
+// engine.
 
 #include "storage/wire_codec.h"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "storage/forkbase_engine.h"
+#include "storage/local_dir_engine.h"
 #include "storage/remote_engine.h"
+#include "storage/socket_transport.h"
 #include "storage/transport.h"
 
 namespace mlcask::storage {
@@ -329,85 +335,405 @@ TEST(WireCodecTest, EntriesResponseHugeKeyLenIsCorruptionNotOverflow) {
 
 // ------------------------------------------------------- chunk streaming ---
 
-TEST(WireCodecTest, StreamAssemblerReassemblesAndVerifies) {
-  std::string value(3 * 1024 * 1024, '\0');
+/// Feeds `message`'s stream frames (as a sender lays them out) into an
+/// assembler and returns the CHUNK_END payload.
+std::string FeedStream(wire::StreamAssembler* assembler, uint64_t id,
+                       std::string_view message) {
+  std::string end;
+  for (const wire::StreamFrame& frame : wire::StreamFrames(id, message)) {
+    if (frame.length == 0 &&
+        frame.header[1] == static_cast<char>(FrameType::kChunkEnd)) {
+      end = frame.header.substr(14);
+      continue;
+    }
+    std::string payload = frame.header.substr(14);  // size prefix, if any
+    payload.append(message.substr(frame.offset, frame.length));
+    EXPECT_TRUE(assembler->OnChunk(id, payload).ok());
+  }
+  return end;
+}
+
+TEST(WireCodecTest, StreamAssemblerReassemblesFixedFramesAndChecksDigest) {
+  std::string value(3 * 1024 * 1024 + 17, '\0');
   for (size_t i = 0; i < value.size(); ++i) {
     value[i] = static_cast<char>((i * 2654435761u) >> 13);
   }
-  const auto cuts = wire::WireChunker().Split(value);
-  ASSERT_GT(cuts.size(), 1u);
+  const auto frames = wire::StreamFrames(42, value);
+  // Fixed-size frames plus the END: no content-defined cutting.
+  EXPECT_EQ(frames.size(),
+            (value.size() + wire::kStreamFrameBytes - 1) /
+                    wire::kStreamFrameBytes + 1);
 
   wire::StreamAssembler assembler(value.size() + 1024);
-  Sha256 manifest;
-  for (const auto& [offset, length] : cuts) {
-    std::string_view chunk(value.data() + offset, length);
-    const Hash256 address = wire::WireChunkAddress(chunk);
-    manifest.Update(address.bytes.data(), address.bytes.size());
-    ASSERT_TRUE(assembler.OnChunk(42, chunk).ok());
-  }
+  const std::string end = FeedStream(&assembler, 42, value);
   EXPECT_EQ(assembler.active_streams(), 1u);
-  auto assembled = assembler.OnEnd(
-      42, wire::EncodeChunkEnd(value.size(), cuts.size(), manifest.Finish()));
+  auto assembled = assembler.Take(42);
   ASSERT_TRUE(assembled.ok());
   EXPECT_EQ(*assembled, value);
   EXPECT_EQ(assembler.active_streams(), 0u);
+  EXPECT_TRUE(wire::CheckChunkEnd(*assembled, end).ok());
+
+  std::string flipped = value;
+  flipped[value.size() / 2] ^= 0x40;
+  EXPECT_EQ(wire::CheckChunkEnd(flipped, end).code(), StatusCode::kCorruption);
 }
 
-TEST(WireCodecTest, StreamAssemblerRejectsManifestMismatch) {
-  wire::StreamAssembler assembler(1 << 20);
-  ASSERT_TRUE(assembler.OnChunk(7, "chunk-one").ok());
-  auto bad = assembler.OnEnd(
-      7, wire::EncodeChunkEnd(9, 1, FilledId(0xEE)));  // wrong manifest
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(assembler.active_streams(), 0u);  // stream is gone either way
-}
-
-TEST(WireCodecTest, StreamAssemblerRejectsEndWithoutStreamAndOverflow) {
+TEST(WireCodecTest, StreamAssemblerRejectsOrphansOverrunsAndOversizeClaims) {
   wire::StreamAssembler assembler(16);
-  auto orphan =
-      assembler.OnEnd(1, wire::EncodeChunkEnd(0, 0, FilledId(0)));
-  ASSERT_FALSE(orphan.ok());
-  EXPECT_EQ(orphan.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(assembler.Take(1).status().code(), StatusCode::kCorruption);
 
-  // A stream exceeding the cap dies at the offending chunk.
-  ASSERT_TRUE(assembler.OnChunk(2, "0123456789").ok());
-  Status overflow = assembler.OnChunk(2, "0123456789");
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.code(), StatusCode::kCorruption);
+  // The first frame's declared size is checked before any allocation.
+  std::string claim;
+  wire::PutVarint(&claim, 17);
+  EXPECT_EQ(assembler.OnChunk(2, claim).code(), StatusCode::kCorruption);
+
+  // A stream that sends more than it declared dies at that chunk.
+  std::string first;
+  wire::PutVarint(&first, 10);
+  first += "01234";
+  ASSERT_TRUE(assembler.OnChunk(3, first).ok());
+  EXPECT_EQ(assembler.OnChunk(3, "0123456789").code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(assembler.active_streams(), 0u);
+
+  // One that ends short of it is caught at the end.
+  ASSERT_TRUE(assembler.OnChunk(4, first).ok());
+  EXPECT_EQ(assembler.Take(4).status().code(), StatusCode::kCorruption);
 }
 
-TEST(WireCodecTest, ChunkCacheDedupesAndEvicts) {
-  wire::WireChunkCache cache(64);  // tiny: retains a handful of chunks
-  const Hash256 a1 = cache.Add("chunk-aaaa");
-  const Hash256 a2 = cache.Add("chunk-aaaa");  // identical: dedup hit
-  EXPECT_EQ(a1.bytes, a2.bytes);
-  ChunkStoreStats stats = cache.stats();
-  EXPECT_GE(stats.dedup_hits, 1u);
-  EXPECT_LE(stats.physical_bytes, 64u + 10u);
+TEST(WireCodecTest, OnlyARecipeMessageMayLeaveItsBodyUndigested) {
+  const std::string value(300 * 1024, 'r');
+  const std::string index = PlanBlob(StoreChunker(), value).index;
+  const std::string recipe_put = wire::EncodeRecipePutRequest("k", value, index);
+  const std::string plain_put = wire::EncodePutRequest("k", value);
+  const std::string recipe_read = wire::EncodeRecipeDataResponse(value, index);
 
-  // Push enough distinct chunks through to force eviction; the cache must
-  // stay bounded and keep answering.
-  for (int i = 0; i < 100; ++i) {
-    cache.Add("filler-chunk-" + std::to_string(i) + std::string(16, 'z'));
+  // The digest covers the head of a recipe message, all of any other.
+  EXPECT_EQ(wire::StreamDigestBytes(recipe_put),
+            recipe_put.size() - value.size());
+  EXPECT_EQ(wire::StreamDigestBytes(recipe_read),
+            recipe_read.size() - value.size());
+  EXPECT_EQ(wire::StreamDigestBytes(plain_put), plain_put.size());
+  EXPECT_TRUE(
+      wire::CheckChunkEnd(recipe_put, wire::EncodeChunkEnd(recipe_put)).ok());
+
+  // A head-only digest on a message without a recipe is Corruption, even
+  // when the head it covers is intact.
+  const size_t head = plain_put.size() - value.size();
+  std::string end;
+  wire::PutVarint(&end, head);
+  const Hash256 digest = Sha256::Digest(plain_put.substr(0, head));
+  end.append(reinterpret_cast<const char*>(digest.bytes.data()), 32);
+  EXPECT_EQ(wire::CheckChunkEnd(plain_put, end).code(),
+            StatusCode::kCorruption);
+  // So is a head-only digest that stops short of a recipe message's body.
+  std::string short_end;
+  wire::PutVarint(&short_end, head - 1);
+  const Hash256 short_digest = Sha256::Digest(recipe_put.substr(0, head - 1));
+  short_end.append(reinterpret_cast<const char*>(short_digest.bytes.data()),
+                   32);
+  EXPECT_EQ(wire::CheckChunkEnd(recipe_put, short_end).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(wire::CheckChunkEnd(recipe_put, "\x01").code(),
+            StatusCode::kCorruption);
+}
+
+// -------------------------------------------------------- chunk recipes ---
+
+std::string RandomBytes(size_t size, uint64_t seed) {
+  Pcg32 rng(seed);
+  std::string out(size, '\0');
+  for (char& c : out) c = static_cast<char>(rng.NextU32());
+  return out;
+}
+
+TEST(WireCodecTest, GoldenRecipePutRequestAndDataResponse) {
+  // magic, opcode kPut, meta_len 9: key field (0x05, len 1, 'k'), then the
+  // recipe (tag 14 | bytes kind = 0x39, len 4, "IDX!"); then the body.
+  EXPECT_EQ(wire::EncodeRecipePutRequest("k", "vv", "IDX!"),
+            std::string("\xBC\x01\x09\x05\x01k\x39\x04IDX!vv", 14));
+  // magic, status 0, meta_len 6: the recipe field, then the data.
+  EXPECT_EQ(wire::EncodeRecipeDataResponse("dd", "IDX!"),
+            std::string("\xBC\x00\x06\x39\x04IDX!dd", 11));
+  // Put-many: count 2 (0x10 0x02), recipe = [key_len, key, data_len,
+  // index_len, index] per value; the body is the values back to back.
+  const std::vector<RecipePut> batch = {{"a", "xy", "I"}, {"b", "", ""}};
+  EXPECT_EQ(wire::EncodeRecipePutManyRequest(batch),
+            std::string("\xBC\x02\x0D\x10\x02\x39\x09"
+                        "\x01" "a\x02\x01I"
+                        "\x01" "b\x00\x00"
+                        "xy",
+                        18));
+}
+
+/// Server over a twin engine: every value put through a socket proxy must
+/// land exactly as a direct Put of the same value would.
+TEST(WireCodecTest, RecipePutsThroughASocketEqualDirectPuts) {
+  ForkBaseEngine direct;
+  ForkBaseEngine shard;
+  StorageEngineService service(&shard);
+  const std::string spec =
+      "unix:/tmp/mlcask-recipe-" + std::to_string(::getpid()) + ".sock";
+  auto server = SocketTransportServer::Bind(spec);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)
+                  ->Serve([&service](std::string_view request) {
+                    return service.Handle(request);
+                  })
+                  .ok());
+  auto transport = SocketTransport::Connect(spec);
+  ASSERT_TRUE(transport.ok()) << transport.status();
+  RemoteStorageEngine remote(*std::move(transport));
+
+  const size_t kSizes[] = {0,         1,         1023,      1024,
+                           1025,      16383,     16384,     16385,
+                           262143,    262144,    262145,    524288,
+                           8u << 20};
+  uint64_t seed = 1;
+  auto expect_same = [&](const std::string& key, const PutResult& want,
+                         const PutResult& got) {
+    EXPECT_EQ(got.id, want.id) << key;
+    EXPECT_EQ(got.logical_bytes, want.logical_bytes) << key;
+    EXPECT_EQ(got.new_physical_bytes, want.new_physical_bytes) << key;
+    EXPECT_EQ(got.deduplicated, want.deduplicated) << key;
+    EXPECT_DOUBLE_EQ(got.storage_time_s, want.storage_time_s) << key;
+    EXPECT_EQ(shard.blobs().at(got.id), direct.blobs().at(want.id)) << key;
+  };
+  for (size_t size : kSizes) {
+    for (bool zeros : {false, true}) {
+      const std::string value =
+          zeros ? std::string(size, '\0') : RandomBytes(size, seed++);
+      const std::string key = "artifact/" + std::to_string(size) +
+                              (zeros ? "/zero" : "/random");
+      auto want = direct.Put(key, value);
+      auto got = remote.Put(key, value);
+      ASSERT_TRUE(want.ok() && got.ok()) << key << ": " << got.status();
+      expect_same(key, *want, *got);
+      auto read = remote.GetVersion(got->id);
+      ASSERT_TRUE(read.ok()) << key << ": " << read.status();
+      EXPECT_TRUE(*read == value) << key;
+      ASSERT_TRUE(direct.GetVersion(want->id).ok());  // same read accounting
+    }
   }
-  EXPECT_LE(cache.stats().physical_bytes, 256u);
+  // A put-many over the threshold carries a recipe for every value in it,
+  // a tiny and an empty one included.
+  const std::vector<PutRequest> batch = {{"many/big", RandomBytes(300000, 99)},
+                                         {"many/tiny", "t"},
+                                         {"many/empty", ""}};
+  auto want = direct.PutMany(batch);
+  auto got = remote.PutMany(batch);
+  ASSERT_TRUE(want.ok() && got.ok()) << got.status();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    expect_same(batch[i].key, (*want)[i], (*got)[i]);
+  }
+  auto latest = remote.Get("many/big");
+  ASSERT_TRUE(latest.ok()) << latest.status();
+  EXPECT_TRUE(*latest == batch[0].data);
+  ASSERT_TRUE(direct.Get("many/big").ok());
+
+  const ChunkStoreStats a = direct.chunk_stats();
+  const ChunkStoreStats b = shard.chunk_stats();
+  EXPECT_EQ(b.logical_bytes, a.logical_bytes);
+  EXPECT_EQ(b.physical_bytes, a.physical_bytes);
+  EXPECT_EQ(b.puts, a.puts);
+  EXPECT_EQ(b.dedup_hits, a.dedup_hits);
+  EXPECT_EQ(b.distinct_chunks, a.distinct_chunks);
+  EXPECT_EQ(shard.stats().physical_bytes, direct.stats().physical_bytes);
+  EXPECT_DOUBLE_EQ(shard.stats().storage_time_s,
+                   direct.stats().storage_time_s);
+  (*server)->Shutdown();
 }
 
-TEST(WireCodecTest, ChunkCacheEntryCapBoundsRetainedRefsUnderDedup) {
-  // 32 KiB cap -> at most two retained references (32 KiB / 16 KiB floor).
-  // Heavy dedup keeps physical bytes flat, so the bytes cap never fires; the
-  // reference-count cap must, or retained_ grows for the server's lifetime.
-  wire::WireChunkCache cache(32u << 10);
-  cache.Add(std::string(100, 'a'));
-  const std::string b(100, 'b');
-  for (int i = 0; i < 1000; ++i) cache.Add(b);
-  const ChunkStoreStats stats = cache.stats();
-  EXPECT_GE(stats.dedup_hits, 999u);
-  // The entry cap evicted chunk a's only reference long ago: the store holds
-  // just b now, at one copy.
-  EXPECT_EQ(stats.distinct_chunks, 1u);
-  EXPECT_LE(stats.physical_bytes, 100u);
+/// One index entry: 32-byte address, 8-byte little-endian length.
+std::string IndexEntry(const Hash256& address, uint64_t length) {
+  std::string entry(reinterpret_cast<const char*>(address.bytes.data()), 32);
+  for (int i = 0; i < 8; ++i) entry.push_back(static_cast<char>(length >> (8 * i)));
+  return entry;
+}
+
+Hash256 DataAddress(std::string_view piece) {
+  return Chunk::ComputeHash(ChunkType::kData, piece);
+}
+
+/// Each request must fail typed at the service and leave the engine and
+/// its chunk store exactly as they were.
+void ExpectRejectedAndNothingStored(StorageEngineService* service,
+                                    ForkBaseEngine* engine,
+                                    const std::string& request,
+                                    const std::string& what) {
+  const EngineStats before = engine->stats();
+  const ChunkStoreStats chunks_before = engine->chunk_stats();
+  const std::string response = service->Handle(request);
+  std::string_view rest;
+  const Status status = wire::DecodeResponseStatus(response, &rest);
+  EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument ||
+              status.code() == StatusCode::kCorruption)
+      << what << ": " << status;
+  const EngineStats after = engine->stats();
+  const ChunkStoreStats chunks_after = engine->chunk_stats();
+  EXPECT_EQ(after.puts, before.puts) << what;
+  EXPECT_EQ(after.logical_bytes, before.logical_bytes) << what;
+  EXPECT_EQ(after.physical_bytes, before.physical_bytes) << what;
+  EXPECT_EQ(chunks_after.puts, chunks_before.puts) << what;
+  EXPECT_EQ(chunks_after.physical_bytes, chunks_before.physical_bytes) << what;
+  EXPECT_EQ(chunks_after.distinct_chunks, chunks_before.distinct_chunks)
+      << what;
+  EXPECT_TRUE(engine->ListAllVersions().empty()) << what;
+}
+
+TEST(WireCodecTest, HostileRecipesAreRejectedAndStoreNothing) {
+  ForkBaseEngine engine;
+  StorageEngineService service(&engine);
+  const std::string value = RandomBytes(300 * 1024, 7);
+  const BlobPlan plan = PlanBlob(StoreChunker(), value);
+  ASSERT_GT(plan.pieces.size(), 4u);
+  const std::string& index = plan.index;
+  auto piece = [&](size_t i) {
+    return std::string_view(value).substr(plan.pieces[i].first,
+                                          plan.pieces[i].second);
+  };
+  auto put = [&](std::string_view data, std::string_view recipe) {
+    return wire::EncodeRecipePutRequest("hostile", data, recipe);
+  };
+
+  std::string flipped = value;
+  flipped[plan.pieces[2].first + 5] ^= 0x01;
+  ExpectRejectedAndNothingStored(&service, &engine, put(flipped, index),
+                                 "one flipped byte in one chunk");
+
+  std::string swapped = index;
+  std::memcpy(&swapped[0], index.data() + 40, 32);
+  ExpectRejectedAndNothingStored(&service, &engine, put(value, swapped),
+                                 "a chunk carrying another chunk's address");
+
+  std::string empty_piece =
+      index.substr(0, 40) + IndexEntry(DataAddress(""), 0) + index.substr(40);
+  ExpectRejectedAndNothingStored(&service, &engine, put(value, empty_piece),
+                                 "an empty piece");
+
+  // Piece 0 split in two: the first part, 500 bytes, is below the minimum.
+  std::string below_min = IndexEntry(DataAddress(piece(0).substr(0, 500)), 500) +
+                          IndexEntry(DataAddress(piece(0).substr(500)),
+                                     piece(0).size() - 500) +
+                          index.substr(40);
+  ExpectRejectedAndNothingStored(&service, &engine, put(value, below_min),
+                                 "a piece below the minimum");
+
+  // Leading pieces merged into one above the maximum, honestly hashed.
+  size_t merged = 0;
+  size_t k = 0;
+  while (merged <= kStoreChunkMaxBytes) merged += plan.pieces[k++].second;
+  std::string above_max =
+      IndexEntry(DataAddress(std::string_view(value).substr(0, merged)),
+                 merged) +
+      index.substr(40 * k);
+  ExpectRejectedAndNothingStored(&service, &engine, put(value, above_max),
+                                 "a piece above the maximum");
+
+  std::string short_by_one = index;
+  short_by_one[short_by_one.size() - 8] -= 1;
+  ExpectRejectedAndNothingStored(&service, &engine, put(value, short_by_one),
+                                 "lengths short by one byte");
+  std::string long_by_one = index;
+  long_by_one[long_by_one.size() - 8] += 1;
+  ExpectRejectedAndNothingStored(&service, &engine, put(value, long_by_one),
+                                 "lengths long by one byte");
+  ExpectRejectedAndNothingStored(&service, &engine,
+                                 put(value, index.substr(0, index.size() - 1)),
+                                 "an index that is not a multiple of 40");
+
+  // A put-many whose second recipe is bad stores neither value.
+  const std::vector<RecipePut> batch = {{"first", value, index},
+                                        {"second", flipped, index}};
+  ExpectRejectedAndNothingStored(&service, &engine,
+                                 wire::EncodeRecipePutManyRequest(batch),
+                                 "a put-many with one bad recipe");
+
+  // Hostile varints in a put-many's recipe field.
+  auto many = [](uint64_t count, std::string_view recipe,
+                 std::string_view body) {
+    std::string meta;
+    wire::PutMetaVarint(&meta, 4, count);
+    wire::PutMetaBytes(&meta, wire::kTagRecipe, recipe);
+    return wire::AssembleMessage(
+        static_cast<uint8_t>(wire::Method::kPutMany), meta, body);
+  };
+  auto varint = [](uint64_t v) {
+    std::string out;
+    wire::PutVarint(&out, v);
+    return out;
+  };
+  ExpectRejectedAndNothingStored(&service, &engine,
+                                 many(1ull << 60, "\x01k\x00\x00", ""),
+                                 "a 2^60 count");
+  ExpectRejectedAndNothingStored(
+      &service, &engine, many(1, varint(~0ull) + "k\x00\x00", ""),
+      "a 2^64-1 key length");
+  ExpectRejectedAndNothingStored(
+      &service, &engine, many(1, "\x01k" + varint(1ull << 62) + "\x00", "b"),
+      "a 2^62 data length");
+  ExpectRejectedAndNothingStored(
+      &service, &engine, many(1, "\x01k\x01" + varint(~0ull >> 1), "b"),
+      "a 2^63 index length");
+  ExpectRejectedAndNothingStored(&service, &engine,
+                                 many(1, "\x01k\x01\x00", "bb"),
+                                 "body bytes no recipe covers");
+  // A recipe on a request that carries no value.
+  std::string meta;
+  wire::PutMetaBytes(&meta, 1, "k");
+  wire::PutMetaBytes(&meta, wire::kTagRecipe, "");
+  ExpectRejectedAndNothingStored(
+      &service, &engine,
+      wire::AssembleMessage(static_cast<uint8_t>(wire::Method::kGet), meta,
+                            ""),
+      "a recipe on a get");
+
+  // The honest recipe still lands.
+  auto ok = wire::DecodePutResponse(service.Handle(put(value, index)));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->id, ForkBaseEngine().Put("hostile", value)->id);
+}
+
+TEST(WireCodecTest, EngineWithoutChunksChecksTheRecipeThenPuts) {
+  LocalDirEngine engine;
+  const std::string value = RandomBytes(300 * 1024, 8);
+  const std::string index = PlanBlob(StoreChunker(), value).index;
+  std::string flipped = value;
+  flipped[1000] ^= 0x01;
+  EXPECT_EQ(engine.PutWithRecipe("k", flipped, index).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(engine.num_keys(), 0u);
+  auto put = engine.PutWithRecipe("k", value, index);
+  ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_EQ(put->id, LocalDirEngine().Put("k", value)->id);
+
+  // A large read from it carries a recipe planned on the spot.
+  StorageEngineService service(&engine);
+  const std::string response =
+      service.Handle(wire::EncodeIdRequest(wire::Method::kGetVersion, put->id));
+  EXPECT_EQ(wire::StreamDigestBytes(response), response.size() - value.size());
+  auto read = wire::DecodeDataResponse(response);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(*read == value);
+}
+
+TEST(WireCodecTest, ReadWithAFlippedBodyByteIsCorruptionAtTheClient) {
+  ForkBaseEngine engine;
+  StorageEngineService service(&engine);
+  const std::string value = RandomBytes(400 * 1024, 9);
+  auto stored = engine.Put("big", value);
+  ASSERT_TRUE(stored.ok());
+  // A wrapping handler flips one byte of every large response's body, as
+  // a corrupting link would.
+  RemoteStorageEngine remote(std::make_unique<LoopbackTransport>(
+      [&service](std::string_view request) {
+        std::string response = service.Handle(request);
+        if (response.size() > 100 * 1024) response[response.size() - 777] ^= 1;
+        return response;
+      }));
+  EXPECT_EQ(remote.GetVersion(stored->id).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(remote.Get("big").status().code(), StatusCode::kCorruption);
 }
 
 // ----------------------------------------------- end-to-end over loopback ---

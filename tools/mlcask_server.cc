@@ -49,7 +49,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --endpoint <unix:/path | tcp:host:port> "
                "[--backend forkbase|localdir] [--workers N] "
-               "[--chunk-threshold BYTES] [--chunk-cache BYTES] "
+               "[--chunk-threshold BYTES] "
                "[--max-queued-jobs N] [--max-queued-bytes BYTES] "
                "[--fault-spec SPEC] [--data-dir DIR] "
                "[--serve-merge] [--merge-workers N] "
@@ -160,12 +160,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--chunk-threshold=", 18) == 0) {
       server_options.chunk_threshold =
           static_cast<size_t>(std::strtoull(arg + 18, nullptr, 10));
-    } else if (std::strcmp(arg, "--chunk-cache") == 0) {
-      server_options.chunk_cache_bytes = static_cast<size_t>(
-          std::strtoull(value("--chunk-cache"), nullptr, 10));
-    } else if (std::strncmp(arg, "--chunk-cache=", 14) == 0) {
-      server_options.chunk_cache_bytes =
-          static_cast<size_t>(std::strtoull(arg + 14, nullptr, 10));
     } else if (std::strcmp(arg, "--max-queued-jobs") == 0) {
       server_options.max_queued_jobs = static_cast<size_t>(
           std::strtoull(value("--max-queued-jobs"), nullptr, 10));
