@@ -18,6 +18,10 @@
 //      GetVersion back — the shape of a `cluster` commit and checkout.
 //      Printed in ms per op, not gated.
 //
+// The socket lanes (2 and 3) also print minor page faults per op: the
+// process's getrusage(RUSAGE_SELF).ru_minflt delta around each timed loop,
+// client and in-process servers together. Printed only.
+//
 // Flags: --short (CI-sized iteration counts), --json <path> (write
 // BENCH_micro_transport.json for tools/bench_compare.py).
 
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "bench_util.h"
@@ -94,6 +99,13 @@ double TimeGets(StorageEngine* engine, const std::string& key, size_t size,
   const double elapsed = NowSeconds() - start;
   return static_cast<double>(size) * static_cast<double>(iters) /
          (elapsed > 0 ? elapsed : 1e-9);
+}
+
+/// Minor page faults of this process so far.
+long MinorFaults() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
 }
 
 std::string HumanSize(size_t bytes) {
@@ -188,11 +200,14 @@ int main(int argc, char** argv) {
     RemoteStorageEngine remote(std::move(*transport));
 
     bench::CheckOk(remote.Put("large", large).status(), "Put large");
+    const long faults_before = MinorFaults();
     const double bps = TimeGets(&remote, "large", kLargeSize, stream_iters);
+    const double faults_per_op =
+        static_cast<double>(MinorFaults() - faults_before) / stream_iters;
     const TransportStats stats = raw_transport->stats();
-    std::printf("  %-10s  %8.1f MB/s   chunk frames rx %llu   peak decoder "
-                "buffer %llu bytes\n",
-                lane.name, bps / 1e6,
+    std::printf("  %-10s  %8.1f MB/s   %7.1f faults/op   chunk frames rx %llu"
+                "   peak decoder buffer %llu bytes\n",
+                lane.name, bps / 1e6, faults_per_op,
                 static_cast<unsigned long long>(stats.chunk_frames_received),
                 static_cast<unsigned long long>(
                     stats.peak_decoder_buffer_bytes));
@@ -261,6 +276,7 @@ int main(int argc, char** argv) {
     }
     std::vector<Hash256> ids;
     ids.reserve(iters);
+    long faults = MinorFaults();
     double start = NowSeconds();
     for (long i = 0; i < iters; ++i) {
       auto put = (*router)->Put("library/micro/lib", values[i]);
@@ -268,6 +284,9 @@ int main(int argc, char** argv) {
       ids.push_back(put->id);
     }
     const double put_ms = (NowSeconds() - start) * 1e3 / iters;
+    const double put_faults =
+        static_cast<double>(MinorFaults() - faults) / iters;
+    faults = MinorFaults();
     start = NowSeconds();
     for (long i = 0; i < iters; ++i) {
       auto read = (*router)->GetVersion(ids[i]);
@@ -278,8 +297,11 @@ int main(int argc, char** argv) {
       }
     }
     const double get_ms = (NowSeconds() - start) * 1e3 / iters;
-    std::printf("  put  %7.3f ms/op   get_version  %7.3f ms/op   (x%ld)\n",
-                put_ms, get_ms, iters);
+    const double get_faults =
+        static_cast<double>(MinorFaults() - faults) / iters;
+    std::printf("  put  %7.3f ms/op %7.1f faults/op   get_version  %7.3f "
+                "ms/op %7.1f faults/op   (x%ld)\n",
+                put_ms, put_faults, get_ms, get_faults, iters);
     router->reset();
     for (size_t s = 0; s < servers.size(); ++s) {
       servers[s]->Shutdown();

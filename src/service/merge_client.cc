@@ -23,13 +23,13 @@ std::string MergeServiceClient::NextReplayToken() {
 StatusOr<SubmitResult> MergeServiceClient::Submit(MergeJobSpec spec) {
   spec.tenant = tenant_;
   auto response =
-      transport_->Call(EncodeSubmitRequest(spec, NextReplayToken()));
+      transport_->CallOwned(EncodeSubmitRequest(spec, NextReplayToken()));
   MLCASK_RETURN_IF_ERROR(response.status());
   return DecodeSubmitResponse(*response);
 }
 
 StatusOr<PollResult> MergeServiceClient::Poll(const std::string& session_id) {
-  auto response = transport_->Call(
+  auto response = transport_->CallOwned(
       EncodeSessionRequest(ServiceOp::kPollMerge, tenant_, session_id));
   MLCASK_RETURN_IF_ERROR(response.status());
   return DecodePollResponse(*response);
@@ -37,7 +37,7 @@ StatusOr<PollResult> MergeServiceClient::Poll(const std::string& session_id) {
 
 StatusOr<MergeWinner> MergeServiceClient::Fetch(
     const std::string& session_id) {
-  auto response = transport_->Call(
+  auto response = transport_->CallOwned(
       EncodeSessionRequest(ServiceOp::kFetchWinner, tenant_, session_id));
   MLCASK_RETURN_IF_ERROR(response.status());
   return DecodeWinnerResponse(*response);
@@ -45,7 +45,7 @@ StatusOr<MergeWinner> MergeServiceClient::Fetch(
 
 StatusOr<SessionState> MergeServiceClient::Cancel(
     const std::string& session_id) {
-  auto response = transport_->Call(
+  auto response = transport_->CallOwned(
       EncodeSessionRequest(ServiceOp::kCancelMerge, tenant_, session_id));
   MLCASK_RETURN_IF_ERROR(response.status());
   return DecodeCancelResponse(*response);

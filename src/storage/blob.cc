@@ -150,9 +150,13 @@ StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref,
   MLCASK_ASSIGN_OR_RETURN(const Chunk* index_chunk, store.Get(ref.root));
   std::vector<std::pair<Hash256, uint64_t>> entries;
   MLCASK_RETURN_IF_ERROR(ParseIndex(*index_chunk, &entries));
-  if (index != nullptr) *index = index_chunk->data();
   std::string out;
-  out.reserve(ref.size);
+  if (index != nullptr) {
+    *index = index_chunk->data();
+    out.reserve(ref.size + index->size() + kReadHeadSlack);
+  } else {
+    out.reserve(ref.size);
+  }
   for (const auto& [hash, len] : entries) {
     MLCASK_ASSIGN_OR_RETURN(const Chunk* c, store.Get(hash));
     if (c->size() != len) {

@@ -75,9 +75,16 @@ BlobWriteInfo CommitBlob(ChunkStore* store, const BlobPlan& plan,
 BlobWriteInfo WriteBlob(ChunkStore* store, const Chunker& chunker,
                         std::string_view data);
 
+/// Bytes beyond the index that a read response's head needs (magic, status,
+/// two varints and a field key; wire::EncodeReadResponse).
+inline constexpr size_t kReadHeadSlack = 32;
+
 /// Reassembles a blob. Returns Corruption if the index is malformed and
 /// NotFound if any chunk is missing. A non-null `index` receives the bytes
-/// of the blob's index chunk.
+/// of the blob's index chunk; such a read answers the wire, so the value's
+/// buffer also reserves index.size() + kReadHeadSlack bytes of room for
+/// the response head written in front of it. A read without `index`
+/// allocates exactly the value.
 StatusOr<std::string> ReadBlob(const ChunkStore& store, const BlobRef& ref,
                                std::string* index = nullptr);
 

@@ -1,5 +1,6 @@
 #include "storage/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mlcask::storage {
@@ -7,6 +8,9 @@ namespace mlcask::storage {
 namespace {
 
 constexpr size_t kHeaderSize = 14;
+
+/// Reads' worth of room a growing receive buffer keeps past its live bytes.
+constexpr size_t kSpareReads = 4;
 
 void PutU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -85,19 +89,37 @@ Status DecodeErrorPayload(std::string_view payload) {
                 std::string(payload.substr(colon + 1)));
 }
 
-void FrameDecoder::Compact() {
-  if (pos_ == 0) return;
-  if (pos_ >= buffer_.size()) {
-    buffer_.clear();
+FrameDecoder::Span FrameDecoder::ReadSpace(size_t min_bytes) {
+  if (pos_ == end_) pos_ = end_ = 0;  // nothing live: start at the front
+  if (capacity_ - end_ < min_bytes) {
+    const size_t live = end_ - pos_;
+    const size_t room = live + std::max(min_bytes, kSpareReads * kReadBytes);
+    if (room <= capacity_) {
+      std::memmove(buffer_.get(), buffer_.get() + pos_, live);
+    } else {
+      const size_t capacity = std::max(room, 2 * capacity_);
+      std::unique_ptr<char[]> grown(new char[capacity]);
+      if (live > 0) std::memcpy(grown.get(), buffer_.get() + pos_, live);
+      buffer_ = std::move(grown);
+      capacity_ = capacity;
+    }
+    moved_bytes_ += live;
     pos_ = 0;
-    return;
+    end_ = live;
   }
-  // Amortized O(1): only move the remainder once the dead prefix outweighs
-  // it, so N small frames cost one move, not N.
-  if (pos_ >= buffer_.size() - pos_) {
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
+  return {buffer_.get() + end_, capacity_ - end_};
+}
+
+void FrameDecoder::CommitRead(size_t bytes) {
+  end_ += bytes;
+  const uint64_t live = end_ - pos_;
+  if (live > peak_buffer_bytes_) peak_buffer_bytes_ = live;
+}
+
+void FrameDecoder::Feed(std::string_view bytes) {
+  const Span span = ReadSpace(bytes.size());
+  if (!bytes.empty()) std::memcpy(span.data, bytes.data(), bytes.size());
+  CommitRead(bytes.size());
 }
 
 StatusOr<bool> FrameDecoder::Next(Frame* out) {
@@ -111,9 +133,8 @@ StatusOr<bool> FrameDecoder::Next(Frame* out) {
 
 StatusOr<bool> FrameDecoder::Next(FrameView* out) {
   if (!fatal_.ok()) return fatal_;
-  Compact();
-  if (buffer_.size() - pos_ < kHeaderSize) return false;
-  const char* h = buffer_.data() + pos_;
+  if (end_ - pos_ < kHeaderSize) return false;
+  const char* h = buffer_.get() + pos_;
   const uint8_t version = static_cast<uint8_t>(h[0]);
   const uint8_t type = static_cast<uint8_t>(h[1]);
   const uint64_t id = GetU64(h + 2);
@@ -128,7 +149,7 @@ StatusOr<bool> FrameDecoder::Next(FrameView* out) {
     // Header layout is frozen, so the id is trustworthy even across
     // versions — the caller can answer the right request. Consume the frame
     // so one mismatched message doesn't wedge the whole stream, then report.
-    if (buffer_.size() - pos_ < kHeaderSize + length) return false;
+    if (end_ - pos_ < kHeaderSize + length) return false;
     out->type = FrameType::kError;
     out->id = id;
     out->payload = {};
@@ -141,19 +162,19 @@ StatusOr<bool> FrameDecoder::Next(FrameView* out) {
     fatal_ = Status::Corruption("unknown frame type " + std::to_string(type));
     return fatal_;
   }
-  if (buffer_.size() - pos_ < kHeaderSize + length) return false;
+  if (end_ - pos_ < kHeaderSize + length) return false;
   out->type = static_cast<FrameType>(type);
   out->id = id;
-  out->payload = std::string_view(buffer_.data() + pos_ + kHeaderSize, length);
+  out->payload = std::string_view(buffer_.get() + pos_ + kHeaderSize, length);
   pos_ += kHeaderSize + length;
   return true;
 }
 
 Status FrameDecoder::Finish() const {
   if (!fatal_.ok()) return fatal_;
-  if (buffer_.size() > pos_) {
+  if (end_ > pos_) {
     return Status::Corruption("stream ended inside a frame (" +
-                              std::to_string(buffer_.size() - pos_) +
+                              std::to_string(end_ - pos_) +
                               " trailing bytes)");
   }
   return Status::Ok();

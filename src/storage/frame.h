@@ -2,6 +2,7 @@
 #define MLCASK_STORAGE_FRAME_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -60,7 +61,7 @@ struct Frame {
 };
 
 /// A frame whose payload is a view into the decoder's buffer, valid until
-/// the decoder's next Feed() or Next().
+/// the decoder's next ReadSpace() or Feed().
 struct FrameView {
   FrameType type = FrameType::kData;
   uint64_t id = 0;
@@ -83,10 +84,10 @@ void AppendFrame(std::string* out, FrameType type, uint64_t id,
 std::string EncodeErrorPayload(const Status& status);
 Status DecodeErrorPayload(std::string_view payload);
 
-/// Incremental frame parser for one byte stream. Feed() appends raw bytes;
-/// Next() extracts complete frames. All failure modes surface as statuses —
-/// the decoder never throws, never over-reads, and never buffers an
-/// oversized frame:
+/// Incremental frame parser for one byte stream. A reader recv()s straight
+/// into the decoder's buffer (ReadSpace, then CommitRead); Next() extracts
+/// complete frames. All failure modes surface as statuses — the decoder
+/// never throws, never over-reads, and never buffers an oversized frame:
 ///
 ///   truncated   Next() returns false (need more bytes); Finish() at stream
 ///               end reports Corruption if a partial frame is buffered
@@ -103,23 +104,35 @@ Status DecodeErrorPayload(std::string_view payload);
 /// trustworthy, the header layout being frozen) and the stream stays
 /// decodable, so one message in another version never takes down a session.
 ///
-/// Buffering is offset-based: consumed frames advance a read cursor and the
-/// prefix is compacted lazily, so a burst of small chunk frames costs one
-/// amortized move instead of one erase() per frame. peak_buffer_bytes()
+/// Buffering: received bytes land where they are parsed, and consumed
+/// frames only advance a read cursor. The unconsumed tail (a partial frame)
+/// is moved to the front only when the next read would not fit behind it,
+/// and a growing buffer keeps room for four reads past the live bytes, so a
+/// partial frame moves at most once per several reads. peak_buffer_bytes()
 /// reports the high-water mark of live buffered bytes — the number the
 /// chunk-streaming acceptance bound (receive buffer is O(chunk), not
 /// O(value)) is asserted against.
 class FrameDecoder {
  public:
+  /// The least free space a reader asks for before each read.
+  static constexpr size_t kReadBytes = 64u << 10;
+
   explicit FrameDecoder(uint32_t max_payload = kMaxFramePayload)
       : max_payload_(max_payload) {}
 
-  void Feed(std::string_view bytes) {
-    Compact();
-    buffer_.append(bytes);
-    const uint64_t live = buffer_.size() - pos_;
-    if (live > peak_buffer_bytes_) peak_buffer_bytes_ = live;
-  }
+  /// Free space at the end of the buffer, at least `min_bytes` long, for
+  /// the next read. Views from earlier Next() calls stay valid until this
+  /// is called.
+  struct Span {
+    char* data;
+    size_t size;
+  };
+  Span ReadSpace(size_t min_bytes = kReadBytes);
+  /// Marks the first `bytes` of the last ReadSpace() as received.
+  void CommitRead(size_t bytes);
+
+  /// Copies `bytes` in: ReadSpace, memcpy, CommitRead.
+  void Feed(std::string_view bytes);
 
   /// True: one frame extracted into *out. False: need more bytes.
   /// Error: stream corrupt/unsupported (see above). The view form copies
@@ -132,17 +145,18 @@ class FrameDecoder {
 
   /// High-water mark of live (unconsumed) buffered bytes.
   uint64_t peak_buffer_bytes() const { return peak_buffer_bytes_; }
+  /// Bytes moved inside the decoder to make room for reads: partial frames
+  /// moved to the front, and live bytes carried into a grown buffer.
+  uint64_t moved_bytes() const { return moved_bytes_; }
 
  private:
-  /// Drops the consumed prefix once it outweighs the live remainder, so the
-  /// buffer never holds more than ~2x the live bytes. Runs before a Feed or
-  /// Next, never after one, so the last view handed out stays valid.
-  void Compact();
-
   uint32_t max_payload_;
-  std::string buffer_;
+  std::unique_ptr<char[]> buffer_;  ///< Uninitialized: reads fill it.
+  size_t capacity_ = 0;
   size_t pos_ = 0;  ///< Read cursor: bytes before it are consumed.
+  size_t end_ = 0;  ///< Bytes before it are received.
   uint64_t peak_buffer_bytes_ = 0;
+  uint64_t moved_bytes_ = 0;
   Status fatal_;  ///< Sticky decode failure.
 };
 

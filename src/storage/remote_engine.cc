@@ -124,7 +124,12 @@ StatusOr<std::string> DecodeData(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   MLCASK_ASSIGN_OR_RETURN(std::string_view data,
                           wire::DecodeDataResponse(*raw));
-  return std::string(data);
+  // The value is the response's tail: erasing the head in front of it
+  // hands on the buffer the response arrived in, not a copy.
+  const size_t head = static_cast<size_t>(data.data() - raw->data());
+  std::string value = *std::move(raw);
+  value.erase(0, head);
+  return value;
 }
 
 StatusOr<bool> DecodeHas(StatusOr<std::string> raw) {
@@ -161,7 +166,7 @@ RemoteStorageEngine::RemoteStorageEngine(std::unique_ptr<Transport> transport)
   std::random_device rd;
   replay_session_ = StrFormat("%08x%08x", rd(), rd());
   auto peer = DecodeData(
-      transport_->Call(wire::EncodePlainRequest(wire::Method::kName)));
+      transport_->CallOwned(wire::EncodePlainRequest(wire::Method::kName)));
   name_ = peer.ok() ? "remote(" + *peer + ")" : "remote";
 }
 
@@ -198,9 +203,9 @@ std::string RemoteStorageEngine::EncodePutMany(
 }
 
 Deferred<std::vector<PutResult>> RemoteStorageEngine::SendPutMany(
-    const std::string& request, size_t expected) {
+    std::string request, size_t expected) {
   return Deferred<std::vector<PutResult>>(
-      transport_->AsyncCall(request),
+      transport_->AsyncCallOwned(std::move(request)),
       [expected](StatusOr<std::string> raw)
           -> StatusOr<std::vector<PutResult>> {
         if (!raw.ok()) return raw.status();
@@ -211,24 +216,24 @@ Deferred<std::vector<PutResult>> RemoteStorageEngine::SendPutMany(
 
 StatusOr<PutResult> RemoteStorageEngine::Put(const std::string& key,
                                              std::string_view data) {
-  return DecodePut(transport_->Call(EncodePut(key, data)));
+  return DecodePut(transport_->CallOwned(EncodePut(key, data)));
 }
 
 StatusOr<PutResult> RemoteStorageEngine::PutWithRecipe(
     const std::string& key, std::string_view data, std::string_view index) {
-  return DecodePut(transport_->Call(
+  return DecodePut(transport_->CallOwned(
       wire::EncodeRecipePutRequest(key, data, index, NextReplayToken())));
 }
 
 Deferred<PutResult> RemoteStorageEngine::AsyncPut(const std::string& key,
                                                   std::string_view data) {
-  return Deferred<PutResult>(transport_->AsyncCall(EncodePut(key, data)),
+  return Deferred<PutResult>(transport_->AsyncCallOwned(EncodePut(key, data)),
                              DecodePut, transport_->call_timeout_ms());
 }
 
 StatusOr<std::vector<PutResult>> RemoteStorageEngine::PutMany(
     const std::vector<PutRequest>& batch) {
-  auto raw = transport_->Call(EncodePutMany(batch));
+  auto raw = transport_->CallOwned(EncodePutMany(batch));
   if (!raw.ok()) return raw.status();
   return wire::DecodePutManyResponse(*raw, batch.size());
 }
@@ -240,7 +245,7 @@ Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutMany(
 
 StatusOr<std::vector<PutResult>> RemoteStorageEngine::PutManyWithRecipes(
     const std::vector<RecipePut>& batch) {
-  auto raw = transport_->Call(
+  auto raw = transport_->CallOwned(
       wire::EncodeRecipePutManyRequest(batch, NextReplayToken()));
   if (!raw.ok()) return raw.status();
   return wire::DecodePutManyResponse(*raw, batch.size());
@@ -255,44 +260,44 @@ Deferred<std::vector<PutResult>> RemoteStorageEngine::AsyncPutManyWithRecipes(
 
 StatusOr<PutResult> RemoteStorageEngine::CopyVersion(const std::string& key,
                                                      const Hash256& source) {
-  return DecodePut(transport_->Call(
+  return DecodePut(transport_->CallOwned(
       wire::EncodeCopyVersionRequest(key, source, NextReplayToken())));
 }
 
 Deferred<PutResult> RemoteStorageEngine::AsyncCopyVersion(
     const std::string& key, const Hash256& source) {
   return Deferred<PutResult>(
-      transport_->AsyncCall(
+      transport_->AsyncCallOwned(
           wire::EncodeCopyVersionRequest(key, source, NextReplayToken())),
       DecodePut, transport_->call_timeout_ms());
 }
 
 StatusOr<std::string> RemoteStorageEngine::Get(const std::string& key) {
   return DecodeData(
-      transport_->Call(wire::EncodeKeyRequest(wire::Method::kGet, key)));
+      transport_->CallOwned(wire::EncodeKeyRequest(wire::Method::kGet, key)));
 }
 
 StatusOr<std::string> RemoteStorageEngine::GetVersion(const Hash256& id) {
-  return DecodeData(
-      transport_->Call(wire::EncodeIdRequest(wire::Method::kGetVersion, id)));
+  return DecodeData(transport_->CallOwned(
+      wire::EncodeIdRequest(wire::Method::kGetVersion, id)));
 }
 
 Deferred<std::string> RemoteStorageEngine::AsyncGetVersion(const Hash256& id) {
   return Deferred<std::string>(
-      transport_->AsyncCall(
+      transport_->AsyncCallOwned(
           wire::EncodeIdRequest(wire::Method::kGetVersion, id)),
       DecodeData, transport_->call_timeout_ms());
 }
 
 bool RemoteStorageEngine::HasVersion(const Hash256& id) const {
-  auto has = DecodeHas(
-      transport_->Call(wire::EncodeIdRequest(wire::Method::kHasVersion, id)));
+  auto has = DecodeHas(transport_->CallOwned(
+      wire::EncodeIdRequest(wire::Method::kHasVersion, id)));
   return has.ok() && *has;
 }
 
 Deferred<bool> RemoteStorageEngine::AsyncHasVersion(const Hash256& id) const {
   return Deferred<bool>(
-      transport_->AsyncCall(
+      transport_->AsyncCallOwned(
           wire::EncodeIdRequest(wire::Method::kHasVersion, id)),
       DecodeHas, transport_->call_timeout_ms());
 }
@@ -300,53 +305,55 @@ Deferred<bool> RemoteStorageEngine::AsyncHasVersion(const Hash256& id) const {
 std::vector<Hash256> RemoteStorageEngine::Versions(
     const std::string& key) const {
   return DecodeOrEmpty(
-      transport_->Call(wire::EncodeKeyRequest(wire::Method::kVersions, key)),
+      transport_->CallOwned(
+          wire::EncodeKeyRequest(wire::Method::kVersions, key)),
       wire::DecodeVersionsResponse);
 }
 
 std::vector<std::pair<std::string, Hash256>>
 RemoteStorageEngine::ListAllVersions() const {
   return DecodeOrEmpty(
-      transport_->Call(
+      transport_->CallOwned(
           wire::EncodePlainRequest(wire::Method::kListAllVersions)),
       wire::DecodeEntriesResponse);
 }
 
 StatusOr<uint64_t> RemoteStorageEngine::DeleteVersion(const Hash256& id) {
-  return DecodeFreed(transport_->Call(wire::EncodeIdRequest(
+  return DecodeFreed(transport_->CallOwned(wire::EncodeIdRequest(
       wire::Method::kDeleteVersion, id, NextReplayToken())));
 }
 
 Deferred<uint64_t> RemoteStorageEngine::AsyncDeleteVersion(const Hash256& id) {
   return Deferred<uint64_t>(
-      transport_->AsyncCall(wire::EncodeIdRequest(
+      transport_->AsyncCallOwned(wire::EncodeIdRequest(
           wire::Method::kDeleteVersion, id, NextReplayToken())),
       DecodeFreed, transport_->call_timeout_ms());
 }
 
 StatusOr<MigrateBatchResult> RemoteStorageEngine::MigrateBatch(
     const std::vector<MigrateKeyVersions>& batch) {
-  return DecodeMigrate(transport_->Call(
+  return DecodeMigrate(transport_->CallOwned(
       wire::EncodeMigrateBatchRequest(batch, NextReplayToken())));
 }
 
 Deferred<MigrateBatchResult> RemoteStorageEngine::AsyncMigrateBatch(
     const std::vector<MigrateKeyVersions>& batch) {
   return Deferred<MigrateBatchResult>(
-      transport_->AsyncCall(
+      transport_->AsyncCallOwned(
           wire::EncodeMigrateBatchRequest(batch, NextReplayToken())),
       DecodeMigrate, transport_->call_timeout_ms());
 }
 
 EngineStats RemoteStorageEngine::stats() const {
   return DecodeOrEmpty(
-      transport_->Call(wire::EncodePlainRequest(wire::Method::kStats)),
+      transport_->CallOwned(wire::EncodePlainRequest(wire::Method::kStats)),
       wire::DecodeStatsResponse);
 }
 
 double RemoteStorageEngine::ReadCost(uint64_t bytes) const {
-  return DecodeOrEmpty(transport_->Call(wire::EncodeReadCostRequest(bytes)),
-                       wire::DecodeCostResponse);
+  return DecodeOrEmpty(
+      transport_->CallOwned(wire::EncodeReadCostRequest(bytes)),
+      wire::DecodeCostResponse);
 }
 
 }  // namespace mlcask::storage

@@ -93,7 +93,9 @@ class StorageEngineService {
 };
 
 /// Client half: a StorageEngine proxy that serializes every call into a
-/// request message, sends it through a Transport, and decodes the response.
+/// request message, moves it into a Transport (CallOwned / AsyncCallOwned),
+/// and decodes the response; a read hands on the response's own buffer with
+/// the head erased in front of the value, so a value is allocated once.
 /// With a LoopbackTransport this gives an in-process deployment the exact
 /// call/serialization profile of a networked one (the "aha" the distributed
 /// tests rely on); a SocketTransport makes the peer a real process.
@@ -187,7 +189,7 @@ class RemoteStorageEngine : public StorageEngine {
   std::string EncodePut(std::string_view key, std::string_view data);
   std::string EncodePutMany(const std::vector<PutRequest>& batch);
   /// Sends a put-many and decodes its `expected` results when collected.
-  Deferred<std::vector<PutResult>> SendPutMany(const std::string& request,
+  Deferred<std::vector<PutResult>> SendPutMany(std::string request,
                                                size_t expected);
 
   std::unique_ptr<Transport> transport_;

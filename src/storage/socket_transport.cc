@@ -185,12 +185,12 @@ SocketTransport::~SocketTransport() {
   FailAllPending(Status::Unavailable("transport destroyed"));
 }
 
-TransportFuture SocketTransport::AsyncCall(std::string_view request) {
+TransportFuture SocketTransport::AsyncCallOwned(std::string request) {
   uint64_t unused_id = 0;
-  return AsyncCallWithId(request, &unused_id);
+  return AsyncCallWithId(std::move(request), &unused_id);
 }
 
-TransportFuture SocketTransport::AsyncCallWithId(std::string_view request,
+TransportFuture SocketTransport::AsyncCallWithId(std::string request,
                                                  uint64_t* id_out) {
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   *id_out = id;
@@ -210,6 +210,9 @@ TransportFuture SocketTransport::AsyncCallWithId(std::string_view request,
     stats_.transport_errors += 1;
     return future;
   }
+  // The one buffer this request lives in: the pending entry keeps it for a
+  // redial's replay, and this reference keeps it alive through the send.
+  auto owned = std::make_shared<const std::string>(std::move(request));
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (!broken_.ok()) {
@@ -220,11 +223,10 @@ TransportFuture SocketTransport::AsyncCallWithId(std::string_view request,
     }
     Pending pending;
     pending.promise = std::move(promise);
-    // Retained so a redial can replay the call on the fresh connection.
-    pending.request.assign(request.data(), request.size());
+    pending.request = owned;
     pending_.emplace(id, std::move(pending));
   }
-  const uint64_t deadline_ms = PeekRequestDeadlineMs(request);
+  const uint64_t deadline_ms = PeekRequestDeadlineMs(*owned);
   if (deadline_ms > 0) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.deadline_stamped_calls += 1;
@@ -237,7 +239,7 @@ TransportFuture SocketTransport::AsyncCallWithId(std::string_view request,
   if (fault.delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
   }
-  Status sent = SendRequest(id, request, fault);
+  Status sent = SendRequest(id, *owned, fault);
   if (!sent.ok()) {
     // Degrade instead of failing: the reader notices the dead connection
     // (the shutdown below guarantees it wakes), redials, and replays this
@@ -327,7 +329,7 @@ Status SocketTransport::SendChunked(uint64_t id, std::string_view payload,
   return sent;
 }
 
-StatusOr<std::string> SocketTransport::Call(std::string_view request) {
+StatusOr<std::string> SocketTransport::CallOwned(std::string request) {
   // A request stamped with a remaining deadline budget must not be waited
   // on longer than that budget: the blocking wait honors the TIGHTER of the
   // session timeout and the caller's end-to-end deadline.
@@ -338,7 +340,7 @@ StatusOr<std::string> SocketTransport::Call(std::string_view request) {
                                  : std::min(timeout_ms, stamped_ms);
   }
   uint64_t id = 0;
-  TransportFuture future = AsyncCallWithId(request, &id);
+  TransportFuture future = AsyncCallWithId(std::move(request), &id);
   if (timeout_ms == 0 ||
       future.wait_for(std::chrono::milliseconds(timeout_ms)) ==
           std::future_status::ready) {
@@ -431,9 +433,10 @@ Status SocketTransport::PumpSession(bool* delivered) {
     std::lock_guard<std::mutex> lock(write_mu_);
     fd = fd_;
   }
-  char buf[64 * 1024];
   for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
+    // Straight into the decoder's buffer: frames are parsed where they land.
+    const FrameDecoder::Span space = decoder.ReadSpace();
+    ssize_t n = ::read(fd, space.data, space.size);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       Status eof = decoder.Finish();
@@ -441,7 +444,7 @@ Status SocketTransport::PumpSession(bool* delivered) {
                                             " closed the connection")
                       : eof;
     }
-    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    decoder.CommitRead(static_cast<size_t>(n));
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.peak_decoder_buffer_bytes =
@@ -512,7 +515,7 @@ Status SocketTransport::PumpSession(bool* delivered) {
         auto it = pending_.find(frame.id);
         if (it != pending_.end()) {
           waiter = std::move(it->second.promise);
-          request_bytes = it->second.request.size();
+          request_bytes = it->second.request->size();
           pending_.erase(it);
           found = true;
         }
@@ -587,7 +590,7 @@ Status SocketTransport::Redial() {
   // after the swap sends itself; anything in this snapshot is sent below.
   // Correlation-id order preserves the per-connection ordering the 2PC
   // apply phase relies on.
-  std::vector<std::pair<uint64_t, std::string>> replay;
+  std::vector<std::pair<uint64_t, std::shared_ptr<const std::string>>> replay;
   // Calls whose per-call retry budget is spent fail HERE with a typed
   // ResourceExhausted instead of riding yet another connection: under
   // sustained overload, retry amplification must converge, not compound.
@@ -633,7 +636,7 @@ Status SocketTransport::Redial() {
   for (const auto& [id, request] : replay) {
     // Replays carry no injected faults — the fault hit the ORIGINAL
     // transmission; recovery must be clean or it is not recovery.
-    Status sent = SendRequest(id, request, SendFault{});
+    Status sent = SendRequest(id, *request, SendFault{});
     if (!sent.ok()) {
       // The replacement died mid-replay: let the pump observe it and run
       // another redial cycle (bounded by the barren-session cap).
@@ -836,9 +839,10 @@ void SocketTransportServer::AcceptReady() {
 
 void SocketTransportServer::ReadReady(
     const std::shared_ptr<Connection>& connection) {
-  char buf[64 * 1024];
   for (;;) {
-    ssize_t n = ::recv(connection->fd, buf, sizeof(buf), 0);
+    // Straight into the decoder's buffer: frames are parsed where they land.
+    const FrameDecoder::Span space = connection->decoder.ReadSpace();
+    ssize_t n = ::recv(connection->fd, space.data, space.size, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -849,7 +853,7 @@ void SocketTransportServer::ReadReady(
       CloseConnection(connection);
       return;
     }
-    connection->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    connection->decoder.CommitRead(static_cast<size_t>(n));
     for (;;) {
       FrameView frame;
       auto next = connection->decoder.Next(&frame);
@@ -970,7 +974,7 @@ void SocketTransportServer::ReadReady(
         work_cv_.notify_one();
       }
     }
-    if (n < static_cast<ssize_t>(sizeof(buf))) return;  // drained for now
+    if (static_cast<size_t>(n) < space.size) return;  // drained for now
   }
 }
 

@@ -137,8 +137,16 @@ class SocketTransport : public Transport {
 
   ~SocketTransport() override;
 
-  StatusOr<std::string> Call(std::string_view request) override;
-  TransportFuture AsyncCall(std::string_view request) override;
+  /// The view forms copy the request once, into the buffer the owned forms
+  /// take over.
+  StatusOr<std::string> Call(std::string_view request) override {
+    return CallOwned(std::string(request));
+  }
+  TransportFuture AsyncCall(std::string_view request) override {
+    return AsyncCallOwned(std::string(request));
+  }
+  StatusOr<std::string> CallOwned(std::string request) override;
+  TransportFuture AsyncCallOwned(std::string request) override;
   TransportStats stats() const override;
   std::string Name() const override;
   uint64_t call_timeout_ms() const override {
@@ -160,7 +168,7 @@ class SocketTransport : public Transport {
   /// can deregister the pending entry on timeout (the one call is then
   /// accounted exactly once: as a transport error, never ALSO as a
   /// completed round trip when its response straggles in later).
-  TransportFuture AsyncCallWithId(std::string_view request, uint64_t* id_out);
+  TransportFuture AsyncCallWithId(std::string request, uint64_t* id_out);
 
   /// Sends one already-registered request (monolithic or chunk-streamed),
   /// applying `fault` on the way out. A degraded connection silently skips
@@ -188,9 +196,14 @@ class SocketTransport : public Transport {
   /// Fails every pending call with `status` and marks the session broken.
   void FailAllPending(const Status& status);
 
+  /// One call awaiting its response. `request` is the caller's encoded
+  /// request itself, moved in, not a copy: kept for a redial's replay, and
+  /// shared with whichever send is writing it, so a redial, a timed-out
+  /// Call erasing the entry or FailAllPending never frees bytes a writer
+  /// still reads.
   struct Pending {
     std::promise<StatusOr<std::string>> promise;
-    std::string request;  ///< Full request bytes, retained for replay.
+    std::shared_ptr<const std::string> request;
     uint32_t replays = 0;  ///< Redial replays consumed (retry budget).
   };
 

@@ -59,6 +59,10 @@ using TransportHandler = std::function<std::string(std::string_view)>;
 ///              before the first wait overlap their wire latency, which is
 ///              what the sharded engine's fan-outs (2PC phases, broadcast
 ///              probes, replicated puts) are built on
+///   CallOwned / AsyncCallOwned
+///              the same, taking the encoded request by value: a transport
+///              that must keep the request (a socket session replays it
+///              after a redial) keeps that buffer instead of a copy
 ///
 /// Thread safety: all methods may be invoked concurrently from many workers
 /// (storage engines are themselves concurrent); implementations must
@@ -83,6 +87,15 @@ class Transport {
     std::promise<StatusOr<std::string>> promise;
     promise.set_value(Call(request));
     return promise.get_future();
+  }
+
+  /// Call / AsyncCall with the request moved in. The defaults forward to
+  /// the view forms, which is right for a transport that keeps nothing.
+  virtual StatusOr<std::string> CallOwned(std::string request) {
+    return Call(request);
+  }
+  virtual TransportFuture AsyncCallOwned(std::string request) {
+    return AsyncCall(request);
   }
 
   virtual TransportStats stats() const = 0;

@@ -605,6 +605,31 @@ std::string EncodeRecipeDataResponse(std::string_view data,
   return Assemble(0, meta, data);
 }
 
+// magic, status byte, meta length, the recipe's field key and its length.
+static_assert(2 + 10 + 1 + 10 <= kReadHeadSlack,
+              "ReadBlob's reserve must cover a read response's head");
+
+std::string EncodeReadResponse(std::string value, std::string_view index) {
+  std::string meta;
+  if (value.size() >= kDefaultChunkThreshold) {
+    std::string planned;
+    if (index.empty()) {
+      planned = PlanBlob(StoreChunker(), value).index;
+      index = planned;
+    }
+    PutFieldBytes(&meta, kTagRecipe, index);
+  }
+  std::string head;
+  head.push_back(static_cast<char>(kBinaryMagic));
+  head.push_back(0);
+  PutVarint(&head, meta.size());
+  head.append(meta);
+  // Moves the value back within its own buffer when ReadBlob reserved the
+  // room (index + kReadHeadSlack), and reallocates only when it did not.
+  value.insert(0, head);
+  return value;
+}
+
 std::string EncodePutResponse(const PutResult& result) {
   std::string meta;
   AppendPutResultMeta(&meta, result);
@@ -898,15 +923,9 @@ StatusOr<MigrateBatchResult> DecodeMigrateResponse(std::string_view message) {
 
 namespace {
 
-/// A read's response. From kDefaultChunkThreshold up the value carries its
-/// recipe: the engine's stored index, or, from an engine that keeps none,
-/// one planned here.
-std::string EncodeReadResponse(const StatusOr<std::string>& data,
-                               std::string index) {
+std::string EncodeRead(StatusOr<std::string> data, std::string_view index) {
   if (!data.ok()) return EncodeErrorResponse(data.status());
-  if (data->size() < kDefaultChunkThreshold) return EncodeDataResponse(*data);
-  if (index.empty()) index = PlanBlob(StoreChunker(), *data).index;
-  return EncodeRecipeDataResponse(*data, index);
+  return EncodeReadResponse(*std::move(data), index);
 }
 
 }  // namespace
@@ -952,12 +971,12 @@ std::string DispatchBinary(StorageEngine* engine, std::string_view message) {
     case Method::kGet: {
       std::string index;
       auto data = engine->GetWithRecipe(std::string(request->key), &index);
-      return EncodeReadResponse(data, std::move(index));
+      return EncodeRead(std::move(data), index);
     }
     case Method::kGetVersion: {
       std::string index;
       auto data = engine->GetVersionWithRecipe(request->id, &index);
-      return EncodeReadResponse(data, std::move(index));
+      return EncodeRead(std::move(data), index);
     }
     case Method::kHasVersion:
       return EncodeHasResponse(engine->HasVersion(request->id));

@@ -248,6 +248,13 @@ std::string EncodeDataResponse(std::string_view data);
 /// A large Get / GetVersion: meta {recipe = the index chunk}, body = data.
 std::string EncodeRecipeDataResponse(std::string_view data,
                                      std::string_view index);
+/// The service's read response, built around `value` in its own buffer:
+/// byte for byte EncodeRecipeDataResponse(value, index) from
+/// kDefaultChunkThreshold up (with a recipe planned here when `index` is
+/// empty, for an engine that keeps none) and EncodeDataResponse(value)
+/// below. The head is written in front of the value, so a value read with
+/// its recipe (ReadBlob reserves the head's room) is never copied again.
+std::string EncodeReadResponse(std::string value, std::string_view index);
 std::string EncodePutResponse(const PutResult& result);
 std::string EncodePutManyResponse(const std::vector<PutResult>& results);
 std::string EncodeHasResponse(bool has);

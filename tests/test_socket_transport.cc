@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -20,6 +21,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +177,165 @@ TEST(FrameCodecTest, ErrorPayloadRejectsGarbage) {
   EXPECT_EQ(DecodeErrorPayload("12a:msg").code(), StatusCode::kCorruption);
   EXPECT_EQ(DecodeErrorPayload("0:ok?").code(), StatusCode::kCorruption);
   EXPECT_EQ(DecodeErrorPayload("9999:big").code(), StatusCode::kCorruption);
+}
+
+// ---------------------------------------------- receive-in-place sweeps ---
+
+/// A seeded stream of DATA, CHUNK and CHUNK_END frames with payloads from
+/// 0 to 300 KiB.
+std::string SeededFrameStream(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const FrameType kTypes[] = {FrameType::kData, FrameType::kChunk,
+                              FrameType::kChunkEnd};
+  std::string wire;
+  const int frames = 4 + static_cast<int>(rng() % 6);
+  for (int i = 0; i < frames; ++i) {
+    // Mostly small frames, a third up to 300 KiB.
+    const size_t size = rng() % 3 == 0 ? rng() % ((300u << 10) + 1)
+                                       : rng() % 2048;
+    std::string payload(size, '\0');
+    for (char& c : payload) c = static_cast<char>(rng());
+    AppendFrame(&wire, kTypes[rng() % 3], rng(), payload);
+  }
+  return wire;
+}
+
+/// Every frame `decoder` yields until it needs more bytes or fails. A
+/// failure lands in *status; only the recoverable version skew is drained
+/// past.
+void Drain(FrameDecoder* decoder, std::vector<Frame>* frames,
+           Status* status) {
+  for (;;) {
+    Frame frame;
+    auto next = decoder->Next(&frame);
+    if (!next.ok()) {
+      *status = next.status();
+      if (next.status().code() == StatusCode::kUnimplemented) continue;
+      return;
+    }
+    if (!*next) return;
+    frames->push_back(std::move(frame));
+  }
+}
+
+/// Feeds `wire` through the readers' path (recv into ReadSpace, then
+/// CommitRead) at seeded read sizes from 1 byte to 64 KiB.
+void ReceiveInRandomReads(std::string_view wire, uint64_t seed,
+                          FrameDecoder* decoder, std::vector<Frame>* frames,
+                          Status* status) {
+  std::mt19937_64 rng(seed);
+  size_t offset = 0;
+  while (offset < wire.size() && status->ok()) {
+    const FrameDecoder::Span space = decoder->ReadSpace();
+    ASSERT_GE(space.size, FrameDecoder::kReadBytes);
+    // Log-uniform sizes, so one-byte reads split headers as often as
+    // 64 KiB reads straddle frames.
+    const size_t cap = size_t{1} << (rng() % 17);
+    const size_t n = std::min({space.size, wire.size() - offset,
+                               1 + static_cast<size_t>(rng() % cap)});
+    std::memcpy(space.data, wire.data() + offset, n);
+    decoder->CommitRead(n);
+    offset += n;
+    Drain(decoder, frames, status);
+  }
+}
+
+TEST(FrameCodecTest, SplitReadsDecodeExactlyTheFramesOfOneFeed) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::string wire = SeededFrameStream(seed);
+    FrameDecoder whole;
+    whole.Feed(wire);
+    std::vector<Frame> want;
+    Status want_status;
+    Drain(&whole, &want, &want_status);
+    ASSERT_TRUE(want_status.ok()) << want_status;
+    ASSERT_TRUE(whole.Finish().ok());
+
+    FrameDecoder split;
+    std::vector<Frame> got;
+    Status got_status;
+    ReceiveInRandomReads(wire, seed * 7919, &split, &got, &got_status);
+    ASSERT_TRUE(got_status.ok()) << "seed " << seed << ": " << got_status;
+    EXPECT_TRUE(split.Finish().ok()) << "seed " << seed;
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].type, want[i].type) << "seed " << seed << " #" << i;
+      EXPECT_EQ(got[i].id, want[i].id) << "seed " << seed << " #" << i;
+      EXPECT_TRUE(got[i].payload == want[i].payload)
+          << "seed " << seed << " #" << i;
+    }
+  }
+}
+
+TEST(FrameCodecTest, MutatedHeadersAndTruncationsEndTypedNeverHang) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::string wire = SeededFrameStream(seed % 40 + 1);
+    // Mutate the header at some frame boundary (or at a random offset):
+    // random bytes, or a length field pushed anywhere up to the limit and
+    // past it; then maybe cut the stream short.
+    size_t at = 0;
+    const int hops = static_cast<int>(rng() % 3);
+    for (int h = 0; h < hops && at + 14 <= wire.size(); ++h) {
+      uint32_t length = 0;
+      std::memcpy(&length, wire.data() + at + 10, 4);
+      at += 14 + length;
+    }
+    if (rng() % 4 == 0) at = rng() % wire.size();
+    if (at + 14 <= wire.size()) {
+      switch (rng() % 3) {
+        case 0:
+          wire[at + rng() % 14] = static_cast<char>(rng());
+          break;
+        case 1: {
+          const uint32_t length = static_cast<uint32_t>(rng());
+          std::memcpy(&wire[at + 10], &length, 4);
+          break;
+        }
+        default:
+          wire[at + 1] = static_cast<char>(rng() % 6);
+          break;
+      }
+    }
+    if (rng() % 2 == 0) wire.resize(rng() % (wire.size() + 1));
+
+    FrameDecoder decoder;
+    std::vector<Frame> frames;
+    Status status;
+    ReceiveInRandomReads(wire, seed, &decoder, &frames, &status);
+    if (!status.ok()) {
+      EXPECT_TRUE(status.code() == StatusCode::kCorruption ||
+                  status.code() == StatusCode::kUnimplemented)
+          << "seed " << seed << ": " << status;
+    }
+    const Status end = decoder.Finish();
+    EXPECT_TRUE(end.ok() || end.code() == StatusCode::kCorruption)
+        << "seed " << seed << ": " << end;
+  }
+}
+
+TEST(FrameCodecTest, StreamedFramesAreMovedAtMostOncePerSeveralReads) {
+  // 64 KiB reads of 64 KiB + 14-byte frames: every read leaves a partial
+  // frame behind, the worst case for moving unconsumed bytes.
+  std::string wire;
+  const std::string payload(64u << 10, 'p');
+  for (uint64_t id = 1; id <= 256; ++id) {
+    AppendFrame(&wire, FrameType::kChunk, id, payload);
+  }
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  Status status;
+  for (size_t offset = 0; offset < wire.size(); offset += 64u << 10) {
+    decoder.Feed(std::string_view(wire).substr(offset, 64u << 10));
+    Drain(&decoder, &frames, &status);
+    frames.clear();  // keep the test's own memory small
+  }
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(decoder.Finish().ok());
+  EXPECT_LE(static_cast<double>(decoder.moved_bytes()),
+            0.35 * static_cast<double>(wire.size()));
+  // Live bytes stay O(frame): at most one partial frame and one read.
+  EXPECT_LT(decoder.peak_buffer_bytes(), 2 * (payload.size() + 14));
 }
 
 // ------------------------------------------------------------ end to end ---
@@ -725,6 +886,135 @@ TEST(SocketTransportTest, StatsStayConsistentUnderConcurrentCalls) {
   EXPECT_EQ(stats.calls, 1000u);
   EXPECT_EQ(stats.request_bytes, stats.calls * request.size());
   EXPECT_EQ(stats.response_bytes, stats.calls * response.size());
+}
+
+// ------------------------------------------- owned-request lifetimes ---
+
+/// Seeded bytes; from 1 MiB up a request streams as chunk frames.
+std::string LargeRequest(size_t size, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string request(size, '\0');
+  for (char& c : request) c = static_cast<char>(rng());
+  return request;
+}
+
+/// A response that names its request: size and first 16 bytes.
+std::string Fingerprint(std::string_view request) {
+  return std::to_string(request.size()) + ":" +
+         std::string(request.substr(0, 16));
+}
+
+std::unique_ptr<SocketTransportServer> ServeFingerprints(
+    const std::string& spec, SocketTransportServer::Options options = {}) {
+  auto server = SocketTransportServer::Bind(spec, options);
+  EXPECT_TRUE(server.ok()) << server.status();
+  EXPECT_TRUE((*server)->Serve(Fingerprint).ok());
+  return std::move(*server);
+}
+
+TEST(OwnedRequestTest, DestroyingTheTransportMidReplayFreesNothingInUse) {
+  const std::string spec = "unix:" + TempSocketPath("owned-destroy");
+  auto server = ServeFingerprints(spec);
+  for (uint64_t round = 1; round <= 4; ++round) {
+    SocketTransport::Options options;
+    options.redial_initial_backoff_ms = 1;
+    options.injector = std::make_shared<FaultInjector>(
+        *FaultSpec::Parse("seed=" + std::to_string(round) + ",dropafter=0.5"));
+    auto transport = SocketTransport::Connect(spec, options);
+    ASSERT_TRUE(transport.ok()) << transport.status();
+    std::mutex mu;
+    std::vector<std::pair<std::string, TransportFuture>> calls;
+    std::vector<std::thread> senders;
+    for (int t = 0; t < 4; ++t) {
+      senders.emplace_back([&, t] {
+        for (int k = 0; k < 2; ++k) {
+          std::string request =
+              LargeRequest((1u << 20) + 4096 * t + k, round * 100 + t * 10 + k);
+          std::string want = Fingerprint(request);
+          TransportFuture future =
+              (*transport)->AsyncCallOwned(std::move(request));
+          std::lock_guard<std::mutex> lock(mu);
+          calls.emplace_back(std::move(want), std::move(future));
+        }
+      });
+    }
+    for (std::thread& t : senders) t.join();
+    // Each dropped send left its connection dead, so the reader may be
+    // redialing and replaying the pending requests right now.
+    transport->reset();
+    for (auto& [want, future] : calls) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready);
+      auto result = future.get();
+      if (result.ok()) {
+        EXPECT_EQ(*result, want);
+      } else {
+        EXPECT_TRUE(result.status().IsUnavailable() ||
+                    result.status().code() == StatusCode::kResourceExhausted)
+            << result.status();
+      }
+    }
+  }
+  server->Shutdown();
+}
+
+TEST(OwnedRequestTest, RedialReplaysLargeOwnedRequestsFromTheirOwnBuffers) {
+  const std::string spec = "unix:" + TempSocketPath("owned-redial");
+  auto server = ServeFingerprints(spec);
+  SocketTransport::Options options;
+  options.redial_initial_backoff_ms = 1;
+  options.injector = std::make_shared<FaultInjector>(
+      *FaultSpec::Parse("seed=5,dropafter=0.3"));
+  auto transport = SocketTransport::Connect(spec, options);
+  ASSERT_TRUE(transport.ok()) << transport.status();
+  std::vector<std::thread> callers;
+  std::atomic<int> answered{0};
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (int k = 0; k < 6; ++k) {
+        std::string request =
+            LargeRequest((1u << 20) + 512 * k + t, 1000 + t * 10 + k);
+        const std::string want = Fingerprint(request);
+        auto result = (*transport)->CallOwned(std::move(request));
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(*result, want);
+        answered.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(answered.load(), 12);
+  EXPECT_GT((*transport)->redials(), 0u);
+  transport->reset();
+  server->Shutdown();
+}
+
+TEST(OwnedRequestTest, CallDeadlineExpiresUnderASlowDripServer) {
+  const std::string spec = "unix:" + TempSocketPath("owned-drip");
+  SocketTransportServer::Options server_options;
+  // 1 ms per KiB: each 1 MiB request stalls its job about a second.
+  server_options.injector = std::make_shared<FaultInjector>(
+      *FaultSpec::Parse("drip_ms_per_kib=1"));
+  auto server = ServeFingerprints(spec, server_options);
+  SocketTransport::Options options;
+  options.call_timeout_ms = 100;
+  auto transport = SocketTransport::Connect(spec, options);
+  ASSERT_TRUE(transport.ok()) << transport.status();
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      auto result = (*transport)->CallOwned(LargeRequest(1u << 20, 7 + t));
+      ASSERT_FALSE(result.ok());
+      EXPECT_TRUE(result.status().IsDeadlineExceeded()) << result.status();
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  const TransportStats stats = (*transport)->stats();
+  EXPECT_EQ(stats.calls, 0u);
+  EXPECT_EQ(stats.transport_errors, 2u);
+  // The late responses find no waiter; the transport goes first.
+  transport->reset();
+  server->Shutdown();
 }
 
 }  // namespace

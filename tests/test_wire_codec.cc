@@ -736,6 +736,85 @@ TEST(WireCodecTest, ReadWithAFlippedBodyByteIsCorruptionAtTheClient) {
   EXPECT_EQ(remote.Get("big").status().code(), StatusCode::kCorruption);
 }
 
+/// The service's read response is built around the value the engine read,
+/// and the client erases the head in front of it: the bytes must be the
+/// ones the codec always sent and the engine always held, for values on
+/// both sides of the recipe threshold, from an engine that keeps a recipe
+/// and from one that keeps none, through a socket and through a loopback.
+TEST(WireCodecTest, ReadsAreBuiltAroundTheStoredValueAndDecodedInPlace) {
+  const size_t kSizes[] = {0,      1,      255u << 10, 262143,
+                           262144, 262145, 512u << 10, 8u << 20};
+  const std::string spec =
+      "unix:/tmp/mlcask-inplace-" + std::to_string(::getpid()) + ".sock";
+  ForkBaseEngine forkbase;
+  LocalDirEngine local_dir;
+  for (StorageEngine* engine :
+       std::vector<StorageEngine*>{&forkbase, &local_dir}) {
+    SCOPED_TRACE(engine->Name());
+    StorageEngineService service(engine);
+    auto server = SocketTransportServer::Bind(spec);
+    ASSERT_TRUE(server.ok()) << server.status();
+    ASSERT_TRUE((*server)
+                    ->Serve([&service](std::string_view request) {
+                      return service.Handle(request);
+                    })
+                    .ok());
+    auto transport = SocketTransport::Connect(spec);
+    ASSERT_TRUE(transport.ok()) << transport.status();
+    RemoteStorageEngine socket_proxy(*std::move(transport));
+    RemoteStorageEngine loopback_proxy(std::make_unique<LoopbackTransport>(
+        [&service](std::string_view request) {
+          return service.Handle(request);
+        }));
+    uint64_t seed = 40;
+    for (size_t size : kSizes) {
+      SCOPED_TRACE(size);
+      const std::string value = RandomBytes(size, seed++);
+      const std::string key = "read/" + std::to_string(size);
+      auto put = engine->Put(key, value);
+      ASSERT_TRUE(put.ok()) << put.status();
+
+      // Byte-identical to the copying encoders, and built in the buffer
+      // the engine read into whenever that engine keeps the recipe.
+      std::string index;
+      auto read = engine->GetVersionWithRecipe(put->id, &index);
+      ASSERT_TRUE(read.ok()) << read.status();
+      const std::string want =
+          size < wire::kDefaultChunkThreshold
+              ? wire::EncodeDataResponse(value)
+              : wire::EncodeRecipeDataResponse(
+                    value, index.empty() ? PlanBlob(StoreChunker(), value).index
+                                         : index);
+      const char* buffer = read->data();
+      const std::string response =
+          wire::EncodeReadResponse(*std::move(read), index);
+      EXPECT_TRUE(response == want);
+      if (!index.empty()) {
+        EXPECT_EQ(response.data(), buffer);
+      }
+      EXPECT_TRUE(service.Handle(wire::EncodeIdRequest(
+                      wire::Method::kGetVersion, put->id)) == want);
+
+      for (RemoteStorageEngine* proxy : {&socket_proxy, &loopback_proxy}) {
+        auto by_id = proxy->GetVersion(put->id);
+        ASSERT_TRUE(by_id.ok()) << by_id.status();
+        EXPECT_TRUE(*by_id == value);
+        auto by_key = proxy->Get(key);
+        ASSERT_TRUE(by_key.ok()) << by_key.status();
+        EXPECT_TRUE(*by_key == value);
+      }
+
+      if (size >= wire::kDefaultChunkThreshold) {
+        std::string flipped = response;
+        flipped[flipped.size() - size / 2] ^= 0x40;
+        EXPECT_EQ(wire::DecodeDataResponse(flipped).status().code(),
+                  StatusCode::kCorruption);
+      }
+    }
+    (*server)->Shutdown();
+  }
+}
+
 // ----------------------------------------------- end-to-end over loopback ---
 
 TEST(WireCodecTest, ProxyAgreesWithTheDirectEngine) {
