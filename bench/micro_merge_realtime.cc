@@ -19,8 +19,18 @@
 // shard counts/repeats), --json <path> (write the
 // BENCH_micro_merge_realtime.json trajectory artifact), --repeats <n>,
 // --min-cores <n>.
+//
+// Beside the gate it prints a host probe, before and after the drains: the
+// wall time of four threads each spinning the same fixed loop against one
+// thread spinning it alone. On a host whose vCPUs really run in parallel
+// the two times match; a ratio near 4 means the host ran the threads one
+// after another, so a failing gate then says more about the host than about
+// the drain. The probe is printed only: it is not in the JSON and does not
+// change the gate.
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -72,6 +82,38 @@ DrainPoint RunOnce(size_t shards, bool concurrent) {
   return point;
 }
 
+/// Wall time, in ms, of `threads` threads each running the same fixed
+/// dependent multiply-add loop (about 40 ms of one core).
+double SpinWallMs(size_t threads) {
+  auto spin = [] {
+    uint64_t x = 1;
+    for (int i = 0; i < 20'000'000; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      __asm__ volatile("" : "+r"(x));
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> pool;
+  for (size_t t = 0; t < threads; ++t) pool.emplace_back(spin);
+  for (std::thread& t : pool) t.join();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Prints the host probe: the best of three spins of `threads` threads
+/// against the best of three of one thread.
+void PrintHostProbe(const char* when, size_t threads) {
+  double one = SpinWallMs(1), many = SpinWallMs(threads);
+  for (int r = 1; r < 3; ++r) {
+    one = std::min(one, SpinWallMs(1));
+    many = std::min(many, SpinWallMs(threads));
+  }
+  std::printf("host probe (%s): %zu spinning threads %.1f ms, 1 thread "
+              "%.1f ms: %.2fx one thread's time (1.00x = fully parallel)\n",
+              when, threads, many, one, many / one);
+}
+
 DrainPoint RunBest(size_t shards, bool concurrent, int repeats) {
   DrainPoint best = RunOnce(shards, concurrent);
   for (int r = 1; r < repeats; ++r) {
@@ -119,6 +161,7 @@ int main(int argc, char** argv) {
       args.short_mode ? std::vector<size_t>{4}
                       : std::vector<size_t>{2, 4, 8};
 
+  PrintHostProbe("before", 4);
   bool ok = true;
   double real_speedup_at_4 = 0;
   std::printf("%8s%16s%16s%12s%14s%10s\n", "shards", "seq wall(ms)",
@@ -148,6 +191,8 @@ int main(int argc, char** argv) {
     reporter.Metric("realtime", "executions" + suffix,
                     static_cast<double>(conc.executions));
   }
+
+  PrintHostProbe("after", 4);
 
   // The gate: >= 2x real drain speedup at 4 shards — live only on hosts
   // with enough hardware threads for real parallelism to exist.

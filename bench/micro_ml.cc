@@ -1,8 +1,8 @@
 // Micro benchmarks for the ML kernels that dominate a replayed merge, at the
-// shapes the `merge` workload trains on: MLP and AdaBoost fits, the MLP's
-// hidden-layer tanh, an HMM fit plus smoothing pass, and Zernike features
-// of a batch of digit images through the `zernike_features` library entry
-// point.
+// shapes the `merge` workload trains on: MLP fits and predictions, the
+// MLP's hidden-layer tanh on each kernel, an AdaBoost fit, an HMM fit plus
+// smoothing pass, and Zernike features of a batch of digit images through
+// the `zernike_features` library entry point.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,7 @@
 #include "ml/hmm.h"
 #include "ml/matrix.h"
 #include "ml/mlp.h"
-#include "ml/tanh.h"
+#include "ml/tanh_internal.h"
 #include "pipeline/library_registry.h"
 #include "sim/libraries.h"
 
@@ -38,7 +38,7 @@ void MakeTrainingSet(size_t n, size_t d, uint64_t seed, Matrix* x,
   }
 }
 
-// Args: rows, features, hidden units, epochs.
+// Args: rows, features, hidden units, epochs, mini-batch rows.
 void BM_MlpFit(benchmark::State& state) {
   Matrix x;
   std::vector<double> y;
@@ -47,6 +47,7 @@ void BM_MlpFit(benchmark::State& state) {
   MlpConfig cfg;
   cfg.hidden_units = static_cast<size_t>(state.range(2));
   cfg.sgd.epochs = static_cast<int>(state.range(3));
+  cfg.sgd.batch_size = static_cast<size_t>(state.range(4));
   cfg.sgd.learning_rate = 0.2;
   for (auto _ : state) {
     Mlp model;
@@ -55,45 +56,95 @@ void BM_MlpFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpFit)
-    ->Args({84, 12, 22, 15})
-    ->Args({126, 7, 18, 13})
+    ->Args({84, 12, 22, 15, 32})
+    ->Args({126, 7, 18, 13, 32})
+    ->Args({50, 9, 30, 20, 7})
     ->Unit(benchmark::kMicrosecond);
 
-// One hidden layer's activations per iteration, from rows of N(0, 1.2)
-// pre-activations. Args: row width (hidden units), kernel (0 = a std::tanh
-// loop, 1 = TanhInPlace). The label names the path that ran.
+// One PredictProba over the training rows of a fitted model. Args: rows,
+// features, hidden units.
+void BM_MlpPredictProba(benchmark::State& state) {
+  Matrix x;
+  std::vector<double> y;
+  MakeTrainingSet(static_cast<size_t>(state.range(0)),
+                  static_cast<size_t>(state.range(1)), 7, &x, &y);
+  MlpConfig cfg;
+  cfg.hidden_units = static_cast<size_t>(state.range(2));
+  cfg.sgd.epochs = 2;
+  cfg.sgd.learning_rate = 0.2;
+  Mlp model;
+  if (!model.Fit(x, y, cfg).ok()) {
+    state.SkipWithError("fit");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictProba(x));
+  }
+}
+BENCHMARK(BM_MlpPredictProba)
+    ->Args({84, 12, 22})
+    ->Args({126, 7, 18})
+    ->Unit(benchmark::kMicrosecond);
+
+// tanh over `width` N(0, 1.2) pre-activations per iteration: one hidden
+// layer's row (18 or 22 units) or one 32-row x 22-unit mini-batch block
+// (704). Args: width, kernel (0 = a std::tanh loop, 1 = four lanes, 2 =
+// eight lanes). A kernel the CPU cannot run skips with its reason.
 void BM_Tanh(benchmark::State& state) {
   const size_t width = static_cast<size_t>(state.range(0));
-  const bool kernel = state.range(1) != 0;
-  constexpr size_t kRows = 256;
+  void (*kernel)(double*, size_t) = nullptr;
+  const char* label = "std::tanh loop";
+  switch (state.range(1)) {
+#if defined(MLCASK_TANH_X86_KERNELS)
+    case 1:
+      if (!tanh_internal::HasFourLane()) {
+        state.SkipWithError("four lanes: CPU lacks AVX2 or FMA");
+        return;
+      }
+      kernel = tanh_internal::TanhFourLane;
+      label = "four-lane avx2+fma";
+      break;
+    case 2:
+      if (!tanh_internal::HasEightLane()) {
+        state.SkipWithError("eight lanes: CPU lacks AVX-512F or DQ");
+        return;
+      }
+      kernel = tanh_internal::TanhEightLane;
+      label = "eight-lane avx512f+dq";
+      break;
+#else
+    case 1:
+    case 2:
+      state.SkipWithError("vector kernels: not an x86-64 glibc build");
+      return;
+#endif
+    default:
+      break;
+  }
+  // About 8K values of input, whatever the width.
+  const size_t rows = std::max<size_t>(1, 8192 / width);
   Pcg32 rng(3);
-  std::vector<double> rows(kRows * width);
-  for (double& v : rows) v = 1.2 * rng.NextGaussian();
+  std::vector<double> input(rows * width);
+  for (double& v : input) v = 1.2 * rng.NextGaussian();
   std::vector<double> h(width);
   size_t r = 0;
   for (auto _ : state) {
-    const double* row = rows.data() + (r++ % kRows) * width;
+    const double* row = input.data() + (r++ % rows) * width;
     std::copy(row, row + width, h.begin());
-    if (kernel) {
-      TanhInPlace(h.data(), width);
+    if (kernel != nullptr) {
+      kernel(h.data(), width);
     } else {
       for (double& v : h) v = std::tanh(v);
     }
     benchmark::DoNotOptimize(h.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(!kernel              ? "std::tanh"
-                 : TanhIsVectorized() ? "TanhInPlace avx2+fma"
-                                      : "TanhInPlace std::tanh");
+  state.SetLabel(label);
   state.counters["per_value"] = benchmark::Counter(
       static_cast<double>(state.iterations() * width),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_Tanh)
-    ->Args({18, 0})
-    ->Args({18, 1})
-    ->Args({22, 0})
-    ->Args({22, 1});
+BENCHMARK(BM_Tanh)->ArgsProduct({{18, 22, 704}, {0, 1, 2}});
 
 // Args: rows, features, rounds.
 void BM_AdaBoostFit(benchmark::State& state) {

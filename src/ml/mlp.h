@@ -35,9 +35,12 @@ class Mlp {
   const std::vector<double>& loss_history() const { return loss_history_; }
 
  private:
-  /// Forward pass of one input row x: fills the hidden activations h
-  /// (hidden_ values) and returns the output probability.
-  double Forward(const double* x, double* h) const;
+  /// Forward pass of `rows` input rows at once. `xs` holds the rows
+  /// row-major with each value written twice (a splatted pair, see
+  /// SplatRow in mlp.cc); fills h with their hidden activations (rows x
+  /// hidden_, row-major) and p with their output probabilities.
+  void ForwardBlock(const double* xs, size_t rows, double* h,
+                    double* p) const;
 
   size_t input_dim_ = 0;
   size_t hidden_ = 0;

@@ -3,10 +3,17 @@
 #include <cmath>
 #include <cstdint>
 
-#if defined(__x86_64__) && defined(__GLIBC__)
-#define MLCASK_TANH_FOUR_LANE 1
+#include "ml/tanh_internal.h"
+
+#if defined(MLCASK_TANH_X86_KERNELS)
 #include <cpuid.h>
+// GCC 12's AVX-512 intrinsics build their don't-care operands from a
+// self-initialized variable, which -Wuninitialized reports at each use
+// (GCC bug 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 // Built with -ffp-contract=off (CMakeLists.txt): a multiply and an add in
@@ -14,7 +21,15 @@
 
 namespace mlcask::ml {
 
-#if defined(MLCASK_TANH_FOUR_LANE)
+namespace {
+
+void TanhLoop(double* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) v[i] = std::tanh(v[i]);
+}
+
+}  // namespace
+
+#if defined(MLCASK_TANH_X86_KERNELS)
 
 namespace {
 
@@ -175,7 +190,167 @@ MLCASK_AVX2_FMA inline __m256d Tanh4Checked(__m256d x) {
   return _mm256_loadu_pd(out);
 }
 
-MLCASK_AVX2_FMA void TanhInPlaceFourLane(double* v, size_t n) {
+// The same sequence on eight lanes: AVX-512F, plus AVX-512DQ for the
+// bitwise operations on doubles. Each comparison yields a mask register and
+// each choice is a masked blend; the arithmetic, its order and the eleven
+// fused sites are those of Expm1 and Tanh4 above.
+#define MLCASK_AVX512 __attribute__((target("avx512f,avx512dq")))
+
+MLCASK_AVX512 inline __m512d Splat8(double x) { return _mm512_set1_pd(x); }
+
+MLCASK_AVX512 inline __m512i Splat8i(int64_t x) {
+  return _mm512_set1_epi64(x);
+}
+
+MLCASK_AVX512 inline __m512d Select(__mmask8 mask, __m512d if_true,
+                                    __m512d if_false) {
+  return _mm512_mask_blend_pd(mask, if_false, if_true);
+}
+
+MLCASK_AVX512 inline __m512d Expm1x8(__m512d y) {
+  const __m512d sign_bit = Splat8(-0.0);
+  const __m512d one = Splat8(1.0);
+  const __m512d half = Splat8(0.5);
+  const __m512d ay = _mm512_andnot_pd(sign_bit, y);
+
+  const __m512d half_signed = _mm512_or_pd(half, _mm512_and_pd(sign_bit, y));
+  const __m256i k32 = _mm512_cvttpd_epi32(
+      _mm512_add_pd(_mm512_mul_pd(y, Splat8(kInvLn2)), half_signed));
+  const __m512d t = _mm512_cvtepi32_pd(k32);
+  __m512i k = _mm512_cvtepi32_epi64(k32);
+  const __m512d hi = _mm512_fnmadd_pd(t, Splat8(kLn2Hi), y);  // y - t*ln2_hi
+  const __m512d lo = _mm512_mul_pd(t, Splat8(kLn2Lo));
+  __m512d x = _mm512_sub_pd(hi, lo);
+  const __m512d c = _mm512_sub_pd(_mm512_sub_pd(hi, x), lo);
+  const __mmask8 unreduced =
+      _mm512_cmp_pd_mask(ay, Splat8(kHalfLn2Bound), _CMP_LT_OQ);
+  x = Select(unreduced, y, x);
+  k = _mm512_maskz_mov_epi64(static_cast<__mmask8>(~unreduced), k);
+
+  const __m512d hfx = _mm512_mul_pd(half, x);
+  const __m512d hxs = _mm512_mul_pd(x, hfx);
+  const __m512d r1_lo = _mm512_fmadd_pd(hxs, Splat8(kQ1), one);
+  const __m512d r2 = _mm512_fmadd_pd(hxs, Splat8(kQ3), Splat8(kQ2));
+  const __m512d h2 = _mm512_mul_pd(hxs, hxs);
+  const __m512d r3 = _mm512_fmadd_pd(hxs, Splat8(kQ5), Splat8(kQ4));
+  const __m512d h4 = _mm512_mul_pd(h2, h2);
+  const __m512d r1 =
+      _mm512_fmadd_pd(h4, r3, _mm512_fmadd_pd(h2, r2, r1_lo));
+  const __m512d t3 = _mm512_fnmadd_pd(r1, hfx, Splat8(3.0));
+  __m512d e = _mm512_mul_pd(
+      hxs, _mm512_div_pd(_mm512_sub_pd(r1, t3),
+                         _mm512_fnmadd_pd(x, t3, Splat8(6.0))));
+
+  const __m512d k0 = _mm512_sub_pd(x, _mm512_fmsub_pd(x, e, hxs));
+  e = _mm512_sub_pd(_mm512_fmsub_pd(x, _mm512_sub_pd(e, c), c), hxs);
+  const __m512d k_minus1 =
+      _mm512_fmadd_pd(half, _mm512_sub_pd(x, e), Splat8(-0.5));
+
+  const __m512d e_minus_x = _mm512_sub_pd(e, x);
+  const __m512i one_minus = _mm512_slli_epi64(
+      _mm512_sub_epi64(Splat8i(0x3ff00000),
+                       _mm512_srlv_epi64(Splat8i(0x200000), k)),
+      32);
+  const __m512d near_low =
+      _mm512_sub_pd(_mm512_castsi512_pd(one_minus), e_minus_x);
+  const __m512i two_minus_k =
+      _mm512_slli_epi64(_mm512_sub_epi64(Splat8i(0x3ff), k), 52);
+  const __m512d near_mid = _mm512_add_pd(
+      _mm512_sub_pd(x, _mm512_add_pd(e, _mm512_castsi512_pd(two_minus_k))),
+      one);
+  const __m512d near_far = _mm512_sub_pd(one, e_minus_x);
+  const __mmask8 k_above1 = _mm512_cmpgt_epi64_mask(k, Splat8i(1));
+  const __mmask8 k_below20 = _mm512_cmpgt_epi64_mask(Splat8i(20), k);
+  const __mmask8 k_below57 = _mm512_cmpgt_epi64_mask(Splat8i(57), k);
+  __m512d near = Select(static_cast<__mmask8>(~k_below20 & k_below57),
+                        near_mid, near_far);
+  near = Select(static_cast<__mmask8>(k_above1 & k_below20), near_low, near);
+  near = _mm512_castsi512_pd(_mm512_add_epi64(_mm512_castpd_si512(near),
+                                              _mm512_slli_epi64(k, 52)));
+  near = Select(static_cast<__mmask8>(k_above1 & k_below57), near,
+                _mm512_sub_pd(near, one));
+
+  __m512d out =
+      Select(_mm512_cmpeq_epi64_mask(k, Splat8i(-1)), k_minus1, near);
+  return Select(_mm512_cmpeq_epi64_mask(k, Splat8i(0)), k0, out);
+}
+
+MLCASK_AVX512 inline __m512d Tanh8(__m512d x) {
+  const __m512d sign_bit = Splat8(-0.0);
+  const __m512d one = Splat8(1.0);
+  const __m512d two = Splat8(2.0);
+  const __m512d ax = _mm512_andnot_pd(sign_bit, x);
+  const __mmask8 at_least_one = _mm512_cmp_pd_mask(ax, one, _CMP_GE_OQ);
+  const __m512d t = Expm1x8(Select(at_least_one, _mm512_add_pd(ax, ax),
+                                   _mm512_mul_pd(ax, Splat8(-2.0))));
+  const __m512d q = _mm512_div_pd(
+      Select(at_least_one, two, _mm512_xor_pd(t, sign_bit)),
+      _mm512_add_pd(t, two));
+  __m512d z = Select(at_least_one, _mm512_sub_pd(one, q), q);
+  z = Select(_mm512_cmp_pd_mask(ax, Splat8(22.0), _CMP_GE_OQ),
+             Splat8(1.0 - 1e-300), z);
+  z = _mm512_xor_pd(z, _mm512_and_pd(sign_bit, x));
+  return Select(_mm512_cmp_pd_mask(ax, Splat8(0x1p-55), _CMP_LT_OQ),
+                _mm512_mul_pd(_mm512_add_pd(one, x), x), z);
+}
+
+MLCASK_AVX512 inline __m512d Tanh8Checked(__m512d x) {
+  const __m512d z = Tanh8(x);
+  const __mmask8 non_finite =
+      _mm512_cmp_pd_mask(_mm512_andnot_pd(Splat8(-0.0), x),
+                         Splat8(INFINITY), _CMP_NLT_UQ);
+  if (non_finite == 0) return z;
+  double in[8], out[8];
+  _mm512_storeu_pd(in, x);
+  _mm512_storeu_pd(out, z);
+  for (int lane = 0; lane < 8; ++lane) {
+    if ((non_finite >> lane) & 1) out[lane] = std::tanh(in[lane]);
+  }
+  return _mm512_loadu_pd(out);
+}
+
+// XCR0, the state components the OS saves on a context switch.
+unsigned Xcr0() {
+  unsigned xcr0 = 0, xcr0_hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+  return xcr0;
+}
+
+}  // namespace
+
+namespace tanh_internal {
+
+// Function-local statics, as HasShaNi: CPUID once, on first use.
+bool HasFourLane() {
+  static const bool usable = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+    const unsigned leaf1 = bit_FMA | bit_OSXSAVE | bit_AVX;
+    if ((ecx & leaf1) != leaf1) return false;
+    // The OS saves XMM (bit 1) and YMM (bit 2) state.
+    if ((Xcr0() & 0x6) != 0x6) return false;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    return (ebx & bit_AVX2) != 0;
+  }();
+  return usable;
+}
+
+bool HasEightLane() {
+  static const bool usable = [] {
+    if (!HasFourLane()) return false;
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    const unsigned leaf7 = bit_AVX512F | bit_AVX512DQ;
+    if ((ebx & leaf7) != leaf7) return false;
+    // The OS also saves opmask (bit 5) and ZMM (bits 6 and 7) state.
+    return (Xcr0() & 0xe0) == 0xe0;
+  }();
+  return usable;
+}
+
+size_t LiveLanes() { return HasEightLane() ? 8 : HasFourLane() ? 4 : 1; }
+
+MLCASK_AVX2_FMA void TanhFourLane(double* v, size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(v + i, Tanh4Checked(_mm256_loadu_pd(v + i)));
@@ -189,42 +364,42 @@ MLCASK_AVX2_FMA void TanhInPlaceFourLane(double* v, size_t n) {
                       Tanh4Checked(_mm256_maskload_pd(v + i, tail)));
 }
 
-#undef MLCASK_AVX2_FMA
-
-}  // namespace
-
-bool TanhIsVectorized() {
-  // A function-local static, as HasShaNi: CPUID once, on first use.
-  static const bool usable = [] {
-    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    const unsigned leaf1 = bit_FMA | bit_OSXSAVE | bit_AVX;
-    if ((ecx & leaf1) != leaf1) return false;
-    // XCR0: the OS saves XMM (bit 1) and YMM (bit 2) state.
-    unsigned xcr0 = 0, xcr0_hi = 0;
-    __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
-    if ((xcr0 & 0x6) != 0x6) return false;
-    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-    return (ebx & bit_AVX2) != 0;
-  }();
-  return usable;
+MLCASK_AVX512 void TanhEightLane(double* v, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(v + i, Tanh8Checked(_mm512_loadu_pd(v + i)));
+  }
+  if (i == n) return;
+  // The last n % 8 values as one vector, as in TanhFourLane.
+  const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1);
+  _mm512_mask_storeu_pd(v + i, tail,
+                        Tanh8Checked(_mm512_maskz_loadu_pd(tail, v + i)));
 }
 
+#undef MLCASK_AVX512
+#undef MLCASK_AVX2_FMA
+
+}  // namespace tanh_internal
+
 void TanhInPlace(double* v, size_t n) {
-  if (TanhIsVectorized()) {
-    TanhInPlaceFourLane(v, n);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) v[i] = std::tanh(v[i]);
+  static void (*const kernel)(double*, size_t) =
+      tanh_internal::HasEightLane()  ? tanh_internal::TanhEightLane
+      : tanh_internal::HasFourLane() ? tanh_internal::TanhFourLane
+                                     : TanhLoop;
+  kernel(v, n);
 }
 
 #else
 
-bool TanhIsVectorized() { return false; }
+namespace tanh_internal {
 
-void TanhInPlace(double* v, size_t n) {
-  for (size_t i = 0; i < n; ++i) v[i] = std::tanh(v[i]);
-}
+bool HasFourLane() { return false; }
+bool HasEightLane() { return false; }
+size_t LiveLanes() { return 1; }
+
+}  // namespace tanh_internal
+
+void TanhInPlace(double* v, size_t n) { TanhLoop(v, n); }
 
 #endif
 

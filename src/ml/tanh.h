@@ -9,16 +9,11 @@ namespace mlcask::ml {
 ///
 /// On x86-64 glibc builds whose CPU has AVX2 and FMA usable, std::tanh is
 /// glibc's `__tanh` over `__expm1_fma`, a fixed sequence of IEEE operations;
-/// this computes that sequence on four values per instruction, fusing
-/// exactly where `__expm1_fma` fuses. Every other build or CPU runs the
-/// std::tanh loop.
+/// this computes that sequence on eight values per instruction where the
+/// CPU also has AVX-512F and DQ, four otherwise, fusing exactly where
+/// `__expm1_fma` fuses. Every other build or CPU runs the std::tanh loop.
+/// The kernel is chosen once, by CPUID and XGETBV (`src/ml/tanh_internal.h`).
 void TanhInPlace(double* v, size_t n);
-
-/// True when TanhInPlace runs the four-lane path on this CPU: CPUID reports
-/// FMA, AVX and AVX2, and XGETBV shows the OS saves YMM state (the test
-/// glibc makes before it binds `__expm1_fma`). Detected once; always false
-/// on other builds.
-bool TanhIsVectorized();
 
 }  // namespace mlcask::ml
 

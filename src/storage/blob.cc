@@ -93,23 +93,19 @@ BlobWriteInfo CommitBlob(ChunkStore* store, const BlobPlan& plan,
   BlobWriteInfo info;
   for (size_t i = 0; i < plan.pieces.size(); ++i) {
     const auto& [off, len] = plan.pieces[i];
-    bool existed = store->Contains(plan.piece_hashes[i]);
-    store->PutPrehashed(plan.piece_hashes[i], ChunkType::kData,
-                        data.substr(off, len));
-    if (existed) {
-      info.dedup_bytes += len;
-    } else {
+    if (store->PutPrehashed(plan.piece_hashes[i], ChunkType::kData,
+                            data.substr(off, len))) {
       info.new_physical_bytes += len;
+    } else {
+      info.dedup_bytes += len;
     }
   }
-  bool index_existed = store->Contains(plan.index_hash);
-  info.ref.root =
-      store->PutPrehashed(plan.index_hash, ChunkType::kIndex, plan.index);
-  if (index_existed) {
-    info.dedup_bytes += plan.index.size();
-  } else {
+  if (store->PutPrehashed(plan.index_hash, ChunkType::kIndex, plan.index)) {
     info.new_physical_bytes += plan.index.size();
+  } else {
+    info.dedup_bytes += plan.index.size();
   }
+  info.ref.root = plan.index_hash;
   info.ref.size = data.size();
   info.ref.num_chunks = static_cast<uint32_t>(plan.pieces.size());
   return info;

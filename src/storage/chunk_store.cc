@@ -3,11 +3,13 @@
 namespace mlcask::storage {
 
 Hash256 ChunkStore::Put(ChunkType type, std::string_view data) {
-  return PutPrehashed(Chunk::ComputeHash(type, data), type, data);
+  const Hash256 hash = Chunk::ComputeHash(type, data);
+  PutPrehashed(hash, type, data);
+  return hash;
 }
 
-Hash256 ChunkStore::PutPrehashed(const Hash256& hash, ChunkType type,
-                                 std::string_view data) {
+bool ChunkStore::PutPrehashed(const Hash256& hash, ChunkType type,
+                              std::string_view data) {
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
   stats_.puts += 1;
   stats_.logical_bytes += data.size();
@@ -15,7 +17,7 @@ Hash256 ChunkStore::PutPrehashed(const Hash256& hash, ChunkType type,
   if (it != chunks_.end()) {
     it->second.refs += 1;
     stats_.dedup_hits += 1;
-    return hash;
+    return false;
   }
   Entry entry;
   entry.chunk = std::make_unique<Chunk>(type, std::string(data), hash);
@@ -23,7 +25,7 @@ Hash256 ChunkStore::PutPrehashed(const Hash256& hash, ChunkType type,
   stats_.physical_bytes += data.size();
   stats_.distinct_chunks += 1;
   chunks_.emplace(hash, std::move(entry));
-  return hash;
+  return true;
 }
 
 StatusOr<const Chunk*> ChunkStore::Get(const Hash256& hash) const {

@@ -56,9 +56,10 @@ class ChunkStore {
 
   /// Same, but with the address precomputed by the caller (via
   /// Chunk::ComputeHash(type, data)) — lets engines hash outside their
-  /// write lock. `hash` MUST match the data.
-  Hash256 PutPrehashed(const Hash256& hash, ChunkType type,
-                       std::string_view data);
+  /// write lock. `hash` MUST match the data. Returns true when the chunk
+  /// was new to the store, false when it de-duplicated.
+  bool PutPrehashed(const Hash256& hash, ChunkType type,
+                    std::string_view data);
 
   /// Looks up a chunk by address.
   StatusOr<const Chunk*> Get(const Hash256& hash) const;

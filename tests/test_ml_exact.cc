@@ -534,6 +534,69 @@ TEST(MlExactTest, MlpMatchesReferenceAtWorkloadShapes) {
   }
 }
 
+// Fit works on each mini-batch as one block of rows, four rows per pass
+// (then two, then one); PredictProba on blocks of 32 rows. Batch sizes
+// around both, each with row counts that leave every remainder of the
+// batch (so the last batch takes every size from 1 to the batch size) and
+// so every remainder of the four-row block; input and hidden widths cycle
+// through every remainder of their four-wide tiles.
+TEST(MlExactTest, MlpMatchesReferenceAtEveryBlockRemainder) {
+  int cases = 0;
+  for (size_t batch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33}) {
+    for (size_t rem = 0; rem < batch; ++rem) {
+      const size_t n = batch + rem;
+      const size_t d = 1 + (rem + batch) % 8;
+      const size_t hidden = 1 + (3 * rem + batch) % 9;
+      const uint64_t seed = 7000 + batch * 101 + rem;
+      Pcg32 rng(seed);
+      Matrix x = RandomMatrix(n, d, &rng);
+      std::vector<double> y(n);
+      for (double& v : y) v = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+
+      MlpConfig cfg;
+      cfg.hidden_units = hidden;
+      cfg.sgd.epochs = 2;
+      cfg.sgd.batch_size = batch;
+      cfg.sgd.learning_rate = 0.3;
+      cfg.sgd.l2 = (rem % 2 == 0) ? 1e-3 : 0.0;
+      cfg.sgd.seed = seed;
+      RefMlp ref;
+      ref.Fit(x, y, cfg);
+      Mlp mlp;
+      ASSERT_TRUE(mlp.Fit(x, y, cfg).ok());
+      SCOPED_TRACE("batch=" + std::to_string(batch) + " n=" +
+                   std::to_string(n) + " d=" + std::to_string(d) +
+                   " hidden=" + std::to_string(hidden));
+      EXPECT_TRUE(SameBits(mlp.loss_history(), ref.loss_history));
+      EXPECT_TRUE(SameBits(*mlp.PredictProba(x), ref.PredictProba(x)));
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 45 + 31 + 32 + 33);
+}
+
+TEST(MlExactTest, MlpPredictProbaMatchesReferenceAtEveryRowCount) {
+  Pcg32 rng(77);
+  const size_t d = 6, hidden = 11;
+  Matrix x = RandomMatrix(40, d, &rng);
+  std::vector<double> y(40);
+  for (double& v : y) v = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+  MlpConfig cfg;
+  cfg.hidden_units = hidden;
+  cfg.sgd.epochs = 2;
+  cfg.sgd.learning_rate = 0.3;
+  RefMlp ref;
+  ref.Fit(x, y, cfg);
+  Mlp mlp;
+  ASSERT_TRUE(mlp.Fit(x, y, cfg).ok());
+  for (size_t rows : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 65, 66}) {
+    Matrix held_out = RandomMatrix(rows, d, &rng);
+    EXPECT_TRUE(
+        SameBits(*mlp.PredictProba(held_out), ref.PredictProba(held_out)))
+        << rows << " rows";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AdaBoost.
 

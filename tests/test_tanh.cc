@@ -1,10 +1,11 @@
-// TanhInPlace against std::tanh, bit for bit: every output is compared with
-// memcmp. Where the CPU has AVX2 and FMA, TanhInPlace runs a four-lane
-// transcription of glibc's __tanh over __expm1_fma; these tests sweep random
-// inputs, the neighbourhood of every branch point, the special values, every
-// vector tail, and inputs recorded because they tell a fused step from an
-// unfused one. Elsewhere TanhInPlace is the std::tanh loop itself, and the
-// sweeps that only test the vector path skip.
+// TanhInPlace and each of its kernels against std::tanh, bit for bit:
+// every output is compared with memcmp. Where the CPU has AVX2 and FMA,
+// TanhInPlace runs a four- or eight-lane transcription of glibc's __tanh
+// over __expm1_fma; every case below runs on each kernel the CPU can run
+// (and skips, naming what the CPU lacks, on the others): random inputs, the
+// neighbourhood of every branch point, the special values, every vector
+// tail, and inputs recorded because they tell a fused step from an unfused
+// one. Elsewhere TanhInPlace is the std::tanh loop itself.
 
 #include "ml/tanh.h"
 
@@ -16,9 +17,12 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/tanh_internal.h"
 
 namespace mlcask::ml {
 namespace {
@@ -35,47 +39,83 @@ double FromBits(uint64_t b) {
   return x;
 }
 
-// Runs TanhInPlace over `in` and compares each output with std::tanh of
-// the same input; reports the first few differences.
-::testing::AssertionResult MatchesStdTanh(const std::vector<double>& in) {
-  std::vector<double> out = in;
-  TanhInPlace(out.data(), out.size());
-  size_t mismatches = 0;
-  auto failure = ::testing::AssertionFailure();
-  for (size_t i = 0; i < in.size(); ++i) {
-    const double want = std::tanh(in[i]);
-    if (std::memcmp(&want, &out[i], sizeof want) == 0) continue;
-    if (++mismatches <= 5) {
-      char line[160];
-      std::snprintf(line, sizeof line, "\n  tanh(%a): got %a, std::tanh %a",
-                    in[i], out[i], want);
-      failure << line;
-    }
-  }
-  if (mismatches == 0) return ::testing::AssertionSuccess();
-  return failure << "\n" << mismatches << " of " << in.size() << " differ";
-}
+struct Kernel {
+  const char* name;
+  const char* needs;  // what the CPU must have, for the skip message
+  bool (*usable)();
+  void (*run)(double*, size_t);
+};
+
+// Names the kernel in gtest's failure messages.
+void PrintTo(const Kernel& kernel, std::ostream* os) { *os << kernel.name; }
+
+bool Always() { return true; }
+
+const Kernel kKernels[] = {
+    {"TanhInPlace", "nothing", Always, TanhInPlace},
+#if defined(MLCASK_TANH_X86_KERNELS)
+    {"FourLane", "AVX2 and FMA", tanh_internal::HasFourLane,
+     tanh_internal::TanhFourLane},
+    {"EightLane", "AVX2, FMA, AVX-512F and AVX-512DQ",
+     tanh_internal::HasEightLane, tanh_internal::TanhEightLane},
+#endif
+};
 
 const char* LivePath() {
-  return TanhIsVectorized() ? "four-lane avx2+fma" : "std::tanh loop";
+  switch (tanh_internal::LiveLanes()) {
+    case 8:
+      return "eight-lane avx512f+dq";
+    case 4:
+      return "four-lane avx2+fma";
+    default:
+      return "std::tanh loop";
+  }
 }
 
-#define SKIP_UNLESS_VECTORIZED()                                           \
-  do {                                                                     \
-    if (!TanhIsVectorized()) {                                             \
-      GTEST_SKIP() << "CPU lacks AVX2 or FMA: TanhInPlace is the std::tanh " \
-                      "loop";                                              \
-    }                                                                      \
-  } while (0)
+class TanhTest : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().usable()) {
+      GTEST_SKIP() << GetParam().name << ": CPU lacks " << GetParam().needs;
+    }
+  }
 
-TEST(TanhTest, ReportsLivePath) {
+  // Runs the kernel over `in` and compares each output with std::tanh of
+  // the same input; reports the first few differences.
+  ::testing::AssertionResult MatchesStdTanh(const std::vector<double>& in) {
+    std::vector<double> out = in;
+    GetParam().run(out.data(), out.size());
+    size_t mismatches = 0;
+    auto failure = ::testing::AssertionFailure() << GetParam().name;
+    for (size_t i = 0; i < in.size(); ++i) {
+      const double want = std::tanh(in[i]);
+      if (std::memcmp(&want, &out[i], sizeof want) == 0) continue;
+      if (++mismatches <= 5) {
+        char line[160];
+        std::snprintf(line, sizeof line, "\n  tanh(%a): got %a, std::tanh %a",
+                      in[i], out[i], want);
+        failure << line;
+      }
+    }
+    if (mismatches == 0) return ::testing::AssertionSuccess();
+    return failure << "\n" << mismatches << " of " << in.size() << " differ";
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, TanhTest, ::testing::ValuesIn(kKernels),
+                         [](const ::testing::TestParamInfo<Kernel>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(TanhDispatchTest, ReportsLivePath) {
   std::printf("[ tanh     ] TanhInPlace path: %s\n", LivePath());
   RecordProperty("tanh_path", LivePath());
+  RecordProperty("tanh_lanes", static_cast<int>(tanh_internal::LiveLanes()));
 }
 
 // ±0, subnormals, the largest finite values, infinities and NaNs: the
 // non-finite lanes go through std::tanh, the tiny ones take x*(1 + x).
-TEST(TanhTest, SpecialValues) {
+TEST_P(TanhTest, SpecialValues) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double min_sub = std::numeric_limits<double>::denorm_min();
@@ -84,37 +124,50 @@ TEST(TanhTest, SpecialValues) {
                             DBL_MIN,  -DBL_MIN, DBL_MAX,  -DBL_MAX,
                             inf,      -inf,     nan,      -nan,
                             22.0,     -22.0,    1.0,      -1.0};
-  // Non-finite inputs in every lane position, next to finite ones.
-  for (int lane = 0; lane < 4; ++lane) {
+  // Non-finite inputs in every lane position of an eight-value vector,
+  // next to finite ones.
+  for (int lane = 0; lane < 8; ++lane) {
     for (double special : {inf, -inf, nan}) {
-      for (int j = 0; j < 4; ++j) in.push_back(j == lane ? special : 0.5 * j);
+      for (int j = 0; j < 8; ++j) in.push_back(j == lane ? special : 0.5 * j);
     }
   }
-  EXPECT_TRUE(MatchesStdTanh(in)) << LivePath();
+  EXPECT_TRUE(MatchesStdTanh(in));
 }
 
-// Every length from 0 to 9 at an odd offset: the last n % 4 values run as
-// one zero-padded vector, and nothing outside [v, v + n) is written.
-TEST(TanhTest, EveryTailLength) {
+// Every length from 0 to 16 at an odd offset: the last n % 4 or n % 8
+// values run as one zero-padded vector, and nothing outside [v, v + n) is
+// written. Each length also runs with each non-finite value at each
+// position, so the tail lanes take the std::tanh path too.
+TEST_P(TanhTest, EveryTailLength) {
   constexpr double kGuard = 12345.0;
-  for (size_t n = 0; n <= 9; ++n) {
-    std::vector<double> buf(n + 3, kGuard);
+  const double specials[] = {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  for (size_t n = 0; n <= 16; ++n) {
+    std::vector<double> base(n + 3, kGuard);
     for (size_t i = 0; i < n; ++i) {
-      buf[1 + i] = 0.37 * static_cast<double>(i) - 1.1;
+      base[1 + i] = 0.37 * static_cast<double>(i) - 1.1;
     }
-    std::vector<double> want(buf);
-    for (size_t i = 0; i < n; ++i) want[1 + i] = std::tanh(want[1 + i]);
-    TanhInPlace(buf.data() + 1, n);
-    EXPECT_EQ(std::memcmp(buf.data(), want.data(), buf.size() * sizeof(double)),
-              0)
-        << "n = " << n << " (" << LivePath() << ")";
+    // at == n: all finite; otherwise specials[k] at position `at`.
+    for (size_t at = 0; at <= n; ++at) {
+      for (size_t k = 0; k < (at == n ? 1 : 3); ++k) {
+        std::vector<double> buf(base);
+        if (at < n) buf[1 + at] = specials[k];
+        std::vector<double> want(buf);
+        for (size_t i = 0; i < n; ++i) want[1 + i] = std::tanh(want[1 + i]);
+        GetParam().run(buf.data() + 1, n);
+        EXPECT_EQ(
+            std::memcmp(buf.data(), want.data(), buf.size() * sizeof(double)),
+            0)
+            << GetParam().name << ": n = " << n << ", special at " << at;
+      }
+    }
   }
 }
 
 // 4M inputs: log-uniform magnitudes 2^-60..2^5 of both signs, uniform in
 // ±30, and N(0, 1.5).
-TEST(TanhTest, RandomSweep) {
-  SKIP_UNLESS_VECTORIZED();
+TEST_P(TanhTest, RandomSweep) {
   Pcg32 rng(20);
   constexpr size_t kPerKind = 1 << 20;
   std::vector<double> in;
@@ -130,8 +183,7 @@ TEST(TanhTest, RandomSweep) {
 
 // ±20,000 ulps around each point where __tanh or __expm1_fma changes
 // branch, both signs.
-TEST(TanhTest, BranchNeighbourhoods) {
-  SKIP_UNLESS_VECTORIZED();
+TEST_P(TanhTest, BranchNeighbourhoods) {
   const double ln2 = 0.6931471805599453;
   const std::vector<double> points = {
       0x1p-55,              // x*(1 + x) below, expm1 above
@@ -170,8 +222,7 @@ TEST(TanhTest, BranchNeighbourhoods) {
 // product is exact), a fused `k = trunc(y*invln2 +- 0.5)` gives the same
 // k on every input within 2^22 ulps of each integer boundary, and the
 // R2/R3 and Estrin steps change r1 by a term scaled by h2 <= 2^-8 or h4.
-TEST(TanhTest, InputsThatSeparateFusedFromUnfusedSteps) {
-  SKIP_UNLESS_VECTORIZED();
+TEST_P(TanhTest, InputsThatSeparateFusedFromUnfusedSteps) {
   const std::vector<double> in = {
       // R1 = 1 + hxs*Q1 (five hits in 10^8).
       -0x1.7cb62c7a442e5p-3, -0x1.44ac59f44426ep-3, -0x1.e3e856ed200a9p-5,
