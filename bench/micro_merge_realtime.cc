@@ -20,13 +20,17 @@
 // BENCH_micro_merge_realtime.json trajectory artifact), --repeats <n>,
 // --min-cores <n>.
 //
-// Beside the gate it prints a host probe, before and after the drains: the
-// wall time of four threads each spinning the same fixed loop against one
-// thread spinning it alone. On a host whose vCPUs really run in parallel
-// the two times match; a ratio near 4 means the host ran the threads one
-// after another, so a failing gate then says more about the host than about
-// the drain. The probe is printed only: it is not in the JSON and does not
-// change the gate.
+// A host probe brackets the drains: the wall time of four threads each
+// spinning the same fixed loop against one thread spinning it alone. On a
+// host whose vCPUs really run in parallel the two times match; a ratio near
+// 4 means the host ran the threads one after another, and a drain measured
+// then says more about the host than about the code. So one attempt is
+// probe, drains, probe, and it counts as parallel when both probes read
+// under 2x one thread's time. With the gate live, a serialized attempt is
+// measured again about 1 s later, up to 3 attempts in all; the gate and the
+// JSON take the first parallel attempt, or the last attempt when none was
+// parallel (which then passes or fails on its speedup as any other).
+// Every attempt's probe readings are printed; they are not in the JSON.
 
 #include <algorithm>
 #include <chrono>
@@ -101,9 +105,9 @@ double SpinWallMs(size_t threads) {
       .count();
 }
 
-/// Prints the host probe: the best of three spins of `threads` threads
-/// against the best of three of one thread.
-void PrintHostProbe(const char* when, size_t threads) {
+/// Prints and returns the host probe: the best of three spins of `threads`
+/// threads as a multiple of the best of three of one thread.
+double HostProbe(const char* when, size_t threads) {
   double one = SpinWallMs(1), many = SpinWallMs(threads);
   for (int r = 1; r < 3; ++r) {
     one = std::min(one, SpinWallMs(1));
@@ -112,6 +116,7 @@ void PrintHostProbe(const char* when, size_t threads) {
   std::printf("host probe (%s): %zu spinning threads %.1f ms, 1 thread "
               "%.1f ms: %.2fx one thread's time (1.00x = fully parallel)\n",
               when, threads, many, one, many / one);
+  return many / one;
 }
 
 DrainPoint RunBest(size_t shards, bool concurrent, int repeats) {
@@ -160,45 +165,75 @@ int main(int argc, char** argv) {
   const std::vector<size_t> shard_counts =
       args.short_mode ? std::vector<size_t>{4}
                       : std::vector<size_t>{2, 4, 8};
+  const bool has_4_shards = std::find(shard_counts.begin(), shard_counts.end(),
+                                      size_t{4}) != shard_counts.end();
+  // A serialized host is measured again only when the gate would judge it.
+  const int max_attempts = has_4_shards && cores >= min_cores ? 3 : 1;
+  constexpr double kParallelProbe = 2.0;
 
-  PrintHostProbe("before", 4);
+  struct Row {
+    size_t shards;
+    DrainPoint seq, conc;
+    double speedup;
+  };
+  std::vector<Row> rows;
   bool ok = true;
-  double real_speedup_at_4 = 0;
-  std::printf("%8s%16s%16s%12s%14s%10s\n", "shards", "seq wall(ms)",
-              "conc wall(ms)", "real", "makespan(s)", "execs");
-  for (size_t shards : shard_counts) {
-    DrainPoint seq = RunBest(shards, /*concurrent=*/false, repeats);
-    DrainPoint conc = RunBest(shards, /*concurrent=*/true, repeats);
-    if (conc.executions != seq.executions ||
-        conc.best_score != seq.best_score ||
-        conc.makespan_s != seq.makespan_s) {
-      std::printf("FAIL: concurrent dispatch changed the merge result at "
-                  "%zu shards\n",
-                  shards);
-      ok = false;
+  int attempt = 0;
+  bool parallel = false;
+  while (!parallel && attempt < max_attempts) {
+    if (attempt++ > 0) std::this_thread::sleep_for(std::chrono::seconds(1));
+    std::printf("attempt %d of at most %d\n", attempt, max_attempts);
+    const double before = HostProbe("before", 4);
+    rows.clear();
+    std::printf("%8s%16s%16s%12s%14s%10s\n", "shards", "seq wall(ms)",
+                "conc wall(ms)", "real", "makespan(s)", "execs");
+    for (size_t shards : shard_counts) {
+      DrainPoint seq = RunBest(shards, /*concurrent=*/false, repeats);
+      DrainPoint conc = RunBest(shards, /*concurrent=*/true, repeats);
+      if (conc.executions != seq.executions ||
+          conc.best_score != seq.best_score ||
+          conc.makespan_s != seq.makespan_s) {
+        std::printf("FAIL: concurrent dispatch changed the merge result at "
+                    "%zu shards\n",
+                    shards);
+        ok = false;
+      }
+      const double speedup =
+          conc.wall_ms > 0 ? seq.wall_ms / conc.wall_ms : 0;
+      rows.push_back(Row{shards, seq, conc, speedup});
+      std::printf("%8zu%16.1f%16.1f%11.2fx%14.2f%10llu\n", shards,
+                  seq.wall_ms, conc.wall_ms, speedup, conc.makespan_s,
+                  static_cast<unsigned long long>(conc.executions));
     }
-    const double speedup = conc.wall_ms > 0 ? seq.wall_ms / conc.wall_ms : 0;
-    if (shards == 4) real_speedup_at_4 = speedup;
-    std::printf("%8zu%16.1f%16.1f%11.2fx%14.2f%10llu\n", shards, seq.wall_ms,
-                conc.wall_ms, speedup, conc.makespan_s,
-                static_cast<unsigned long long>(conc.executions));
-    const std::string suffix = "_s" + std::to_string(shards);
-    reporter.Metric("realtime", "drain_wall_ms_seq" + suffix, seq.wall_ms);
-    reporter.Metric("realtime", "drain_wall_ms_conc" + suffix, conc.wall_ms);
-    reporter.Metric("realtime", "real_speedup" + suffix, speedup);
-    reporter.Metric("realtime", "virtual_makespan_s" + suffix,
-                    conc.makespan_s);
-    reporter.Metric("realtime", "executions" + suffix,
-                    static_cast<double>(conc.executions));
+    const double after = HostProbe("after", 4);
+    parallel = before < kParallelProbe && after < kParallelProbe;
+    if (!parallel) {
+      std::printf("attempt %d: host probe read serialized (%.2fx before, "
+                  "%.2fx after; parallel needs both < %.2fx)%s\n",
+                  attempt, before, after, kParallelProbe,
+                  attempt < max_attempts ? ": measuring again in 1 s" : "");
+    }
   }
 
-  PrintHostProbe("after", 4);
+  double real_speedup_at_4 = 0;
+  for (const Row& row : rows) {
+    if (row.shards == 4) real_speedup_at_4 = row.speedup;
+    const std::string suffix = "_s" + std::to_string(row.shards);
+    reporter.Metric("realtime", "drain_wall_ms_seq" + suffix,
+                    row.seq.wall_ms);
+    reporter.Metric("realtime", "drain_wall_ms_conc" + suffix,
+                    row.conc.wall_ms);
+    reporter.Metric("realtime", "real_speedup" + suffix, row.speedup);
+    reporter.Metric("realtime", "virtual_makespan_s" + suffix,
+                    row.conc.makespan_s);
+    reporter.Metric("realtime", "executions" + suffix,
+                    static_cast<double>(row.conc.executions));
+  }
 
   // The gate: >= 2x real drain speedup at 4 shards — live only on hosts
   // with enough hardware threads for real parallelism to exist.
   std::string gate = "skipped-shard-counts";
-  if (std::find(shard_counts.begin(), shard_counts.end(), size_t{4}) !=
-      shard_counts.end()) {
+  if (has_4_shards) {
     if (cores < min_cores) {
       gate = "skipped-cores";
       std::printf(
@@ -210,9 +245,9 @@ int main(int argc, char** argv) {
     } else {
       const bool pass = real_speedup_at_4 >= 2.0;
       gate = pass ? "pass" : "fail";
-      std::printf("real drain speedup at 4 shards: %.2fx (target >= 2x): "
-                  "%s\n",
-                  real_speedup_at_4, pass ? "PASS" : "FAIL");
+      std::printf("real drain speedup at 4 shards, attempt %d: %.2fx "
+                  "(target >= 2x): %s\n",
+                  attempt, real_speedup_at_4, pass ? "PASS" : "FAIL");
       ok = ok && pass;
     }
   }

@@ -46,9 +46,6 @@ class DataSchema {
   const std::vector<FieldSpec>& fields() const { return fields_; }
   const std::map<std::string, std::string>& meta() const { return meta_; }
 
-  void AddField(std::string name, ColumnType type) {
-    fields_.push_back({std::move(name), type});
-  }
   void SetMeta(std::string key, std::string value) {
     meta_[std::move(key)] = std::move(value);
   }

@@ -69,9 +69,6 @@ class PipelineSearchTree {
   /// what score propagation walks upward during prioritized search.
   std::unordered_map<const TreeNode*, const TreeNode*> ParentIndex() const;
 
-  /// Depth (number of component levels).
-  size_t NumLevels() const { return num_levels_; }
-
  private:
   std::unique_ptr<TreeNode> root_;
   size_t num_levels_ = 0;

@@ -23,11 +23,6 @@ class ZernikeExtractor {
   /// Number of features produced per image.
   size_t NumFeatures() const { return moments_.size(); }
 
-  /// The (n, m) index of each feature.
-  const std::vector<std::pair<int, int>>& moment_indices() const {
-    return moments_;
-  }
-
   /// Computes features for a `side` x `side` image given in row-major order
   /// with values in [0, 1].
   StatusOr<std::vector<double>> Extract(const std::vector<double>& pixels,

@@ -1,5 +1,7 @@
 #include "pipeline/artifact_cache.h"
 
+#include <algorithm>
+
 namespace mlcask::pipeline {
 
 ArtifactCache::Lease::~Lease() {
@@ -16,229 +18,111 @@ uint64_t ArtifactCache::EntryBytes(const ArtifactEntry& entry) {
   return bytes;
 }
 
-void ArtifactCache::TouchLocked(const Shard& shard, const Hash256& key,
-                                Slot& slot) const {
-  slot.epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (options_.max_bytes == 0) return;  // nothing ever evicts
-  // One live record per slot: if one is already buffered or in the heap,
-  // restamping the epoch is enough — MakeRoom requeues the record at the
-  // slot's current epoch when it pops stale. Touches therefore cost the
-  // shard lock they already hold plus (at most) one vector append.
-  if (!slot.record_live) {
-    shard.pending_records.push_back(RecencyRecord{slot.epoch, key});
-    slot.record_live = true;
-  }
-}
-
 ArtifactCache::EntryPtr ArtifactCache::Find(const Hash256& key) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.slots.find(key);
-  if (it == shard.slots.end() || it->second.entry == nullptr) return nullptr;
-  TouchLocked(shard, key, it->second);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = slots_.find(key);
+  if (it == slots_.end() || it->second.entry == nullptr) return nullptr;
+  lru_.splice(lru_.end(), lru_, it->second.lru);
   return it->second.entry;
 }
 
 ArtifactCache::Acquired ArtifactCache::Acquire(const Hash256& key) {
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::mutex> lock(shard.mu);
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    auto it = shard.slots.find(key);
-    if (it == shard.slots.end()) {
-      shard.slots[key].pending = true;
-      Acquired acquired;
+    auto it = slots_.find(key);
+    Acquired acquired;
+    if (it == slots_.end()) {
+      slots_.emplace(key, Slot());  // pending under the new lease
       acquired.lease.reset(new Lease(this, key));
       return acquired;
     }
     if (it->second.entry != nullptr) {
-      TouchLocked(shard, key, it->second);
-      Acquired acquired;
+      lru_.splice(lru_.end(), lru_, it->second.lru);
       acquired.entry = it->second.entry;
       return acquired;
     }
     // Pending under another worker's lease: wait for Fulfill (entry set) or
     // Abandon (slot erased, in which case this worker may claim it).
-    shard.ready_cv.wait(lock);
+    ready_cv_.wait(lock);
   }
 }
 
-void ArtifactCache::PublishLocked(Shard& shard, const Hash256& key,
-                                  EntryPtr stored, uint64_t nbytes) {
-  Slot& slot = shard.slots[key];
-  if (slot.entry != nullptr) {
-    // Overwrite of a ready entry: retire the old accounting first.
-    bytes_.fetch_sub(slot.bytes, std::memory_order_relaxed);
-  }
-  slot.entry = std::move(stored);
-  slot.pending = false;
-  slot.bytes = nbytes;
-  bytes_.fetch_add(nbytes, std::memory_order_relaxed);
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t largest = largest_entry_bytes_.load(std::memory_order_relaxed);
-  while (nbytes > largest &&
-         !largest_entry_bytes_.compare_exchange_weak(
-             largest, nbytes, std::memory_order_relaxed)) {
-  }
-  TouchLocked(shard, key, slot);
-}
-
-void ArtifactCache::MakeRoom(uint64_t incoming) {
-  const uint64_t cap = options_.max_bytes;
-  if (cap == 0) return;
-  // cap_mu_ (held by the caller) guards the heap, so this whole sweep is
-  // single-threaded; only the brief per-shard locks touch shared hit-path
-  // state. First drain every shard's pending records into the heap so the
-  // globally-oldest candidate is actually visible here.
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const RecencyRecord& rec : shard.pending_records) {
-      recency_heap_.push(rec);
+ArtifactCache::EntryPtr ArtifactCache::Publish(const Hash256& key,
+                                               ArtifactEntry entry) {
+  EntryPtr stored = std::make_shared<const ArtifactEntry>(std::move(entry));
+  const uint64_t nbytes = EntryBytes(*stored);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Make room first so the resident total stays under the cap after the
+    // publish. The cache hands out copies only under this lock, so a
+    // use_count of 1 means no reader pins the entry and none can start to.
+    // If everything left is pinned, the cap yields.
+    auto it = lru_.begin();
+    while (options_.max_bytes > 0 && it != lru_.end() &&
+           stats_.bytes + nbytes > options_.max_bytes) {
+      auto victim = slots_.find(*it++);
+      if (victim->second.entry.use_count() > 1) continue;  // pinned
+      stats_.bytes -= victim->second.bytes;
+      stats_.evictions += 1;
+      lru_.erase(victim->second.lru);
+      slots_.erase(victim);
     }
-    shard.pending_records.clear();
-  }
-  // Pop globally-oldest records until the incoming entry fits. Each pop
-  // either evicts its slot (consuming the slot's one record), drops a
-  // record whose slot is gone, requeues a stale record at the slot's
-  // current epoch (still its only record, so ordering stays exact), or
-  // sets a pinned victim aside for requeue after the sweep. An exhausted
-  // heap means everything resident is pinned or pending — the cap then
-  // yields (high-water-mark semantics) rather than blocking the publish.
-  std::vector<RecencyRecord> pinned;
-  while (bytes_.load(std::memory_order_relaxed) + incoming > cap &&
-         !recency_heap_.empty()) {
-    RecencyRecord victim = recency_heap_.top();
-    recency_heap_.pop();
-    Shard& shard = ShardFor(victim.key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.slots.find(victim.key);
-    if (it == shard.slots.end() || it->second.entry == nullptr) {
-      continue;  // slot evicted/cleared meanwhile: the record dies with it
+    Slot& slot = slots_[key];
+    if (slot.entry != nullptr) {  // overwrite: retire the old entry
+      stats_.bytes -= slot.bytes;
+      lru_.erase(slot.lru);
     }
-    Slot& slot = it->second;
-    if (slot.epoch != victim.epoch) {
-      // Touched since the record was created; reorder it to its true spot.
-      recency_heap_.push(RecencyRecord{slot.epoch, victim.key});
-      continue;
-    }
-    // Pinned by an outstanding reader: the shard lock makes use_count exact
-    // here (new copies are only handed out under it), so count 1 means the
-    // cache holds the sole reference and may drop it.
-    if (slot.entry.use_count() > 1) {
-      pinned.push_back(victim);
-      continue;
-    }
-    bytes_.fetch_sub(slot.bytes, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.slots.erase(it);
+    slot.entry = stored;
+    slot.bytes = nbytes;
+    slot.lru = lru_.insert(lru_.end(), key);
+    stats_.bytes += nbytes;
+    stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes);
+    stats_.insertions += 1;
+    stats_.largest_entry_bytes = std::max(stats_.largest_entry_bytes, nbytes);
   }
-  for (const RecencyRecord& rec : pinned) recency_heap_.push(rec);
-}
-
-void ArtifactCache::UpdatePeak() {
-  uint64_t now = bytes_.load(std::memory_order_relaxed);
-  uint64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-  while (now > peak && !peak_bytes_.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
+  ready_cv_.notify_all();
+  return stored;
 }
 
 ArtifactCache::EntryPtr ArtifactCache::Fulfill(Lease* lease,
                                                ArtifactEntry entry) {
-  Shard& shard = ShardFor(lease->key_);
-  EntryPtr stored = std::make_shared<const ArtifactEntry>(std::move(entry));
-  const uint64_t nbytes = EntryBytes(*stored);
-  {
-    // Make room first so the resident total stays under the cap after the
-    // publish; `stored` is held by this frame, so the new entry itself can
-    // never be a victim of a concurrent sweep. cap_mu_ makes the
-    // check-then-publish atomic against other publishers.
-    std::unique_lock<std::mutex> cap_lock;
-    if (options_.max_bytes > 0) {
-      cap_lock = std::unique_lock<std::mutex>(cap_mu_);
-    }
-    MakeRoom(nbytes);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      PublishLocked(shard, lease->key_, stored, nbytes);
-    }
-    UpdatePeak();
-  }
-  shard.ready_cv.notify_all();
+  EntryPtr stored = Publish(lease->key_, std::move(entry));
   lease->cache_ = nullptr;  // disarm the destructor
   return stored;
 }
 
 ArtifactCache::EntryPtr ArtifactCache::Insert(const Hash256& key,
                                               ArtifactEntry entry) {
-  Shard& shard = ShardFor(key);
-  EntryPtr stored = std::make_shared<const ArtifactEntry>(std::move(entry));
-  const uint64_t nbytes = EntryBytes(*stored);
-  {
-    std::unique_lock<std::mutex> cap_lock;
-    if (options_.max_bytes > 0) {
-      cap_lock = std::unique_lock<std::mutex>(cap_mu_);
-    }
-    MakeRoom(nbytes);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      PublishLocked(shard, key, stored, nbytes);
-    }
-    UpdatePeak();
-  }
-  shard.ready_cv.notify_all();
-  return stored;
+  return Publish(key, std::move(entry));
 }
 
 void ArtifactCache::Abandon(const Hash256& key) {
-  Shard& shard = ShardFor(key);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.slots.find(key);
-    if (it != shard.slots.end() && it->second.entry == nullptr) {
-      shard.slots.erase(it);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = slots_.find(key);
+    if (it != slots_.end() && it->second.entry == nullptr) slots_.erase(it);
   }
-  shard.ready_cv.notify_all();
+  ready_cv_.notify_all();
 }
 
 size_t ArtifactCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, slot] : shard.slots) {
-      (void)key;
-      if (slot.entry != nullptr) ++total;
-    }
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
-  Stats s;
-  s.bytes = bytes_.load(std::memory_order_relaxed);
-  s.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.largest_entry_bytes = largest_entry_bytes_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 void ArtifactCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.slots.begin(); it != shard.slots.end();) {
-      if (it->second.pending) {
-        ++it;
-      } else {
-        bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-        it = shard.slots.erase(it);
-      }
-    }
-    // Only ready slots carry records, and all of them were just erased.
-    shard.pending_records.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Hash256& key : lru_) {
+    auto it = slots_.find(key);
+    stats_.bytes -= it->second.bytes;
+    slots_.erase(it);
   }
-  // Heap records for the dropped keys find no slot when popped and die
-  // there; no need to rebuild the heap here.
+  lru_.clear();
 }
 
 }  // namespace mlcask::pipeline

@@ -1,17 +1,15 @@
 #ifndef MLCASK_PIPELINE_ARTIFACT_CACHE_H_
 #define MLCASK_PIPELINE_ARTIFACT_CACHE_H_
 
-#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/sha256.h"
 #include "common/sim_clock.h"
@@ -60,30 +58,15 @@ struct ArtifactEntry {
 /// candidates sharing a prefix race, the second worker blocks on the first
 /// worker's lease and reuses its result instead of recomputing it.
 ///
-/// ## Byte-bounded eviction: global recency epoch
+/// ## Byte-bounded eviction: exact LRU under one lock
 ///
-/// With `Options::max_bytes > 0` the cache evicts least-recently-used READY
-/// entries when a new publish would push the total payload past the cap.
-/// Recency is GLOBAL, not per-shard: every touch (Find hit, Acquire hit,
-/// publish) stamps the slot with a cache-wide monotonic epoch from one
-/// atomic counter, and eviction always drops the globally-oldest unpinned
-/// ready entry. Victims are located through a lazily-maintained cross-shard
-/// min-heap of (epoch, key) records. The hit path stays shard-local: a
-/// touch records at most ONE live record per slot into its shard's pending
-/// buffer under the shard lock it already holds (no cache-wide lock, no
-/// per-touch heap churn); MakeRoom — serialized by cap_mu_ anyway — drains
-/// the buffers into the heap and pops minima, REQUEUEING a record whose
-/// epoch no longer matches its slot at the slot's current epoch (it is
-/// that slot's only record, so requeue-on-stale keeps the order exact),
-/// dropping records whose slot is gone, and setting pinned victims aside
-/// for requeue after the sweep. The one-record-per-slot invariant bounds
-/// heap + buffers at the number of ready slots ever resident. This
-/// replaces the earlier round-robin per-shard LRU sweep, whose shard-local
-/// eviction order recomputed ~5x more than a true global LRU on
-/// adversarial layouts (hot keys concentrated on low shards — see the
-/// recorded-trace regression test in tests/test_cache_eviction.cc, which
-/// now gates the global policy at <= 1.5x an ideal global-LRU oracle).
-/// Eviction never touches:
+/// One mutex guards the whole cache: a map from key to slot and one list
+/// of the ready keys in recency order, least recent first. A slot without
+/// an entry is pending (its lease is outstanding). Every touch (Find hit,
+/// Acquire hit, publish) moves the key to the back of the list. With
+/// `Options::max_bytes > 0` a publish first evicts from the front of the
+/// list until the new entry fits, so the victim is always the least
+/// recently used evictable entry. Eviction never touches:
 ///  - pending (leased) slots — their computation is in flight and a waiter
 ///    may be blocked on the lease;
 ///  - entries pinned by an outstanding EntryPtr reader (shared_ptr
@@ -100,8 +83,8 @@ class ArtifactCache {
   using EntryPtr = std::shared_ptr<const ArtifactEntry>;
 
   struct Options {
-    /// Total payload cap in bytes across all shards; 0 = unbounded (the
-    /// historical behaviour).
+    /// Total payload cap in bytes; 0 = unbounded (the historical
+    /// behaviour).
     uint64_t max_bytes = 0;
   };
 
@@ -177,7 +160,7 @@ class ArtifactCache {
   /// (their computation is still in flight and will publish as usual).
   void Clear();
 
-  const Options& options() const { return options_; }
+  /// One consistent snapshot of the accounting.
   Stats stats() const;
 
   /// Approximate resident size of one entry — the unit the byte cap is
@@ -186,98 +169,25 @@ class ArtifactCache {
 
  private:
   struct Slot {
-    EntryPtr entry;        ///< Set when ready.
-    bool pending = false;  ///< True while a lease is outstanding.
-    uint64_t bytes = 0;    ///< EntryBytes at publish time (ready slots).
-    /// Global recency epoch of the slot's last touch (stamped from the
-    /// cache-wide atomic counter). 0 = never stamped.
-    uint64_t epoch = 0;
-    /// Whether a recency record for this slot is live in its shard's
-    /// pending buffer or the cross-shard heap. At most one record exists
-    /// per ready slot; a touch that finds one live only restamps `epoch`
-    /// (MakeRoom requeues the stale record at the fresh epoch on pop).
-    bool record_live = false;
+    EntryPtr entry;      ///< Null while pending (a lease is outstanding).
+    uint64_t bytes = 0;  ///< EntryBytes at publish time (ready slots).
+    std::list<Hash256>::iterator lru;  ///< The key's node in lru_ (ready).
   };
-
-  /// One (epoch, key) record in the recency machinery (see the class
-  /// comment): buffered per shard on touch, drained into the cross-shard
-  /// heap by MakeRoom.
-  struct RecencyRecord {
-    uint64_t epoch = 0;
-    Hash256 key;
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable ready_cv;
-    /// Mutable so a const Find can stamp recency under the shard lock.
-    mutable std::unordered_map<Hash256, Slot, Hash256Hasher> slots;
-    /// Recency records not yet drained into the heap. Guarded by `mu`;
-    /// mutable for the same reason as `slots`. Only capped caches append.
-    mutable std::vector<RecencyRecord> pending_records;
-  };
-  struct RecencyNewer {
-    bool operator()(const RecencyRecord& a, const RecencyRecord& b) const {
-      return a.epoch > b.epoch;  // min-heap: globally-oldest on top
-    }
-  };
-
-  static constexpr size_t kNumShards = 16;
-
-  Shard& ShardFor(const Hash256& key) {
-    return shards_[key.bytes[0] % kNumShards];
-  }
-  const Shard& ShardFor(const Hash256& key) const {
-    return shards_[key.bytes[0] % kNumShards];
-  }
 
   void Abandon(const Hash256& key);
 
-  /// Publishes `stored` into `shard` under its lock: replaces any previous
-  /// ready entry's accounting and stamps a fresh recency epoch.
-  void PublishLocked(Shard& shard, const Hash256& key, EntryPtr stored,
-                     uint64_t nbytes);
+  /// The one publish path of Fulfill and Insert: makes room for the new
+  /// entry, drops any old entry under `key`, publishes, wakes waiters.
+  EntryPtr Publish(const Hash256& key, ArtifactEntry entry);
 
-  /// Stamps `slot` with a fresh global epoch and, on capped caches,
-  /// ensures exactly one live recency record for it (appending to the
-  /// shard's pending buffer when none is live). Caller holds the shard
-  /// lock.
-  void TouchLocked(const Shard& shard, const Hash256& key, Slot& slot) const;
-
-  /// Evicts globally-oldest unpinned ready entries (via the recency heap)
-  /// until `incoming` more bytes fit under the cap or nothing evictable
-  /// remains. Caller holds cap_mu_ (which is the heap's guard) but no
-  /// shard lock.
-  void MakeRoom(uint64_t incoming);
-
-  void UpdatePeak();
-
-  Options options_;
-  /// Serializes {MakeRoom, publish, peak update} when a byte cap is
-  /// configured, making cap enforcement atomic across concurrent
-  /// publishers — without it two racing publishes could each see room and
-  /// together overshoot the cap. Never held while a shard lock is held
-  /// (always taken first), so there is no ordering inversion; uncapped
-  /// caches never touch it. Deliberate trade-off: capped publishes
-  /// serialize (the sharding still serves lookups), buying strict byte
-  /// accounting on exactly the runs that asked to be memory-bounded.
-  std::mutex cap_mu_;
-  Shard shards_[kNumShards];
-  /// Cache-wide monotonic recency counter; every touch of a ready slot
-  /// draws the next epoch, so "globally oldest" is well-defined across
-  /// shards without any cross-shard lock on the touch path.
-  mutable std::atomic<uint64_t> epoch_{0};
-  /// Cross-shard recency heap. Accessed ONLY from MakeRoom, which always
-  /// runs under cap_mu_ — the cap lock doubles as the heap's guard, so the
-  /// hit path never takes a cache-wide lock for recency bookkeeping.
-  std::priority_queue<RecencyRecord, std::vector<RecencyRecord>,
-                      RecencyNewer>
-      recency_heap_;
-  std::atomic<uint64_t> bytes_{0};
-  std::atomic<uint64_t> peak_bytes_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> largest_entry_bytes_{0};
+  const Options options_;
+  mutable std::mutex mu_;  ///< Guards everything below.
+  std::condition_variable ready_cv_;
+  std::unordered_map<Hash256, Slot, Hash256Hasher> slots_;
+  /// Ready keys, least recently used first. Mutable so a const Find can
+  /// refresh recency under the lock.
+  mutable std::list<Hash256> lru_;
+  Stats stats_;
 };
 
 }  // namespace mlcask::pipeline

@@ -169,7 +169,6 @@ class Executor {
   ArtifactCache::EntryPtr FindCachedEntry(
       const std::vector<const ComponentVersionSpec*>& chain) const;
 
-  size_t cache_size() const { return cache_.size(); }
   void ClearCache() { cache_.Clear(); }
   /// Byte/eviction accounting of the artifact cache (LRU cap telemetry).
   ArtifactCache::Stats cache_stats() const { return cache_.stats(); }

@@ -242,6 +242,12 @@ StatusOr<uint64_t> FaultyEngine::DeleteVersion(const Hash256& id) {
   return inner_->DeleteVersion(id);
 }
 
+StatusOr<MigrateBatchResult> FaultyEngine::MigrateBatch(
+    const std::vector<MigrateKeyVersions>& batch) {
+  MLCASK_RETURN_IF_ERROR(Gate(/*mutation=*/true));
+  return inner_->MigrateBatch(batch);
+}
+
 EngineStats FaultyEngine::stats() const { return inner_->stats(); }
 
 std::string FaultyEngine::Name() const { return inner_->Name(); }
@@ -298,6 +304,15 @@ Deferred<uint64_t> FaultyEngine::AsyncDeleteVersion(const Hash256& id) {
   Status gate = Gate(/*mutation=*/true);
   if (!gate.ok()) return Deferred<uint64_t>(StatusOr<uint64_t>(gate));
   return inner_->AsyncDeleteVersion(id);
+}
+
+Deferred<MigrateBatchResult> FaultyEngine::AsyncMigrateBatch(
+    const std::vector<MigrateKeyVersions>& batch) {
+  Status gate = Gate(/*mutation=*/true);
+  if (!gate.ok()) {
+    return Deferred<MigrateBatchResult>(StatusOr<MigrateBatchResult>(gate));
+  }
+  return inner_->AsyncMigrateBatch(batch);
 }
 
 }  // namespace mlcask::storage

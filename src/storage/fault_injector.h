@@ -141,6 +141,10 @@ class FaultyEngine : public StorageEngine {
   std::vector<std::pair<std::string, Hash256>> ListAllVersions()
       const override;
   StatusOr<uint64_t> DeleteVersion(const Hash256& id) override;
+  /// Forwarded whole, gated once as one mutation: the base default would
+  /// replay each version as its own Put through this decorator.
+  StatusOr<MigrateBatchResult> MigrateBatch(
+      const std::vector<MigrateKeyVersions>& batch) override;
   EngineStats stats() const override;
   std::string Name() const override;
   double ReadCost(uint64_t bytes) const override;
@@ -156,6 +160,8 @@ class FaultyEngine : public StorageEngine {
   Deferred<std::string> AsyncGetVersion(const Hash256& id) override;
   Deferred<bool> AsyncHasVersion(const Hash256& id) const override;
   Deferred<uint64_t> AsyncDeleteVersion(const Hash256& id) override;
+  Deferred<MigrateBatchResult> AsyncMigrateBatch(
+      const std::vector<MigrateKeyVersions>& batch) override;
 
   StorageEngine* inner() { return inner_.get(); }
 

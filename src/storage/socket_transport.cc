@@ -393,31 +393,26 @@ void SocketTransport::ReaderLoop() {
     bool delivered = false;
     Status session = PumpSession(&delivered);
     if (stopping_.load(std::memory_order_acquire)) {
-      conn_state_.store(ConnState::kFailed, std::memory_order_relaxed);
       FailAllPending(session);
       return;
     }
     barren_sessions = delivered ? 0 : barren_sessions + 1;
     if (barren_sessions >= kMaxBarrenSessions) {
-      conn_state_.store(ConnState::kFailed, std::memory_order_relaxed);
       FailAllPending(Status::Unavailable(
           "peer " + endpoint_.ToString() + " flapping: " +
           std::to_string(barren_sessions) +
           " consecutive sessions delivered no frame"));
       return;
     }
-    conn_state_.store(ConnState::kDegraded, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(write_mu_);
       connected_ = false;
     }
     Status redialed = Redial();
     if (!redialed.ok()) {
-      conn_state_.store(ConnState::kFailed, std::memory_order_relaxed);
       FailAllPending(redialed);
       return;
     }
-    conn_state_.store(ConnState::kRecovered, std::memory_order_relaxed);
   }
 }
 
@@ -546,7 +541,6 @@ Status SocketTransport::PumpSession(bool* delivered) {
 }
 
 Status SocketTransport::Redial() {
-  conn_state_.store(ConnState::kRedialing, std::memory_order_relaxed);
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.redial_budget_ms);

@@ -24,23 +24,6 @@
 
 namespace mlcask::storage {
 
-/// Client connection lifecycle under the self-healing transport. One-way
-/// within a session; kRecovered and kConnected are equivalent for callers
-/// (kRecovered just records that at least one redial happened).
-///
-///   kConnected --(read error / EOF / corruption)--> kDegraded
-///   kDegraded  --(redial attempts, bounded exponential backoff)--> kRedialing
-///   kRedialing --(connect ok: replay pending calls)--> kRecovered
-///   kRedialing --(budget exhausted)--> kFailed (terminal; pending calls
-///                                      fail Unavailable, session broken)
-enum class ConnState : uint8_t {
-  kConnected = 0,
-  kDegraded = 1,
-  kRedialing = 2,
-  kRecovered = 3,
-  kFailed = 4,
-};
-
 /// The first real Transport: length-prefixed frames (storage/frame.h) over a
 /// Unix-domain or TCP stream socket, multiplexed by per-request correlation
 /// id. One connection carries any number of in-flight calls: AsyncCall
@@ -62,7 +45,7 @@ enum class ConnState : uint8_t {
 ///     its message, and digest-checked before the waiter sees the value.
 ///
 /// Failure surface (all as statuses, never hangs). A lost or garbled
-/// connection first enters the redial state machine (ConnState above):
+/// connection first enters the redial state machine (see ReaderLoop):
 /// in-flight calls stay pending, a replacement connection is dialed with
 /// bounded exponential backoff, and pending requests are replayed on it in
 /// correlation-id order (the server's replay ledger deduplicates mutations
@@ -154,10 +137,6 @@ class SocketTransport : public Transport {
   }
   uint8_t wire_version() const override { return kWireVersion; }
 
-  /// Connection state machine position (telemetry/tests).
-  ConnState conn_state() const {
-    return conn_state_.load(std::memory_order_relaxed);
-  }
   /// Successful redials over the transport's lifetime.
   uint64_t redials() const { return redials_.load(std::memory_order_relaxed); }
 
@@ -184,6 +163,14 @@ class SocketTransport : public Transport {
   /// write_mu_.
   Status SendLocked(std::vector<iovec>* iov, const SendFault& fault);
 
+  /// The connection's lifecycle, one way within a session (a recovered
+  /// connection is as good as the first):
+  ///
+  ///   connected --(read error / EOF / corruption)--> degraded
+  ///   degraded  --(redial attempts, bounded exponential backoff)--> redialing
+  ///   redialing --(connect ok: replay pending calls)--> recovered
+  ///   redialing --(budget exhausted)--> failed (terminal; pending calls
+  ///                                     fail Unavailable, session broken)
   void ReaderLoop();
   /// Reads and demultiplexes one connection's worth of frames; returns the
   /// status that ended the session (EOF, read error, corruption). Sets
@@ -211,7 +198,6 @@ class SocketTransport : public Transport {
   const Options options_;
   int fd_ = -1;          ///< Guarded by write_mu_ (the reader swaps it).
   bool connected_ = true;  ///< Guarded by write_mu_; false while degraded.
-  std::atomic<ConnState> conn_state_{ConnState::kConnected};
   std::atomic<uint64_t> redials_{0};
   std::atomic<bool> stopping_{false};
 
@@ -333,9 +319,6 @@ class SocketTransportServer : public TransportServer {
   /// dropped with a typed DeadlineExceeded, handler never invoked.
   uint64_t expired_jobs() const {
     return expired_jobs_.load(std::memory_order_relaxed);
-  }
-  uint64_t queued_jobs() const {
-    return queued_jobs_.load(std::memory_order_relaxed);
   }
   uint64_t peak_queued_jobs() const {
     return peak_queued_jobs_.load(std::memory_order_relaxed);

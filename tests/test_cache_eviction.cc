@@ -1,16 +1,23 @@
 // Tests for the artifact cache's byte-bounded LRU eviction: leased slots
-// and pinned entries are untouchable, eviction order is LRU with Find
-// refreshing recency, and a byte cap on a full merge trades recomputation
-// for residency without ever changing the merge result.
+// and pinned entries are untouchable, eviction order is exact LRU with Find
+// refreshing recency (checked step by step against a reference model), and
+// a byte cap on a full merge trades recomputation for residency without
+// ever changing the merge result.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <list>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -21,11 +28,11 @@
 namespace mlcask::pipeline {
 namespace {
 
-/// Key pinned to one shard (shard index = bytes[0] % 16) so LRU order is
-/// strict within the test's working set.
-Hash256 ShardKey(uint8_t shard, uint8_t id) {
+/// A key whose first byte is `group` and second byte `id`; every other
+/// byte is zero, so distinct (group, id) pairs are distinct keys.
+Hash256 TestKey(uint8_t group, uint8_t id) {
   Hash256 key;
-  key.bytes[0] = shard;
+  key.bytes[0] = group;
   key.bytes[1] = id;
   return key;
 }
@@ -48,7 +55,7 @@ uint64_t OneEntryBytes() {
 TEST(CacheEvictionTest, UnboundedCacheNeverEvicts) {
   ArtifactCache cache;  // default options: no cap
   for (uint8_t i = 0; i < 32; ++i) {
-    cache.Insert(ShardKey(i % 16, i), MakeEntry(i));
+    cache.Insert(TestKey(i % 16, i), MakeEntry(i));
   }
   EXPECT_EQ(cache.size(), 32u);
   EXPECT_EQ(cache.stats().evictions, 0u);
@@ -59,16 +66,16 @@ TEST(CacheEvictionTest, EvictsLeastRecentlyUsedWhenOverCap) {
   options.max_bytes = 3 * OneEntryBytes() + OneEntryBytes() / 2;
   ArtifactCache cache(options);
   for (uint8_t i = 0; i < 6; ++i) {
-    cache.Insert(ShardKey(3, i), MakeEntry(i));
+    cache.Insert(TestKey(3, i), MakeEntry(i));
     EXPECT_LE(cache.stats().bytes, options.max_bytes) << "after insert " << +i;
   }
   // Only the three most recent survive.
-  EXPECT_EQ(cache.Find(ShardKey(3, 0)), nullptr);
-  EXPECT_EQ(cache.Find(ShardKey(3, 1)), nullptr);
-  EXPECT_EQ(cache.Find(ShardKey(3, 2)), nullptr);
-  EXPECT_NE(cache.Find(ShardKey(3, 3)), nullptr);
-  EXPECT_NE(cache.Find(ShardKey(3, 4)), nullptr);
-  EXPECT_NE(cache.Find(ShardKey(3, 5)), nullptr);
+  EXPECT_EQ(cache.Find(TestKey(3, 0)), nullptr);
+  EXPECT_EQ(cache.Find(TestKey(3, 1)), nullptr);
+  EXPECT_EQ(cache.Find(TestKey(3, 2)), nullptr);
+  EXPECT_NE(cache.Find(TestKey(3, 3)), nullptr);
+  EXPECT_NE(cache.Find(TestKey(3, 4)), nullptr);
+  EXPECT_NE(cache.Find(TestKey(3, 5)), nullptr);
   EXPECT_EQ(cache.stats().evictions, 3u);
   EXPECT_LE(cache.stats().peak_bytes, options.max_bytes);
 }
@@ -77,14 +84,14 @@ TEST(CacheEvictionTest, FindRefreshesRecency) {
   ArtifactCache::Options options;
   options.max_bytes = 2 * OneEntryBytes() + OneEntryBytes() / 2;
   ArtifactCache cache(options);
-  cache.Insert(ShardKey(5, 0), MakeEntry(0));
-  cache.Insert(ShardKey(5, 1), MakeEntry(1));
+  cache.Insert(TestKey(5, 0), MakeEntry(0));
+  cache.Insert(TestKey(5, 1), MakeEntry(1));
   // Touch 0 so 1 becomes the LRU victim of the next insert.
-  EXPECT_NE(cache.Find(ShardKey(5, 0)), nullptr);
-  cache.Insert(ShardKey(5, 2), MakeEntry(2));
-  EXPECT_NE(cache.Find(ShardKey(5, 0)), nullptr);
-  EXPECT_EQ(cache.Find(ShardKey(5, 1)), nullptr);
-  EXPECT_NE(cache.Find(ShardKey(5, 2)), nullptr);
+  EXPECT_NE(cache.Find(TestKey(5, 0)), nullptr);
+  cache.Insert(TestKey(5, 2), MakeEntry(2));
+  EXPECT_NE(cache.Find(TestKey(5, 0)), nullptr);
+  EXPECT_EQ(cache.Find(TestKey(5, 1)), nullptr);
+  EXPECT_NE(cache.Find(TestKey(5, 2)), nullptr);
 }
 
 TEST(CacheEvictionTest, PinnedEntriesAreNeverEvicted) {
@@ -93,11 +100,11 @@ TEST(CacheEvictionTest, PinnedEntriesAreNeverEvicted) {
   ArtifactCache cache(options);
   // Hold an EntryPtr to the oldest entry: the LRU policy must skip it even
   // though it is the nominal victim, and the held pointer stays valid.
-  ArtifactCache::EntryPtr pinned = cache.Insert(ShardKey(7, 0), MakeEntry(42));
+  ArtifactCache::EntryPtr pinned = cache.Insert(TestKey(7, 0), MakeEntry(42));
   for (uint8_t i = 1; i < 8; ++i) {
-    cache.Insert(ShardKey(7, i), MakeEntry(i));
+    cache.Insert(TestKey(7, i), MakeEntry(i));
   }
-  ArtifactCache::EntryPtr found = cache.Find(ShardKey(7, 0));
+  ArtifactCache::EntryPtr found = cache.Find(TestKey(7, 0));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found.get(), pinned.get());
   EXPECT_DOUBLE_EQ(pinned->score, 42.0);
@@ -105,25 +112,25 @@ TEST(CacheEvictionTest, PinnedEntriesAreNeverEvicted) {
   found.reset();
   pinned.reset();
   for (uint8_t i = 8; i < 12; ++i) {
-    cache.Insert(ShardKey(7, i), MakeEntry(i));
+    cache.Insert(TestKey(7, i), MakeEntry(i));
   }
-  EXPECT_EQ(cache.Find(ShardKey(7, 0)), nullptr);
+  EXPECT_EQ(cache.Find(TestKey(7, 0)), nullptr);
 }
 
 TEST(CacheEvictionTest, LeasedSlotsSurviveEvictionSweeps) {
   ArtifactCache::Options options;
   options.max_bytes = 2 * OneEntryBytes();
   ArtifactCache cache(options);
-  ArtifactCache::Acquired acquired = cache.Acquire(ShardKey(9, 0));
+  ArtifactCache::Acquired acquired = cache.Acquire(TestKey(9, 0));
   ASSERT_NE(acquired.lease, nullptr);
   // Sweeps triggered by these inserts must not disturb the pending slot.
   for (uint8_t i = 1; i < 10; ++i) {
-    cache.Insert(ShardKey(9, i), MakeEntry(i));
+    cache.Insert(TestKey(9, i), MakeEntry(i));
   }
   // The lease still publishes, and a waiter sees the published entry.
   ArtifactCache::EntryPtr published =
       cache.Fulfill(acquired.lease.get(), MakeEntry(0.25));
-  ArtifactCache::EntryPtr found = cache.Find(ShardKey(9, 0));
+  ArtifactCache::EntryPtr found = cache.Find(TestKey(9, 0));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found.get(), published.get());
 }
@@ -132,10 +139,10 @@ TEST(CacheEvictionTest, OversizedEntryIsStillAdmitted) {
   ArtifactCache::Options options;
   options.max_bytes = OneEntryBytes() / 2;  // smaller than any entry
   ArtifactCache cache(options);
-  cache.Insert(ShardKey(11, 0), MakeEntry(1.0));
+  cache.Insert(TestKey(11, 0), MakeEntry(1.0));
   // Correctness first: the publish succeeds (high-water-mark semantics)
   // even though the cap can never be met.
-  EXPECT_NE(cache.Find(ShardKey(11, 0)), nullptr);
+  EXPECT_NE(cache.Find(TestKey(11, 0)), nullptr);
   EXPECT_GT(cache.stats().bytes, options.max_bytes);
 }
 
@@ -144,7 +151,7 @@ TEST(CacheEvictionTest, ClearResetsByteAccounting) {
   options.max_bytes = 64 * OneEntryBytes();
   ArtifactCache cache(options);
   for (uint8_t i = 0; i < 8; ++i) {
-    cache.Insert(ShardKey(i, i), MakeEntry(i));
+    cache.Insert(TestKey(i, i), MakeEntry(i));
   }
   EXPECT_GT(cache.stats().bytes, 0u);
   cache.Clear();
@@ -152,29 +159,26 @@ TEST(CacheEvictionTest, ClearResetsByteAccounting) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-/// GATING regression for the global recency epoch. The byte cap used to be
-/// enforced by a per-shard LRU swept round-robin from shard 0, which this
-/// recorded trace measured at ~5.3x the recomputations of an ideal global
-/// LRU on an adversarial layout (hot keys concentrated on the low shards
-/// the sweep drained first, cold keys on high shards). Eviction now picks
-/// the globally-oldest unpinned entry via the cross-shard recency heap, so
-/// the same trace must stay within 1.5x of the oracle — a regression back
-/// to any shard-local eviction order fails here. The trace replays through
-/// (a) the real capped cache, counting recomputations (granted leases), and
-/// (b) an ideal global-LRU oracle of the same capacity, counting misses.
+/// Eviction is exact LRU across the whole cache. The recorded trace once
+/// defeated a per-shard LRU swept round-robin from shard 0 (hot keys in
+/// the low groups it drained first, cold keys in high ones), which
+/// recomputed ~5.3x more than an ideal global LRU. The trace replays
+/// through (a) the real capped cache, counting recomputations (granted
+/// leases), and (b) an ideal global-LRU oracle of the same capacity,
+/// counting misses; the two counts must be equal.
 TEST(CacheEvictionTest, GlobalEpochEvictionTracksGlobalLruOracle) {
-  constexpr size_t kHot = 16;    // 4 keys on each of shards 0..3
-  constexpr size_t kCold = 16;   // 2 keys on each of shards 8..15
+  constexpr size_t kHot = 16;    // 4 keys in each of groups 0..3
+  constexpr size_t kCold = 16;   // 2 keys in each of groups 8..15
   constexpr size_t kCapacityEntries = 24;
   constexpr int kRounds = 30;
 
   std::vector<Hash256> hot, cold;
   for (size_t i = 0; i < kHot; ++i) {
-    hot.push_back(ShardKey(static_cast<uint8_t>(i % 4),
+    hot.push_back(TestKey(static_cast<uint8_t>(i % 4),
                            static_cast<uint8_t>(i)));
   }
   for (size_t j = 0; j < kCold; ++j) {
-    cold.push_back(ShardKey(static_cast<uint8_t>(8 + j % 8),
+    cold.push_back(TestKey(static_cast<uint8_t>(8 + j % 8),
                             static_cast<uint8_t>(64 + j)));
   }
   // The trace: every round touches the whole hot set, then one cold key.
@@ -222,26 +226,19 @@ TEST(CacheEvictionTest, GlobalEpochEvictionTracksGlobalLruOracle) {
 
   const double ratio = static_cast<double>(recomputations) /
                        static_cast<double>(oracle_misses);
-  std::printf("[trace] sharded-LRU recomputations=%llu, global-LRU oracle "
+  std::printf("[trace] cache recomputations=%llu, global-LRU oracle "
               "misses=%llu, ratio=%.2fx over %zu accesses\n",
               static_cast<unsigned long long>(recomputations),
               static_cast<unsigned long long>(oracle_misses), ratio,
               trace.size());
-  ::testing::Test::RecordProperty("sharded_recomputations",
+  ::testing::Test::RecordProperty("cache_recomputations",
                                   static_cast<int>(recomputations));
   ::testing::Test::RecordProperty("global_lru_oracle_misses",
                                   static_cast<int>(oracle_misses));
 
-  // Every key misses at least once, under either policy, and the real
-  // cache can at best match the ideal oracle.
+  // Every key misses at least once, and the cache's LRU is the oracle's.
   EXPECT_GE(oracle_misses, kHot + kCold);
-  EXPECT_GE(recomputations, oracle_misses);
-  // The gate: global-epoch eviction must track the global-LRU oracle on
-  // the layout that defeated the per-shard sweep (~5.3x). The measured
-  // ratio is 1.0x; 1.5x leaves headroom for policy tweaks (batching,
-  // approximate heaps) without readmitting shard-local eviction order.
-  EXPECT_LE(static_cast<double>(recomputations),
-            1.5 * static_cast<double>(oracle_misses));
+  EXPECT_EQ(recomputations, oracle_misses);
 }
 
 TEST(CacheEvictionTest, ConcurrentChurnRecomputesNotCorrupts) {
@@ -263,7 +260,7 @@ TEST(CacheEvictionTest, ConcurrentChurnRecomputesNotCorrupts) {
         const int id = (i * 7 + t * 3) % kKeys;
         const double canonical = id * 0.5;
         ArtifactCache::Acquired acquired =
-            cache.Acquire(ShardKey(static_cast<uint8_t>(id % 16),
+            cache.Acquire(TestKey(static_cast<uint8_t>(id % 16),
                                    static_cast<uint8_t>(id)));
         if (acquired.lease != nullptr) {
           computes.fetch_add(1);
@@ -279,6 +276,222 @@ TEST(CacheEvictionTest, ConcurrentChurnRecomputesNotCorrupts) {
   // Churn forces recomputation: more computes than distinct keys.
   EXPECT_GT(computes.load(), static_cast<uint64_t>(kKeys));
   EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+/// Reference model for the differential test below: an exact LRU over
+/// byte-sized entries with pending slots, pins, Clear and a high-water cap,
+/// written as plainly as possible. Keys are small ints; each publish gets a
+/// fresh generation number, which the real entry carries as its score.
+class LruModel {
+ public:
+  explicit LruModel(uint64_t cap) : cap_(cap) {}
+
+  bool IsPending(int key) const { return pending_.count(key) > 0; }
+  bool IsReady(int key) const { return ready_.count(key) > 0; }
+  uint64_t Gen(int key) const { return ready_.at(key).gen; }
+  uint64_t NextGen() { return ++last_gen_; }
+  const std::list<int>& lru() const { return lru_; }
+  const ArtifactCache::Stats& stats() const { return stats_; }
+  uint64_t pinned_skips() const { return pinned_skips_; }
+
+  void Touch(int key) {
+    lru_.remove(key);
+    lru_.push_back(key);
+  }
+  /// Returns true when the caller is granted a lease. Never called on a
+  /// pending key (the real Acquire would wait).
+  bool Acquire(int key) {
+    if (IsReady(key)) {
+      Touch(key);
+      return false;
+    }
+    pending_.insert(key);
+    return true;
+  }
+  void Abandon(int key) { pending_.erase(key); }
+  void Publish(int key, uint64_t bytes, uint64_t gen) {
+    for (auto it = lru_.begin();
+         cap_ > 0 && it != lru_.end() && stats_.bytes + bytes > cap_;) {
+      const int victim = *it++;
+      if (pins_.count(ready_.at(victim).gen) > 0) {
+        ++pinned_skips_;
+        continue;
+      }
+      stats_.bytes -= ready_.at(victim).bytes;
+      stats_.evictions += 1;
+      ready_.erase(victim);
+      lru_.remove(victim);
+    }
+    if (IsReady(key)) {
+      stats_.bytes -= ready_.at(key).bytes;
+      lru_.remove(key);
+    }
+    pending_.erase(key);
+    ready_[key] = Ready{bytes, gen};
+    lru_.push_back(key);
+    stats_.bytes += bytes;
+    stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes);
+    stats_.insertions += 1;
+    stats_.largest_entry_bytes = std::max(stats_.largest_entry_bytes, bytes);
+  }
+  void Pin(uint64_t gen) { pins_.insert(gen); }
+  void Unpin(uint64_t gen) { pins_.erase(pins_.find(gen)); }
+  void Clear() {
+    for (int key : lru_) {
+      stats_.bytes -= ready_.at(key).bytes;
+      ready_.erase(key);
+    }
+    lru_.clear();
+  }
+
+ private:
+  struct Ready {
+    uint64_t bytes = 0;
+    uint64_t gen = 0;
+  };
+  const uint64_t cap_;
+  std::map<int, Ready> ready_;
+  std::set<int> pending_;
+  std::list<int> lru_;  ///< Ready keys, least recent first.
+  std::multiset<uint64_t> pins_;
+  ArtifactCache::Stats stats_;
+  uint64_t last_gen_ = 0;
+  uint64_t pinned_skips_ = 0;
+};
+
+/// Compares the cache with the model: the same keys ready, each holding
+/// the entry of the same publish, and the same Stats. Finds the ready keys
+/// in the model's LRU order, which leaves that order as it was.
+::testing::AssertionResult MatchesModel(const ArtifactCache& cache,
+                                        const LruModel& model, int num_keys) {
+  for (int key : model.lru()) {
+    ArtifactCache::EntryPtr entry = cache.Find(TestKey(1, key));
+    if (entry == nullptr) {
+      return ::testing::AssertionFailure() << "key " << key << " not ready";
+    }
+    if (entry->score != static_cast<double>(model.Gen(key))) {
+      return ::testing::AssertionFailure()
+             << "key " << key << " holds publish " << entry->score
+             << ", model says " << model.Gen(key);
+    }
+  }
+  for (int key = 0; key < num_keys; ++key) {
+    if (!model.IsReady(key) && cache.Find(TestKey(1, key)) != nullptr) {
+      return ::testing::AssertionFailure() << "key " << key << " resident";
+    }
+  }
+  const ArtifactCache::Stats got = cache.stats();
+  const ArtifactCache::Stats& want = model.stats();
+  if (cache.size() != model.lru().size() || got.bytes != want.bytes ||
+      got.peak_bytes != want.peak_bytes || got.evictions != want.evictions ||
+      got.insertions != want.insertions ||
+      got.largest_entry_bytes != want.largest_entry_bytes) {
+    return ::testing::AssertionFailure()
+           << "size " << cache.size() << " vs " << model.lru().size()
+           << ", bytes " << got.bytes << " vs " << want.bytes << ", peak "
+           << got.peak_bytes << " vs " << want.peak_bytes << ", evictions "
+           << got.evictions << " vs " << want.evictions << ", insertions "
+           << got.insertions << " vs " << want.insertions << ", largest "
+           << got.largest_entry_bytes << " vs " << want.largest_entry_bytes;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CacheEvictionTest, RandomOperationsMatchAnExactLruModel) {
+  // Seeded random Acquire/Fulfill/abandon, Find, Insert (over absent, ready
+  // and pending keys), pin/unpin and Clear (leases outstanding or not),
+  // with entries of three sizes, under an unbounded cap and three byte
+  // caps, the two smallest below the largest entry. After every step the
+  // cache must match the reference model exactly.
+  constexpr int kKeys = 10;
+  constexpr int kSteps = 1500;
+  const size_t kRows[] = {8, 64, 1024};
+  const uint64_t largest = ArtifactCache::EntryBytes(MakeEntry(0, 1024));
+  uint64_t oversized = 0, pinned_skips = 0, clears_with_lease = 0;
+  uint64_t inserts_over_pending = 0, inserts_over_ready = 0, evictions = 0;
+  for (uint64_t cap : {uint64_t{0}, 3 * OneEntryBytes(),
+                       8 * OneEntryBytes(), 2 * largest}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    std::mt19937_64 rng(cap + 17);
+    ArtifactCache::Options options;
+    options.max_bytes = cap;
+    ArtifactCache cache(options);
+    LruModel model(cap);
+    std::vector<std::pair<int, std::unique_ptr<ArtifactCache::Lease>>> leases;
+    std::vector<std::pair<uint64_t, ArtifactCache::EntryPtr>> pins;
+    // Fills a fresh entry; returns its generation and byte size.
+    auto make = [&](ArtifactEntry* entry) {
+      const uint64_t gen = model.NextGen();
+      *entry = MakeEntry(static_cast<double>(gen), kRows[rng() % 3]);
+      const uint64_t bytes = ArtifactCache::EntryBytes(*entry);
+      if (cap > 0 && bytes > cap) ++oversized;
+      return std::make_pair(gen, bytes);
+    };
+    for (int step = 0; step < kSteps; ++step) {
+      const uint64_t op = rng() % 20;
+      const int key = static_cast<int>(rng() % kKeys);
+      if (op < 5) {  // Acquire, unless it would wait on our own lease
+        if (model.IsPending(key)) continue;
+        ArtifactCache::Acquired acquired = cache.Acquire(TestKey(1, key));
+        ASSERT_EQ(acquired.lease != nullptr, model.Acquire(key));
+        if (acquired.lease != nullptr) {
+          leases.emplace_back(key, std::move(acquired.lease));
+        } else {
+          ASSERT_EQ(acquired.entry->score, static_cast<double>(model.Gen(key)));
+        }
+      } else if (op < 9) {  // Fulfill or abandon an outstanding lease
+        if (leases.empty()) continue;
+        const size_t pick = rng() % leases.size();
+        const int leased = leases[pick].first;
+        if (op < 7) {
+          ArtifactEntry entry;
+          const auto [gen, bytes] = make(&entry);
+          cache.Fulfill(leases[pick].second.get(), std::move(entry));
+          model.Publish(leased, bytes, gen);
+        } else {
+          model.Abandon(leased);
+        }
+        leases.erase(leases.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (op < 12) {  // Insert
+        inserts_over_pending += model.IsPending(key) ? 1 : 0;
+        inserts_over_ready += model.IsReady(key) ? 1 : 0;
+        ArtifactEntry entry;
+        const auto [gen, bytes] = make(&entry);
+        cache.Insert(TestKey(1, key), std::move(entry));
+        model.Publish(key, bytes, gen);
+      } else if (op < 15) {  // Find
+        ArtifactCache::EntryPtr found = cache.Find(TestKey(1, key));
+        ASSERT_EQ(found != nullptr, model.IsReady(key));
+        if (found != nullptr) model.Touch(key);
+      } else if (op < 17) {  // pin through Find
+        ArtifactCache::EntryPtr found = cache.Find(TestKey(1, key));
+        ASSERT_EQ(found != nullptr, model.IsReady(key));
+        if (found == nullptr) continue;
+        model.Touch(key);
+        model.Pin(model.Gen(key));
+        pins.emplace_back(model.Gen(key), std::move(found));
+      } else if (op < 19) {  // unpin
+        if (pins.empty()) continue;
+        const size_t pick = rng() % pins.size();
+        model.Unpin(pins[pick].first);
+        pins.erase(pins.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else {
+        clears_with_lease += leases.empty() ? 0 : 1;
+        cache.Clear();
+        model.Clear();
+      }
+      ASSERT_TRUE(MatchesModel(cache, model, kKeys)) << "step " << step;
+    }
+    pinned_skips += model.pinned_skips();
+    evictions += model.stats().evictions;
+  }
+  // Every case the test exists for was exercised.
+  EXPECT_GT(oversized, 0u);
+  EXPECT_GT(pinned_skips, 0u);
+  EXPECT_GT(clears_with_lease, 0u);
+  EXPECT_GT(inserts_over_pending, 0u);
+  EXPECT_GT(inserts_over_ready, 0u);
+  EXPECT_GT(evictions, 0u);
 }
 
 }  // namespace

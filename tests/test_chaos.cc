@@ -216,6 +216,73 @@ TEST(ChaosTest, DiskFullShardAbortsALargeReplicatedPutThatCarriesRecipes) {
   EXPECT_EQ(CountStagedKeys(*healthy), 0u);
 }
 
+/// A ForkBase engine counting the MigrateBatch calls that reach it (the
+/// async form's default lands here too).
+class CountingMigrateEngine : public ForkBaseEngine {
+ public:
+  StatusOr<MigrateBatchResult> MigrateBatch(
+      const std::vector<MigrateKeyVersions>& batch) override {
+    ++migrate_calls;
+    return ForkBaseEngine::MigrateBatch(batch);
+  }
+  int migrate_calls = 0;
+};
+
+TEST(ChaosTest, FaultyEngineForwardsMigrateBatchWholeAndGatesItOnce) {
+  // A migrated batch is one mutation at the decorator: the inner engine's
+  // own MigrateBatch runs once (a durable shard checkpoints once per batch,
+  // not once per version), and a fault fails the whole call typed without
+  // reaching the inner engine.
+  ForkBaseEngine source;
+  std::vector<MigrateKeyVersions> batch(2);
+  for (size_t k = 0; k < batch.size(); ++k) {
+    batch[k].key = "artifact/migrated" + std::to_string(k);
+    for (int v = 0; v < 3; ++v) {
+      const std::string value = batch[k].key + "#" + std::to_string(v);
+      auto put = source.Put(batch[k].key, value);
+      ASSERT_TRUE(put.ok()) << put.status();
+      batch[k].versions.emplace_back(put->id, value);
+    }
+  }
+
+  auto inner = std::make_unique<CountingMigrateEngine>();
+  CountingMigrateEngine* counting = inner.get();
+  FaultyEngine engine(std::move(inner),
+                      std::make_shared<FaultInjector>(FaultSpec()));
+  auto migrated = engine.MigrateBatch(batch);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  EXPECT_EQ(migrated->applied_versions, 6u);
+  EXPECT_EQ(counting->migrate_calls, 1);
+  EXPECT_EQ(counting->Versions("artifact/migrated1"),
+            source.Versions("artifact/migrated1"));
+  auto resumed = engine.AsyncMigrateBatch(batch).Get();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->skipped_versions, 6u);
+  EXPECT_EQ(counting->migrate_calls, 2);
+
+  engine.set_unavailable(true);
+  auto down = engine.MigrateBatch(batch);
+  EXPECT_EQ(down.status().code(), StatusCode::kUnavailable) << down.status();
+  auto down_async = engine.AsyncMigrateBatch(batch).Get();
+  EXPECT_EQ(down_async.status().code(), StatusCode::kUnavailable)
+      << down_async.status();
+  EXPECT_EQ(counting->migrate_calls, 2);
+
+  auto full_inner = std::make_unique<CountingMigrateEngine>();
+  CountingMigrateEngine* full_counting = full_inner.get();
+  FaultyEngine full(std::move(full_inner),
+                    std::make_shared<FaultInjector>(
+                        *FaultSpec::Parse("seed=3,diskfull=1")));
+  auto refused = full.MigrateBatch(batch);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable)
+      << refused.status();
+  EXPECT_NE(refused.status().ToString().find("disk full"), std::string::npos)
+      << refused.status();
+  EXPECT_EQ(full_counting->migrate_calls, 0);
+  EXPECT_TRUE(full_counting->Versions("artifact/migrated0").empty());
+}
+
 // ---------------------------------------------------------------------------
 // Durable 2PC recovery: roll-forward, fencing, idempotent replay
 // ---------------------------------------------------------------------------
