@@ -1,14 +1,15 @@
 // REAL wall-clock scaling of the sharded merge drain. Earlier benches
 // measure VIRTUAL makespans (SimClock timelines); this one measures the
 // actual steady-clock time of MergeOperation::Merge's candidate-drain phase
-// (MergeReport::drain_wall_ms) and compares the sequential real-time shard
-// dispatch (concurrent_shard_drains=false, the pre-existing behaviour)
-// against the concurrent dispatch (per-shard drains on concurrently running
-// per-shard ExecutionCores — real OS threads).
+// (MergeReport::drain_wall_ms) and compares a sequential drain (a
+// one-thread ExecutionCore passed as MergeOptions::core: every shard drains
+// in turn on the calling thread) against a concurrent one (no core passed:
+// the MergeOperation builds one pool of one thread per shard, and the
+// shards drain on it at once — real OS threads).
 //
-// Per shard count the bench verifies the two dispatch modes are
-// result-identical (executions, winner score, virtual makespan — one
-// virtual worker per shard keeps virtual time deterministic) and reports
+// Per shard count the bench verifies the two arms are result-identical
+// (executions, winner score, virtual makespan — one virtual worker per
+// shard keeps virtual time deterministic) and reports
 //   real speedup = min sequential drain wall / min concurrent drain wall.
 //
 // PASS requires >= 2x real speedup at 4 shards — but only on a host with
@@ -42,6 +43,7 @@
 
 #include "bench_util.h"
 #include "merge/merge_op.h"
+#include "pipeline/execution_core.h"
 #include "sim/scenario.h"
 
 namespace mlcask {
@@ -58,7 +60,8 @@ struct DrainPoint {
 
 /// One full metric-driven merge of the widened fig11 scenario on a fresh
 /// sharded deployment; returns the drain's real wall time and the
-/// result fingerprint. `concurrent` picks the real-time dispatch mode.
+/// result fingerprint. `concurrent` picks the arm: false drains on a
+/// one-thread core, true on the merge's own pool.
 DrainPoint RunOnce(size_t shards, bool concurrent) {
   sim::DeploymentConfig config;
   config.num_workers = 1;
@@ -73,9 +76,10 @@ DrainPoint RunOnce(size_t shards, bool concurrent) {
   merge::MergeOperation op(d->repo.get(), d->libraries.get(),
                            d->registry.get(), d->engine.get(),
                            d->clock.get());
+  pipeline::ExecutionCore one_thread(1);
   merge::MergeOptions options;
   options.shards = shards;
-  options.concurrent_shard_drains = concurrent;
+  if (!concurrent) options.core = &one_thread;
   auto report =
       bench::CheckedValue(op.Merge("master", "dev", options), "Merge");
   DrainPoint point;
@@ -129,7 +133,7 @@ DrainPoint RunBest(size_t shards, bool concurrent, int repeats) {
         next.makespan_s != best.makespan_s) {
       std::fprintf(stderr,
                    "[bench] nondeterministic merge fingerprint at %zu "
-                   "shards (%s dispatch)\n",
+                   "shards (%s drain)\n",
                    shards, concurrent ? "concurrent" : "sequential");
       std::exit(1);
     }
@@ -193,8 +197,8 @@ int main(int argc, char** argv) {
       if (conc.executions != seq.executions ||
           conc.best_score != seq.best_score ||
           conc.makespan_s != seq.makespan_s) {
-        std::printf("FAIL: concurrent dispatch changed the merge result at "
-                    "%zu shards\n",
+        std::printf("FAIL: the concurrent drain changed the merge result "
+                    "at %zu shards\n",
                     shards);
         ok = false;
       }

@@ -77,23 +77,6 @@ Status MergeOperation::SeedCheckpoints(pipeline::Executor* executor,
   return Status::Ok();
 }
 
-pipeline::ExecutionCore* MergeOperation::ShardCore(size_t shard,
-                                                   size_t real_threads) {
-  std::lock_guard<std::mutex> lock(shard_core_mu_);
-  while (shard_cores_.size() <= shard) {
-    // With num_workers == 1 a shard core is inline (no OS threads): under
-    // the concurrent dispatch its whole drain runs on the dispatch pool's
-    // thread for that shard, so real parallelism is one core per shard.
-    // With num_workers > 1 the shard core carries that many real threads
-    // and the shard's candidates genuinely race each other too. Real
-    // thread counts only shape wall-clock; virtual results are identical
-    // either way.
-    shard_cores_.push_back(std::make_unique<pipeline::ExecutionCore>(
-        std::max<size_t>(1, real_threads)));
-  }
-  return shard_cores_[shard].get();
-}
-
 StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
                                             const std::string& merge_branch,
                                             const MergeOptions& options) {
@@ -165,6 +148,14 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
 
   const uint64_t bytes_before = engine_->stats().physical_bytes;
   const double clock_start = clock_ != nullptr ? clock_->Now() : 0;
+  const size_t num_workers = std::max<size_t>(1, options.num_workers);
+
+  // One pool for the whole merge: the caller's, or this operation's own,
+  // built on its first call with a real thread for every virtual worker of
+  // every shard. The shard drains, their candidate claims and every
+  // candidate's pipeline run all schedule on it.
+  pipeline::ExecutionCore* core =
+      fallback_core_.Get(options.core, num_shards * num_workers);
 
   pipeline::ExecutorOptions eo;
   eo.reuse_cached_outputs = options.reuse_outputs;
@@ -176,6 +167,7 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
   eo.store_outputs = options.store_trial_outputs;
   eo.seed = options.seed;
   eo.streamed_handoff = options.streamed_handoff;
+  eo.core = core;
 
   // Assign candidate subtrees to shards. Single-node keeps the whole DFS
   // list on shard 0 — the partitioner degenerates to one group list there,
@@ -193,118 +185,59 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
     report.shard_candidates.push_back(list.size());
   }
 
-  const size_t num_workers = std::max<size_t>(1, options.num_workers);
   std::vector<pipeline::PipelineRunResult> runs(candidates.size());
   std::vector<double> end_times(candidates.size(), 0);
   std::vector<double> shard_makespans(num_shards, clock_start);
 
-  // Drain one shard's candidate list through its executor on its core:
-  // Algorithm 2's claims stay FIFO in candidate (DFS) order, so the prefix
-  // locality the search tree was built for survives both parallelism and
-  // sharding; each claimed candidate starts on the earliest free VIRTUAL
-  // worker slot (list scheduling, the repo-wide virtual-time convention).
-  // A checkpoint one worker publishes propagates to every later claim
-  // through the shard's shared artifact cache, and two workers racing the
-  // same prefix dedup through its in-flight lease — which is why
-  // component_executions and the selected winner are provably identical to
-  // the serial walk. With one worker the drain reproduces the serial loop
-  // exactly (same claims, same single timeline). Every shard starts at
-  // clock_start on its own virtual timeline: shards model machines running
-  // in parallel, so the merge's makespan is the slowest shard's drain.
-  // Drain state is per-shard (executor, cache, candidate indices, makespan
-  // slot; `runs`/`end_times` writes are disjoint by index), so drains may
-  // run sequentially OR concurrently in real time with identical results.
+  // Drain one shard's candidate list through its executor: a RunGraph over
+  // a graph with no edges, so Algorithm 2's claims stay FIFO in candidate
+  // (DFS) order — the prefix locality the search tree was built for
+  // survives both parallelism and sharding — and each claimed candidate
+  // starts on the earliest free VIRTUAL worker slot (list scheduling, the
+  // repo-wide virtual-time convention). A checkpoint one worker publishes
+  // propagates to every later claim through the shard's shared artifact
+  // cache, and two workers racing the same prefix dedup through its
+  // in-flight lease — which is why component_executions and the selected
+  // winner are provably identical to the serial walk. With one worker the
+  // drain reproduces the serial loop exactly (same claims, same single
+  // timeline, on the calling thread). Every shard starts at clock_start on
+  // its own virtual timeline: shards model machines running in parallel,
+  // so the merge's makespan is the slowest shard's drain. Drain state is
+  // per-shard (executor, cache, candidate indices, makespan slot; `runs` /
+  // `end_times` writes are disjoint by index), so the shards may drain in
+  // any real-time order, or at once, with identical results.
   auto drain_shard = [&](size_t shard_index) -> Status {
     pipeline::Executor& executor = *executors[shard_index];
     const std::vector<size_t>& indices = shard_lists[shard_index];
-    std::mutex mu;
-    size_t cursor = 0;
-    bool aborted = false;
-    double shard_makespan = clock_start;
-    pipeline::VirtualWorkerPool worker_slots(num_workers, clock_start);
-
-    auto worker_body =
-        [&](pipeline::ExecutionCore::WorkerContext&) -> Status {
-      for (;;) {
-        size_t index = 0;
-        SimClock clock;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (aborted || cursor >= indices.size()) return Status::Ok();
-          index = indices[cursor++];
-          clock.AdvanceTo(worker_slots.ClaimEarliest());
-        }
-        const CandidateChain& chain = candidates[index];
-        std::vector<pipeline::ComponentVersionSpec> specs;
-        specs.reserve(chain.size());
-        for (const pipeline::ComponentVersionSpec* s : chain) {
-          specs.push_back(*s);
-        }
-        StatusOr<pipeline::Pipeline> p =
-            pipeline::Pipeline::Chain(pipeline_name, specs);
-        StatusOr<pipeline::PipelineRunResult> run = p.status();
-        if (p.ok()) {
-          pipeline::ExecutorOptions candidate_eo = eo;
-          candidate_eo.clock = &clock;  // this worker's virtual timeline
-          run = executor.Run(*p, candidate_eo);
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          worker_slots.Release(clock.Now());
-          if (!run.ok()) {
-            aborted = true;
-            return run.status();
-          }
-          shard_makespan = std::max(shard_makespan, clock.Now());
-          end_times[index] = clock.Now() - clock_start;
-          runs[index] = *std::move(run);
-        }
+    auto run_candidate = [&](size_t task, SimClock* clock) -> Status {
+      const size_t index = indices[task];
+      std::vector<pipeline::ComponentVersionSpec> specs;
+      specs.reserve(candidates[index].size());
+      for (const pipeline::ComponentVersionSpec* s : candidates[index]) {
+        specs.push_back(*s);
       }
-    };
-    pipeline::ExecutionCore* core =
-        num_shards == 1 ? fallback_core_.Get(options.core, num_workers)
-                        : ShardCore(shard_index, num_workers);
-    Status status =
-        core->RunWorkers(worker_body, clock_start, num_workers).status();
-    // RunWorkers joined every body; the local makespan is stable now.
-    shard_makespans[shard_index] = shard_makespan;
-    return status;
-  };
-
-  const auto drain_wall_start = std::chrono::steady_clock::now();
-  if (num_shards == 1) {
-    MLCASK_RETURN_IF_ERROR(drain_shard(0));
-  } else if (!options.concurrent_shard_drains) {
-    // Sequential real-time dispatch (the A/B baseline): shards still
-    // overlap in VIRTUAL time — each starts at clock_start — but their
-    // real wall-clock adds up.
-    for (size_t s = 0; s < num_shards; ++s) {
-      MLCASK_RETURN_IF_ERROR(drain_shard(s));
-    }
-  } else {
-    // Concurrent real-time dispatch: one dispatch-pool thread per shard
-    // runs that shard's whole drain, so merge wall-clock scales with real
-    // cores. Shard cores are built up front (outside the racing bodies);
-    // statuses are collected and reduced in shard order so the reported
-    // failure is deterministic.
-    for (size_t s = 0; s < num_shards; ++s) ShardCore(s, num_workers);
-    pipeline::ExecutionCore* dispatch =
-        shard_dispatch_core_.Get(nullptr, num_shards);
-    std::vector<Status> shard_status(num_shards, Status::Ok());
-    auto dispatch_body =
-        [&](pipeline::ExecutionCore::WorkerContext& ctx) -> Status {
-      if (ctx.worker_index < num_shards) {
-        shard_status[ctx.worker_index] = drain_shard(ctx.worker_index);
-      }
+      MLCASK_ASSIGN_OR_RETURN(pipeline::Pipeline p,
+                              pipeline::Pipeline::Chain(pipeline_name, specs));
+      pipeline::ExecutorOptions candidate_eo = eo;
+      candidate_eo.clock = clock;  // this claim's virtual timeline
+      MLCASK_ASSIGN_OR_RETURN(runs[index], executor.Run(p, candidate_eo));
       return Status::Ok();
     };
-    MLCASK_RETURN_IF_ERROR(
-        dispatch->RunWorkers(dispatch_body, clock_start, num_shards)
-            .status());
-    for (size_t s = 0; s < num_shards; ++s) {
-      MLCASK_RETURN_IF_ERROR(shard_status[s]);
+    std::vector<double> finish;
+    MLCASK_ASSIGN_OR_RETURN(
+        shard_makespans[shard_index],
+        core->RunGraph(std::vector<std::vector<size_t>>(indices.size()),
+                       run_candidate, num_workers, clock_start, &finish));
+    for (size_t task = 0; task < indices.size(); ++task) {
+      end_times[indices[task]] = finish[task] - clock_start;
     }
-  }
+    return Status::Ok();
+  };
+
+  // The shards fan out on the pool; a failing merge reports the failure of
+  // its lowest-numbered failing shard.
+  const auto drain_wall_start = std::chrono::steady_clock::now();
+  MLCASK_RETURN_IF_ERROR(core->RunWorkers(drain_shard, num_shards));
   report.drain_wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - drain_wall_start)

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -40,48 +39,47 @@ struct MergeOptions {
   /// Algorithm 2's serial depth-first walk exactly. `component_executions`
   /// and the selected winner are identical across worker counts — racing
   /// shared prefixes dedup through the artifact cache's in-flight leases.
+  /// The virtual makespan is run-to-run identical at 1 worker, or on a
+  /// one-thread core. With more workers on a multi-thread pool a claim
+  /// takes the earliest virtual slot already released in REAL time, so
+  /// thread timing can move makespan_s (and, under a cache cap, the
+  /// executions that evictions cost).
   size_t num_workers = 1;
-  /// Shared long-lived ExecutionCore (non-owning; must outlive the call).
-  /// When null, the MergeOperation lazily builds one pool and reuses it
-  /// across its Merge calls — never one per call (see the pool-ownership
-  /// rules in execution_core.h). Single-node drains only: with shards >= 2
-  /// each shard drains through its own lazily-built core (sized
-  /// `num_workers` real threads, inline when 1) and this pool is not
-  /// consulted.
+  /// Shared long-lived ExecutionCore (non-owning; must outlive the call)
+  /// for the whole merge: the shard drains fan out on it, each shard's
+  /// candidate claims are scheduled on it, and every candidate's pipeline
+  /// run gets it as ExecutorOptions::core. When null, the MergeOperation
+  /// lazily builds one pool of `shards × num_workers` threads on its first
+  /// call and reuses it across its Merge calls — never one per call (see
+  /// the pool-ownership rules in execution_core.h); a later call asking
+  /// for more runs on that pool, with the same results and less real
+  /// parallelism. A one-thread core drains every shard in turn on the
+  /// calling thread: the sequential real-time baseline, with results
+  /// identical to a wide pool's.
   pipeline::ExecutionCore* core = nullptr;
   /// Distributed-merge partitioning (paper Sec. VII-F made real): with
   /// shards >= 2, Algorithm 2's candidate subtrees — leaves grouped under
   /// their deepest shared prefix — are assigned to shards by longest-
   /// processing-time-first balancing, and each shard drains its groups
-  /// through its own trial executor and ExecutionCore on an independent
-  /// virtual timeline (num_workers applies per shard). Winners reduce in
-  /// global DFS order, so the selected winner and the summed
-  /// component_executions are identical to the single-node path whenever
-  /// cross-group shared prefixes are checkpointed (always true for
-  /// two-branch scenario merges: interior levels come from committed
-  /// pipelines); makespan_s becomes the slowest shard's drain. 0/1 =
-  /// single-node (the historical path, bit-for-bit).
+  /// through its own trial executor on an independent virtual timeline
+  /// (num_workers applies per shard). Winners reduce in global DFS order,
+  /// so the selected winner and the summed component_executions are
+  /// identical to the single-node path whenever cross-group shared
+  /// prefixes are checkpointed (always true for two-branch scenario
+  /// merges: interior levels come from committed pipelines); makespan_s
+  /// becomes the slowest shard's drain. Shard state is disjoint (each shard
+  /// owns its executor, cache, and candidate indices), so the shards drain
+  /// concurrently on the merge's pool — real OS threads, so merge
+  /// wall-clock scales with cores (`MergeReport::drain_wall_ms`) — with
+  /// results bit-identical to a sequential drain. On an error every shard
+  /// still drains, and the merge reports the failure of the
+  /// lowest-numbered failing shard. 0/1 = single-node (the historical
+  /// path, bit-for-bit).
   size_t shards = 1;
   /// Byte cap for the trial executor's artifact cache (0 = unbounded): long
   /// merge searches trade recomputation for bounded memory. Leased slots
   /// and entries held by running candidates are never evicted.
   uint64_t cache_max_bytes = 0;
-  /// REAL-time parallelism for sharded drains. With shards >= 2 and this
-  /// set (the default), the per-shard candidate drains are dispatched onto
-  /// concurrently running per-shard ExecutionCores — real OS threads, so
-  /// merge wall-clock scales with cores — while every shard keeps its
-  /// independent VIRTUAL timeline starting at the merge's clock origin.
-  /// Shard state is disjoint (each shard owns its executor, cache, and
-  /// candidate indices), so the winner, component_executions, makespan_s,
-  /// and persisted artifact hashes are bit-identical to the sequential
-  /// real-time dispatch (tests/test_sharded_engine.cc asserts this at
-  /// 1/2/4/8 shards); `MergeReport::drain_wall_ms` shows the real-time
-  /// difference. False preserves the historical sequential dispatch (A/B
-  /// baseline — the real-time bench measures both). On an error, the
-  /// concurrent dispatch still drains every shard and reports the failure
-  /// of the lowest-numbered failing shard, where the sequential dispatch
-  /// stops at the first failing shard.
-  bool concurrent_shard_drains = true;
   /// Streamed prefix handoff in the virtual-time model (see
   /// ExecutorOptions::streamed_handoff): candidates that reuse an artifact
   /// still being produced on another worker's timeline charge
@@ -135,7 +133,8 @@ struct MergeReport {
   /// REAL (steady-clock) wall time of the candidate-drain phase, in
   /// milliseconds — the one deliberately non-virtual number in the report,
   /// measuring how well concurrent shard drains use the host's cores
-  /// (bench_micro_merge_realtime gates on the sequential/concurrent ratio).
+  /// (bench_micro_merge_realtime gates on a one-thread core's drain against
+  /// a pool of one thread per shard).
   /// Virtual metrics (makespan_s, total_time) are unaffected by it.
   double drain_wall_ms = 0;
   uint64_t storage_bytes = 0;  ///< Bytes written during merge (CSS delta).
@@ -177,28 +176,14 @@ class MergeOperation {
                          const std::string& merge_branch,
                          std::set<Hash256>* checkpoint_keys);
 
-  /// Per-shard ExecutionCore for sharded drains: built lazily ONCE per
-  /// MergeOperation and reused by every later call, per the pool-ownership
-  /// rules in execution_core.h. `real_threads` sizes a core the first time
-  /// its shard is seen (later calls reuse whatever was built — real thread
-  /// count never affects virtual results, only wall-clock).
-  pipeline::ExecutionCore* ShardCore(size_t shard, size_t real_threads);
-
   version::PipelineRepo* repo_;
   pipeline::LibraryRepo* libraries_;
   const pipeline::LibraryRegistry* registry_;
   storage::StorageEngine* engine_;
   SimClock* clock_;
-  /// Fallback pool for Merge calls that inject no shared core; built at
-  /// most once per MergeOperation and reused.
+  /// The merge pool for Merge calls that inject no shared core; built at
+  /// most once per MergeOperation, sized by its first call, and reused.
   pipeline::LazyExecutionCore fallback_core_;
-  std::mutex shard_core_mu_;
-  std::vector<std::unique_ptr<pipeline::ExecutionCore>> shard_cores_;
-  /// Dispatch pool for CONCURRENT shard drains: one real thread per shard
-  /// (sized by the first sharded call), each running one shard's whole
-  /// drain body. Built lazily once per MergeOperation and reused — never
-  /// per call.
-  pipeline::LazyExecutionCore shard_dispatch_core_;
 };
 
 }  // namespace mlcask::merge

@@ -65,8 +65,8 @@ Status PrioritizedSearch::Prepare(const std::string& head_branch,
 }
 
 StatusOr<SearchStep> PrioritizedSearch::RunCandidate(
-    pipeline::Executor* executor, SimClock* clock, size_t index,
-    uint64_t seed) {
+    pipeline::Executor* executor, pipeline::ExecutionCore* core,
+    SimClock* clock, size_t index, uint64_t seed) {
   const CandidateChain& chain = candidates_[index];
   std::vector<pipeline::ComponentVersionSpec> specs;
   specs.reserve(chain.size());
@@ -79,6 +79,7 @@ StatusOr<SearchStep> PrioritizedSearch::RunCandidate(
   eo.store_outputs = false;           // trials stay local
   eo.seed = seed;
   eo.clock = clock;  // this worker's virtual timeline
+  eo.core = core;    // the trial's pool, not one per executor
   MLCASK_ASSIGN_OR_RETURN(pipeline::PipelineRunResult run,
                           executor->Run(p, eo));
   SearchStep step;
@@ -109,6 +110,7 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
   }
 
   const size_t num_workers = std::max<size_t>(1, options.num_workers);
+  pipeline::ExecutionCore* core = fallback_core_.Get(options.core, num_workers);
   TrialResult trial;
 
   // Frontier state, shared by the workers and guarded by `mu`:
@@ -178,8 +180,7 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
     propagate(tree_->root());
   }
 
-  auto worker_body =
-      [&](pipeline::ExecutionCore::WorkerContext&) -> Status {
+  auto worker_body = [&](size_t) -> Status {
     for (;;) {
       size_t index = 0;
       const TreeNode* leaf = nullptr;
@@ -233,7 +234,7 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
       }
 
       StatusOr<SearchStep> step =
-          RunCandidate(&executor, &clock, index, options.seed);
+          RunCandidate(&executor, core, &clock, index, options.seed);
 
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -270,9 +271,7 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
     }
   };
 
-  pipeline::ExecutionCore* core = fallback_core_.Get(options.core, num_workers);
-  MLCASK_RETURN_IF_ERROR(
-      core->RunWorkers(worker_body, 0, num_workers).status());
+  MLCASK_RETURN_IF_ERROR(core->RunWorkers(worker_body, num_workers));
   trial.wall_clock_s = makespan;
   trial.executions = executor.executions();
 

@@ -52,7 +52,8 @@ struct TrialOptions {
   /// not yet dequeued.
   size_t num_workers = 1;
   /// Shared long-lived ExecutionCore (non-owning; must outlive the trial).
-  /// When null the search lazily builds one fallback pool and reuses it
+  /// The trial's frontier workers and every candidate's pipeline run share
+  /// it. When null the search lazily builds one fallback pool and reuses it
   /// across its trials (sized by the first trial's worker count; virtual
   /// widths per trial are unaffected). Pass the deployment pool to share
   /// real threads with the rest of the system.
@@ -108,6 +109,7 @@ class PrioritizedSearch {
 
  private:
   StatusOr<SearchStep> RunCandidate(pipeline::Executor* executor,
+                                    pipeline::ExecutionCore* core,
                                     SimClock* clock, size_t index,
                                     uint64_t seed);
 

@@ -7,13 +7,12 @@ namespace mlcask::pipeline {
 
 std::atomic<uint64_t> ExecutionCore::instances_{0};
 
-ExecutionCore::ExecutionCore(size_t num_threads)
-    : num_threads_(std::max<size_t>(1, num_threads)) {
+ExecutionCore::ExecutionCore(size_t num_threads) {
   instances_.fetch_add(1, std::memory_order_relaxed);
   // A single-thread core runs everything inline; no threads to keep.
-  if (num_threads_ == 1) return;
-  threads_.reserve(num_threads_);
-  for (size_t i = 0; i < num_threads_; ++i) {
+  if (num_threads <= 1) return;
+  threads_.reserve(num_threads);
+  for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -54,97 +53,71 @@ void ExecutionCore::WorkerLoop() {
   }
 }
 
-StatusOr<double> ExecutionCore::RunWorkers(const WorkerBody& body,
-                                           double start_time_s,
-                                           size_t num_bodies) {
-  const size_t n = num_bodies != 0 ? num_bodies : num_threads_;
+Status ExecutionCore::RunWorkers(const std::function<Status(size_t)>& body,
+                                 size_t num_bodies) {
+  const size_t n = num_bodies;
   batches_run_.fetch_add(1, std::memory_order_relaxed);
+  tasks_run_.fetch_add(n, std::memory_order_relaxed);
+  std::vector<Status> statuses(n, Status::Ok());
 
-  std::vector<SimClock> clocks(n);
-  for (SimClock& c : clocks) c.AdvanceTo(start_time_s);
+  if (n == 1 || threads_.empty()) {
+    // Inline: the bodies run in order on the calling thread. A one-body
+    // batch has nothing to overlap with, so even a threaded pool keeps it
+    // on its caller instead of handing it to a pool thread.
+    for (size_t i = 0; i < n; ++i) statuses[i] = body(i);
+  } else {
+    // Batch bookkeeping lives on this stack frame. Every task claims
+    // exactly once; whoever runs the last one wakes the submitter. Pool
+    // threads that pop an already-claimed task only touch its atomic flag
+    // (kept alive by the shared_ptr), never the stack state, so unwinding
+    // after done == n is safe even while a straggler thread is still
+    // discarding its pop.
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    size_t done = 0;
 
-  Status first_error = Status::Ok();
-
-  auto run_body = [&](size_t i) {
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    WorkerContext ctx;
-    ctx.worker_index = i;
-    ctx.clock = &clocks[i];
-    return body(ctx);
-  };
-
-  if (threads_.empty()) {
-    // Inline pool: bodies run sequentially on the calling thread. Worker
-    // bodies are drain-loops, so body 0 typically does all the work and the
-    // rest return immediately; virtual time is modelled by the callers'
-    // VirtualWorkerPool, not by real concurrency.
+    std::vector<std::shared_ptr<Task>> tasks;
+    tasks.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      Status s = run_body(i);
-      if (!s.ok() && first_error.ok()) first_error = s;
+      auto task = std::make_shared<Task>();
+      task->fn = [&, i] {
+        statuses[i] = body(i);
+        std::lock_guard<std::mutex> lock(done_mu);
+        if (++done == n) done_cv.notify_all();
+      };
+      tasks.push_back(std::move(task));
     }
-    MLCASK_RETURN_IF_ERROR(first_error);
-    double makespan = start_time_s;
-    for (const SimClock& c : clocks) makespan = std::max(makespan, c.Now());
-    return makespan;
-  }
-
-  // Batch bookkeeping lives on this stack frame. Every task claims exactly
-  // once; whoever runs the last one wakes the submitter. Pool threads that
-  // pop an already-claimed task only touch its atomic flag (kept alive by
-  // the shared_ptr), never the stack state, so unwinding after done == n is
-  // safe even while a straggler thread is still discarding its pop.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t done = 0;
-
-  std::vector<std::shared_ptr<Task>> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto task = std::make_shared<Task>();
-    task->fn = [&, i] {
-      Status s = run_body(i);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (!s.ok() && first_error.ok()) first_error = s;
-      if (++done == n) done_cv.notify_all();
-    };
-    tasks.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::shared_ptr<Task>& task : tasks) jobs_.push(task);
-  }
-  job_cv_.notify_all();
-
-  // Work stealing (helping): the submitting thread drains the unclaimed
-  // remainder of its own batch instead of blocking. This is what makes
-  // nested scheduling calls from pool workers deadlock-free — a nested
-  // submitter can always finish its batch single-handedly even when every
-  // pool thread is occupied by outer bodies.
-  for (const std::shared_ptr<Task>& task : tasks) {
-    if (!task->claimed.exchange(true, std::memory_order_acq_rel)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      task->fn();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const std::shared_ptr<Task>& task : tasks) jobs_.push(task);
     }
-  }
-  {
+    job_cv_.notify_all();
+
+    // Work stealing (helping): the submitting thread drains the unclaimed
+    // remainder of its own batch instead of blocking. This is what makes
+    // nested scheduling calls from pool workers deadlock-free — a nested
+    // submitter can always finish its batch single-handedly even when
+    // every pool thread is occupied by outer bodies.
+    for (const std::shared_ptr<Task>& task : tasks) {
+      if (!task->claimed.exchange(true, std::memory_order_acq_rel)) {
+        tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
+        task->fn();
+      }
+    }
     std::unique_lock<std::mutex> lock(done_mu);
     done_cv.wait(lock, [&] { return done == n; });
   }
-
-  MLCASK_RETURN_IF_ERROR(first_error);
-  double makespan = start_time_s;
-  for (const SimClock& c : clocks) makespan = std::max(makespan, c.Now());
-  return makespan;
+  for (const Status& s : statuses) MLCASK_RETURN_IF_ERROR(s);
+  return Status::Ok();
 }
 
 StatusOr<double> ExecutionCore::RunGraph(
-    size_t num_tasks, const std::vector<std::vector<size_t>>& deps,
-    const std::function<Status(size_t, SimClock*)>& run, double start_time_s,
-    std::vector<double>* finish_times, size_t virtual_workers) {
-  if (deps.size() != num_tasks) {
-    return Status::InvalidArgument("deps size does not match task count");
-  }
-  const size_t width = virtual_workers != 0 ? virtual_workers : num_threads_;
+    const std::vector<std::vector<size_t>>& deps,
+    const std::function<Status(size_t, SimClock*)>& run,
+    size_t virtual_workers, double start_time_s,
+    std::vector<double>* finish_times) {
+  const size_t num_tasks = deps.size();
+  const size_t width = std::max<size_t>(1, virtual_workers);
 
   // Shared scheduler state, guarded by `mu`. Virtual time uses a pool of
   // worker-availability slots (classic list scheduling) DECOUPLED from the
@@ -180,7 +153,7 @@ StatusOr<double> ExecutionCore::RunGraph(
     return Status::Corruption("dependency graph has no source task (cycle)");
   }
 
-  auto body = [&](WorkerContext&) -> Status {
+  auto body = [&](size_t) -> Status {
     for (;;) {
       size_t task;
       SimClock task_clock;
@@ -227,7 +200,7 @@ StatusOr<double> ExecutionCore::RunGraph(
     }
   };
 
-  MLCASK_RETURN_IF_ERROR(RunWorkers(body, start_time_s, width).status());
+  MLCASK_RETURN_IF_ERROR(RunWorkers(body, width));
   double makespan = start_time_s;
   {
     std::lock_guard<std::mutex> lock(mu);

@@ -25,7 +25,7 @@ namespace mlcask::pipeline {
 /// inflating when the OS timeslices the threads unevenly (e.g. a one-core
 /// host where a single thread executes most tasks). NOT internally
 /// synchronized — callers mutate it under their own scheduler lock. Shared
-/// by ExecutionCore::RunGraph and the merge layer's frontier drain so the
+/// by ExecutionCore::RunGraph and PrioritizedSearch's frontier drain so the
 /// two model virtual time identically.
 class VirtualWorkerPool {
  public:
@@ -50,14 +50,17 @@ class VirtualWorkerPool {
 /// The parallel execution core: a worker thread pool plus the scheduling
 /// primitives the upper layers build on. Two entry points:
 ///
-///  - RunWorkers(): N copies of one body, each with its own virtual
-///    SimClock. The merge layer drains its priority frontier this way
-///    (workers pull the best unclaimed candidate, run it, publish the
-///    score, repeat).
-///  - RunGraph(): a topological DAG scheduler. A task is dispatched to an
-///    idle worker as soon as all its predecessors have finished; the worker
-///    clock is advanced to the predecessors' virtual finish time first, so
-///    the final makespan models a W-worker machine.
+///  - RunWorkers(): a fork-join of N bodies, body(0) .. body(N-1). The merge
+///    layer fans its shard drains out this way, and PrioritizedSearch its
+///    frontier workers (each pulls the best unclaimed candidate, runs it,
+///    publishes the score, repeats).
+///  - RunGraph(): a topological DAG scheduler over a VIRTUAL machine of a
+///    given width. A task is dispatched as soon as all its predecessors have
+///    finished, onto the earliest free virtual worker slot; its clock starts
+///    at max(that slot, the predecessors' virtual finish times), so the
+///    makespan models a W-worker machine. Pipeline runs schedule their
+///    components this way, and a merge shard its candidate list (a graph
+///    with no edges: FIFO claims in DFS order).
 ///
 /// ## Pool ownership rules
 ///
@@ -72,34 +75,39 @@ class VirtualWorkerPool {
 ///  - `Executor` keeps a lazily-built fallback pool for callers that pass no
 ///    shared pool; it is created at most once per executor, sized by the
 ///    first request, and reused for the executor's lifetime.
-///  - `MergeOperation` / `PrioritizedSearch` accept an injected pool via
-///    their options and otherwise fall back to a lazily-built owned pool.
-///  - Sharded merge drains add two more lazily-built-once pool families on
-///    the MergeOperation: one core per shard (real width = the drain's
-///    num_workers) and a dispatch pool with one real thread per shard that
-///    runs the per-shard drain bodies concurrently
-///    (MergeOptions::concurrent_shard_drains).
+///  - `MergeOperation` / `PrioritizedSearch` use ONE pool per merge or
+///    trial: the one injected via their options, or a lazily-built owned
+///    pool (a sharded merge sizes it shards × num_workers threads). The
+///    shard drains, the frontier workers and every candidate's pipeline run
+///    share it, so a merge builds no per-shard or per-executor pool.
 ///
-/// The constructor argument is the REAL thread count; every scheduling call
-/// may request a different VIRTUAL width (`num_bodies` / `virtual_workers`),
-/// so one pool serves serial (width 1) and wide (width N) runs alike —
-/// reported makespans depend only on the virtual width, never on how many
-/// OS threads happened to execute the tasks.
+/// The constructor argument is the REAL thread count; every RunGraph call
+/// passes its own VIRTUAL width, so one pool serves serial (width 1) and
+/// wide (width N) runs alike — reported makespans depend only on the
+/// virtual width, never on how many OS threads happened to execute the
+/// tasks. They are run-to-run identical at width 1 and on a one-thread
+/// pool; at a wider width on a multi-thread pool, a claim takes the
+/// earliest slot already released in REAL time, so thread timing can move
+/// a makespan.
 ///
 /// ## Reentrancy (work stealing)
 ///
 /// Scheduling calls are reentrant: a body running ON a pool worker may
-/// itself call RunGraph/RunWorkers on the same pool (a merge candidate whose
-/// pipeline run enters RunGraph, say). The submitting thread never just blocks
-/// on its batch — it HELPS: it claims and runs the still-unclaimed tasks of
-/// its own batch (batch-local work stealing), so a nested call always makes
-/// progress even when every pool thread is occupied by outer bodies.
-/// Without this, nested submission deadlocks: all threads wait for jobs
-/// that nobody is left to run. `stats().tasks_stolen` counts the helps.
+/// itself call RunGraph/RunWorkers on the same pool (a merge shard drain
+/// whose candidates' pipeline runs enter RunGraph, say). The submitting
+/// thread never just blocks on its batch — it HELPS: it claims and runs the
+/// still-unclaimed bodies of its own batch (batch-local work stealing), so
+/// a nested call always makes progress even when every pool thread is
+/// occupied by outer bodies. Without this, nested submission deadlocks: all
+/// threads wait for jobs that nobody is left to run.
+/// `stats().tasks_stolen` counts the helps.
 ///
-/// With virtual width 1 the single body runs tasks in deterministic FIFO
-/// order — the serial paths of the executor and the search stay
-/// bit-identical to the pre-parallel implementation.
+/// A batch of one body — and every batch on a one-thread core — runs inline
+/// on the caller, in body order. So a width-1 RunGraph runs its tasks in
+/// deterministic FIFO order on the calling thread: the serial paths of the
+/// executor and the search stay bit-identical to the pre-parallel
+/// implementation, and a one-thread core passed down a whole merge keeps
+/// every library call on the thread that started it.
 ///
 /// Real threads do the real (toy) compute, which is what the concurrency
 /// tests hammer; reported times come from the virtual clocks, consistent
@@ -114,46 +122,35 @@ class ExecutionCore {
   ExecutionCore(const ExecutionCore&) = delete;
   ExecutionCore& operator=(const ExecutionCore&) = delete;
 
-  size_t num_workers() const { return num_threads_; }
+  /// Fork-join: runs body(0) .. body(num_bodies - 1) on the pool threads
+  /// and the caller, and returns once every body has finished. Every body
+  /// runs even when another fails; the result is the status of the
+  /// lowest-numbered failing body, so a reported error does not depend on
+  /// thread timing. Reentrant (see above): the calling thread helps drain
+  /// its own batch.
+  Status RunWorkers(const std::function<Status(size_t)>& body,
+                    size_t num_bodies);
 
-  /// Per-worker context for RunWorkers bodies.
-  struct WorkerContext {
-    size_t worker_index = 0;
-    SimClock* clock = nullptr;  ///< This worker's virtual timeline.
-  };
-  using WorkerBody = std::function<Status(WorkerContext&)>;
-
-  /// Runs `num_bodies` copies of `body` (0 = one per real pool thread, the
-  /// historical behaviour); every worker clock starts at `start_time_s`.
-  /// Returns the makespan (max worker clock at completion), or the first
-  /// non-ok status any body returned. Reentrant (see pool ownership rules
-  /// above): the calling thread helps drain its own batch.
-  StatusOr<double> RunWorkers(const WorkerBody& body, double start_time_s = 0,
-                              size_t num_bodies = 0);
-
-  /// Runs tasks 0..num_tasks-1 respecting `deps` (deps[i] lists the task
-  /// indices that must finish before i starts). `run(i, clock)` is invoked
-  /// with the worker's clock already advanced to
-  /// max(worker time, dependency finish times); the task's finish time is
-  /// the clock value when it returns. A non-ok status cancels all
+  /// Runs tasks 0..deps.size()-1 respecting `deps` (deps[i] lists the task
+  /// indices that must finish before i starts) on a virtual machine of
+  /// `virtual_workers` slots (at least 1), whatever the pool's real thread
+  /// count. Ready tasks are claimed FIFO, each onto the earliest free slot.
+  /// `run(i, clock)` is invoked with the clock already advanced to
+  /// max(that slot, dependency finish times); the task's finish time is the
+  /// clock value when it returns. A non-ok status cancels all
   /// not-yet-started tasks and is returned. On success returns the makespan;
   /// `finish_times` (optional) receives each task's virtual finish time.
-  /// `virtual_workers` is the width of the simulated machine (0 = the real
-  /// thread count): the makespan models list scheduling over that many
-  /// virtual worker slots regardless of how many OS threads participate.
-  StatusOr<double> RunGraph(size_t num_tasks,
-                            const std::vector<std::vector<size_t>>& deps,
+  StatusOr<double> RunGraph(const std::vector<std::vector<size_t>>& deps,
                             const std::function<Status(size_t, SimClock*)>& run,
-                            double start_time_s = 0,
-                            std::vector<double>* finish_times = nullptr,
-                            size_t virtual_workers = 0);
+                            size_t virtual_workers, double start_time_s = 0,
+                            std::vector<double>* finish_times = nullptr);
 
   /// Pool-lifetime counters: evidence that the pool is long-lived and that
   /// the reentrancy path is exercised.
   struct PoolStats {
     uint64_t threads_spawned = 0;  ///< OS threads this pool started (once).
     uint64_t batches_run = 0;      ///< RunWorkers/RunGraph scheduling calls.
-    uint64_t tasks_run = 0;        ///< Worker bodies executed, total.
+    uint64_t tasks_run = 0;        ///< Bodies executed, total.
     uint64_t tasks_stolen = 0;     ///< Bodies the submitting thread claimed
                                    ///< itself (helping / work stealing).
   };
@@ -177,7 +174,6 @@ class ExecutionCore {
 
   void WorkerLoop();
 
-  size_t num_threads_;
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable job_cv_;

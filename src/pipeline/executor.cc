@@ -390,13 +390,12 @@ StatusOr<PipelineRunResult> Executor::Run(const Pipeline& pipeline,
   // Schedule on the shared pool (options.core) or the executor's lazy
   // fallback — never a per-call pool. The requested num_workers is the
   // VIRTUAL machine width; the pool's real thread count is whatever the
-  // pool owner chose. With width 1 tasks run in FIFO topological order.
+  // pool owner chose. With width 1 tasks run in FIFO topological order on
+  // the calling thread.
   const size_t width = std::max<size_t>(1, options.num_workers);
   ExecutionCore* core = fallback_core_.Get(options.core, width);
   const double base = clock != nullptr ? clock->Now() : 0;
-  StatusOr<double> makespan = core->RunGraph(
-      n, deps, run_task, base, /*finish_times=*/nullptr,
-      /*virtual_workers=*/width);
+  StatusOr<double> makespan = core->RunGraph(deps, run_task, width, base);
   const bool failed = !makespan.ok();
   if (failed && !makespan.status().IsIncompatible()) return makespan.status();
 

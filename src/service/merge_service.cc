@@ -508,8 +508,10 @@ StatusOr<MergeWinner> MergeService::Execute(const MergeJobSpec& spec) {
   options.num_workers = std::max<uint32_t>(1, spec.num_workers);
   options.optimize_metric = spec.optimize_metric;
   options.seed = spec.seed;
-  // Single-node drains ride the deployment's shared ExecutionCore; sharded
-  // drains build per-shard cores (see MergeOptions::core).
+  // Single-node drains ride the deployment's shared ExecutionCore; a
+  // sharded drain gets the pool the MergeOperation builds, one thread per
+  // shard and worker, so its shards drain concurrently (see
+  // MergeOptions::core).
   if (spec.merge_shards <= 1) options.core = d->core.get();
   auto report = op.Merge(scenario->head_branch, scenario->merge_branch,
                          options);

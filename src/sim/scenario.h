@@ -34,7 +34,10 @@ struct Deployment {
   /// The deployment-wide shared ExecutionCore: one long-lived pool reused
   /// by every RunAndCommit run and merge drain (threaded through
   /// ExecutorOptions::core / MergeOptions::core). Sized by `num_workers`
-  /// real threads at deployment creation.
+  /// real threads at deployment creation. Passed as MergeOptions::core it
+  /// carries a sharded merge too: at `num_workers` = 1 it is inline, so the
+  /// shards drain one after another on the calling thread, with results
+  /// identical to a concurrent drain's.
   std::unique_ptr<pipeline::ExecutionCore> core;
   Workload workload;
   /// Default worker count applied to runs whose options leave num_workers

@@ -227,6 +227,7 @@ StatusOr<std::unique_ptr<DurableForkBaseEngine>> DurableForkBaseEngine::Open(
 
 StatusOr<PutResult> DurableForkBaseEngine::Put(const std::string& key,
                                                std::string_view data) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(PutResult result, inner_->Put(key, data));
   MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
   return result;
@@ -234,6 +235,7 @@ StatusOr<PutResult> DurableForkBaseEngine::Put(const std::string& key,
 
 StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutMany(
     const std::vector<PutRequest>& batch) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(std::vector<PutResult> results,
                           inner_->PutMany(batch));
   MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
@@ -242,6 +244,7 @@ StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutMany(
 
 StatusOr<PutResult> DurableForkBaseEngine::PutWithRecipe(
     const std::string& key, std::string_view data, std::string_view index) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(PutResult result,
                           inner_->PutWithRecipe(key, data, index));
   MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
@@ -250,6 +253,7 @@ StatusOr<PutResult> DurableForkBaseEngine::PutWithRecipe(
 
 StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutManyWithRecipes(
     const std::vector<RecipePut>& batch) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(std::vector<PutResult> results,
                           inner_->PutManyWithRecipes(batch));
   MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
@@ -258,6 +262,7 @@ StatusOr<std::vector<PutResult>> DurableForkBaseEngine::PutManyWithRecipes(
 
 StatusOr<PutResult> DurableForkBaseEngine::CopyVersion(
     const std::string& key, const Hash256& source) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(PutResult result, inner_->CopyVersion(key, source));
   MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
   return result;
@@ -296,6 +301,7 @@ DurableForkBaseEngine::ListAllVersions() const {
 }
 
 StatusOr<uint64_t> DurableForkBaseEngine::DeleteVersion(const Hash256& id) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(uint64_t freed, inner_->DeleteVersion(id));
   MLCASK_RETURN_IF_ERROR(SaveEngine(*inner_, dir_));
   return freed;
@@ -303,6 +309,7 @@ StatusOr<uint64_t> DurableForkBaseEngine::DeleteVersion(const Hash256& id) {
 
 StatusOr<MigrateBatchResult> DurableForkBaseEngine::MigrateBatch(
     const std::vector<MigrateKeyVersions>& batch) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   MLCASK_ASSIGN_OR_RETURN(MigrateBatchResult result,
                           inner_->MigrateBatch(batch));
   if (result.applied_versions > 0) {

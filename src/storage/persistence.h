@@ -2,6 +2,7 @@
 #define MLCASK_STORAGE_PERSISTENCE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -50,7 +51,10 @@ StatusOr<std::unique_ptr<ForkBaseEngine>> LoadEngine(
 /// decision, which is exactly what router-level recovery
 /// (ShardedStorageEngine::RecoverTwoPhase) replays or fences. A mutation
 /// whose checkpoint fails returns the checkpoint error: an un-persisted
-/// write is never acknowledged.
+/// write is never acknowledged. Mutations run one at a time, each together
+/// with its checkpoint, so concurrent writers neither race on the manifest's
+/// temporary file nor let an older checkpoint replace a newer one; reads
+/// go straight to the inner engine.
 class DurableForkBaseEngine : public StorageEngine {
  public:
   /// Creates `dir` if needed; loads the checkpoint inside it if present,
@@ -103,6 +107,9 @@ class DurableForkBaseEngine : public StorageEngine {
 
   std::unique_ptr<ForkBaseEngine> inner_;
   std::string dir_;
+  /// Held across each mutation and its SaveEngine checkpoint, which reads
+  /// the inner engine's maps without their lock.
+  std::mutex write_mu_;
 };
 
 }  // namespace mlcask::storage

@@ -143,24 +143,6 @@ Status DisassembleMessage(std::string_view message, uint8_t* second,
 
 namespace {
 
-// The storage codec's historical names for the shared primitives above.
-using FieldReader = MetaReader;
-
-inline void PutFieldVarint(std::string* meta, uint32_t tag, uint64_t v) {
-  PutMetaVarint(meta, tag, v);
-}
-inline void PutFieldBytes(std::string* meta, uint32_t tag,
-                          std::string_view bytes) {
-  PutMetaBytes(meta, tag, bytes);
-}
-inline void PutFieldHash(std::string* meta, uint32_t tag,
-                         const Hash256& hash) {
-  PutMetaHash(meta, tag, hash);
-}
-inline void PutFieldF64(std::string* meta, uint32_t tag, double v) {
-  PutMetaF64(meta, tag, v);
-}
-
 // Frozen field tags. Requests and responses use disjoint-purpose tag spaces
 // per message type, so tags only need to be stable within one message kind.
 constexpr uint32_t kTagKey = 1;        // request: key (bytes)
@@ -185,26 +167,15 @@ constexpr uint32_t kTagGets = 6;         // stats.gets (varint)
 constexpr uint32_t kTagApplied = 1;      // migrate applied_versions (varint)
 constexpr uint32_t kTagSkipped = 2;      // migrate skipped_versions (varint)
 
-/// The storage codec's historical names for the exported assembly helpers.
-inline std::string Assemble(uint8_t second, std::string_view meta,
-                            std::string_view body) {
-  return AssembleMessage(second, meta, body);
-}
-
-inline Status Disassemble(std::string_view message, uint8_t* second,
-                          std::string_view* meta, std::string_view* body) {
-  return DisassembleMessage(message, second, meta, body);
-}
-
 std::string EncodeRequestMessage(Method method, std::string_view meta,
                                  std::string_view body) {
-  return Assemble(static_cast<uint8_t>(method), meta, body);
+  return AssembleMessage(static_cast<uint8_t>(method), meta, body);
 }
 
 StatusOr<PutResult> DecodePutResultMeta(std::string_view meta) {
   PutResult result;
   bool saw_id = false;
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     switch (reader.tag()) {
       case kTagResultId:
@@ -239,15 +210,15 @@ StatusOr<PutResult> DecodePutResultMeta(std::string_view meta) {
 /// old peers skip the tag when it is present.
 void StampAmbientDeadline(std::string* meta) {
   const uint64_t remaining = DeadlineScope::CurrentRemainingMs();
-  if (remaining > 0) PutFieldVarint(meta, kTagDeadline, remaining);
+  if (remaining > 0) PutMetaVarint(meta, kTagDeadline, remaining);
 }
 
 void AppendPutResultMeta(std::string* meta, const PutResult& result) {
-  PutFieldHash(meta, kTagResultId, result.id);
-  PutFieldVarint(meta, kTagLogical, result.logical_bytes);
-  PutFieldVarint(meta, kTagPhysical, result.new_physical_bytes);
-  PutFieldF64(meta, kTagStorageTime, result.storage_time_s);
-  PutFieldVarint(meta, kTagDedup, result.deduplicated ? 1 : 0);
+  PutMetaHash(meta, kTagResultId, result.id);
+  PutMetaVarint(meta, kTagLogical, result.logical_bytes);
+  PutMetaVarint(meta, kTagPhysical, result.new_physical_bytes);
+  PutMetaF64(meta, kTagStorageTime, result.storage_time_s);
+  PutMetaVarint(meta, kTagDedup, result.deduplicated ? 1 : 0);
 }
 
 }  // namespace
@@ -257,9 +228,9 @@ void AppendPutResultMeta(std::string* meta, const PutResult& result) {
 std::string EncodePutRequest(std::string_view key, std::string_view data,
                              std::string_view replay_token) {
   std::string meta;
-  PutFieldBytes(&meta, kTagKey, key);
+  PutMetaBytes(&meta, kTagKey, key);
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
   return EncodeRequestMessage(Method::kPut, meta, data);
@@ -268,9 +239,9 @@ std::string EncodePutRequest(std::string_view key, std::string_view data,
 std::string EncodePutManyRequest(const std::vector<PutRequest>& batch,
                                  std::string_view replay_token) {
   std::string meta;
-  PutFieldVarint(&meta, kTagCount, batch.size());
+  PutMetaVarint(&meta, kTagCount, batch.size());
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
   size_t total = 0;
@@ -292,21 +263,21 @@ std::string EncodeRecipePutRequest(std::string_view key, std::string_view data,
                                    std::string_view index,
                                    std::string_view replay_token) {
   std::string meta;
-  PutFieldBytes(&meta, kTagKey, key);
+  PutMetaBytes(&meta, kTagKey, key);
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
-  PutFieldBytes(&meta, kTagRecipe, index);
+  PutMetaBytes(&meta, kTagRecipe, index);
   return EncodeRequestMessage(Method::kPut, meta, data);
 }
 
 std::string EncodeRecipePutManyRequest(const std::vector<RecipePut>& batch,
                                        std::string_view replay_token) {
   std::string meta;
-  PutFieldVarint(&meta, kTagCount, batch.size());
+  PutMetaVarint(&meta, kTagCount, batch.size());
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
   std::string recipes;
@@ -319,7 +290,7 @@ std::string EncodeRecipePutManyRequest(const std::vector<RecipePut>& batch,
     recipes.append(put.index);
     values += put.data.size();
   }
-  PutFieldBytes(&meta, kTagRecipe, recipes);
+  PutMetaBytes(&meta, kTagRecipe, recipes);
   std::string out =
       StartMessage(static_cast<uint8_t>(Method::kPutMany), meta, values);
   for (const RecipePut& put : batch) out.append(put.data);
@@ -328,7 +299,7 @@ std::string EncodeRecipePutManyRequest(const std::vector<RecipePut>& batch,
 
 std::string EncodeKeyRequest(Method method, std::string_view key) {
   std::string meta;
-  PutFieldBytes(&meta, kTagKey, key);
+  PutMetaBytes(&meta, kTagKey, key);
   StampAmbientDeadline(&meta);
   return EncodeRequestMessage(method, meta, {});
 }
@@ -336,9 +307,9 @@ std::string EncodeKeyRequest(Method method, std::string_view key) {
 std::string EncodeIdRequest(Method method, const Hash256& id,
                             std::string_view replay_token) {
   std::string meta;
-  PutFieldHash(&meta, kTagId, id);
+  PutMetaHash(&meta, kTagId, id);
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
   return EncodeRequestMessage(method, meta, {});
@@ -348,10 +319,10 @@ std::string EncodeCopyVersionRequest(std::string_view key,
                                      const Hash256& source,
                                      std::string_view replay_token) {
   std::string meta;
-  PutFieldBytes(&meta, kTagKey, key);
-  PutFieldHash(&meta, kTagId, source);
+  PutMetaBytes(&meta, kTagKey, key);
+  PutMetaHash(&meta, kTagId, source);
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
   return EncodeRequestMessage(Method::kCopyVersion, meta, {});
@@ -363,7 +334,7 @@ std::string EncodePlainRequest(Method method) {
 
 std::string EncodeReadCostRequest(uint64_t bytes) {
   std::string meta;
-  PutFieldVarint(&meta, kTagBytesArg, bytes);
+  PutMetaVarint(&meta, kTagBytesArg, bytes);
   StampAmbientDeadline(&meta);
   return EncodeRequestMessage(Method::kReadCost, meta, {});
 }
@@ -372,9 +343,9 @@ std::string EncodeMigrateBatchRequest(
     const std::vector<MigrateKeyVersions>& batch,
     std::string_view replay_token) {
   std::string meta;
-  PutFieldVarint(&meta, kTagCount, batch.size());
+  PutMetaVarint(&meta, kTagCount, batch.size());
   if (!replay_token.empty()) {
-    PutFieldBytes(&meta, kTagReplayToken, replay_token);
+    PutMetaBytes(&meta, kTagReplayToken, replay_token);
   }
   StampAmbientDeadline(&meta);
   size_t total = 0;
@@ -404,7 +375,7 @@ StatusOr<Request> DecodeRequest(std::string_view message) {
   uint8_t opcode = 0;
   std::string_view meta;
   std::string_view body;
-  MLCASK_RETURN_IF_ERROR(Disassemble(message, &opcode, &meta, &body));
+  MLCASK_RETURN_IF_ERROR(DisassembleMessage(message, &opcode, &meta, &body));
   if (opcode < static_cast<uint8_t>(Method::kPut) ||
       opcode > static_cast<uint8_t>(Method::kCopyVersion)) {
     return Status::Unimplemented("unknown binary storage opcode " +
@@ -414,7 +385,7 @@ StatusOr<Request> DecodeRequest(std::string_view message) {
   request.method = static_cast<Method>(opcode);
   uint64_t batch_count = 0;
   std::string_view recipe;
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     switch (reader.tag()) {
       case kTagKey:
@@ -566,8 +537,8 @@ std::string_view ExtractReplayToken(std::string_view message) {
   uint8_t opcode = 0;
   std::string_view meta;
   std::string_view body;
-  if (!Disassemble(message, &opcode, &meta, &body).ok()) return {};
-  FieldReader reader(meta);
+  if (!DisassembleMessage(message, &opcode, &meta, &body).ok()) return {};
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagReplayToken) return reader.bytes();
   }
@@ -578,8 +549,8 @@ uint64_t ExtractDeadline(std::string_view message) {
   uint8_t opcode = 0;
   std::string_view meta;
   std::string_view body;
-  if (!Disassemble(message, &opcode, &meta, &body).ok()) return 0;
-  FieldReader reader(meta);
+  if (!DisassembleMessage(message, &opcode, &meta, &body).ok()) return 0;
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagDeadline) return reader.varint();
   }
@@ -590,19 +561,19 @@ uint64_t ExtractDeadline(std::string_view message) {
 
 std::string EncodeErrorResponse(const Status& status) {
   std::string meta;
-  PutFieldBytes(&meta, kTagErrMessage, status.message());
-  return Assemble(static_cast<uint8_t>(status.code()), meta, {});
+  PutMetaBytes(&meta, kTagErrMessage, status.message());
+  return AssembleMessage(static_cast<uint8_t>(status.code()), meta, {});
 }
 
 std::string EncodeDataResponse(std::string_view data) {
-  return Assemble(0, {}, data);
+  return AssembleMessage(0, {}, data);
 }
 
 std::string EncodeRecipeDataResponse(std::string_view data,
                                      std::string_view index) {
   std::string meta;
-  PutFieldBytes(&meta, kTagRecipe, index);
-  return Assemble(0, meta, data);
+  PutMetaBytes(&meta, kTagRecipe, index);
+  return AssembleMessage(0, meta, data);
 }
 
 // magic, status byte, meta length, the recipe's field key and its length.
@@ -617,7 +588,7 @@ std::string EncodeReadResponse(std::string value, std::string_view index) {
       planned = PlanBlob(StoreChunker(), value).index;
       index = planned;
     }
-    PutFieldBytes(&meta, kTagRecipe, index);
+    PutMetaBytes(&meta, kTagRecipe, index);
   }
   std::string head;
   head.push_back(static_cast<char>(kBinaryMagic));
@@ -633,7 +604,7 @@ std::string EncodeReadResponse(std::string value, std::string_view index) {
 std::string EncodePutResponse(const PutResult& result) {
   std::string meta;
   AppendPutResultMeta(&meta, result);
-  return Assemble(0, meta, {});
+  return AssembleMessage(0, meta, {});
 }
 
 std::string EncodePutManyResponse(const std::vector<PutResult>& results) {
@@ -644,19 +615,19 @@ std::string EncodePutManyResponse(const std::vector<PutResult>& results) {
     PutVarint(&body, meta.size());
     body.append(meta);
   }
-  return Assemble(0, {}, body);
+  return AssembleMessage(0, {}, body);
 }
 
 std::string EncodeHasResponse(bool has) {
   std::string meta;
-  PutFieldVarint(&meta, kTagHas, has ? 1 : 0);
-  return Assemble(0, meta, {});
+  PutMetaVarint(&meta, kTagHas, has ? 1 : 0);
+  return AssembleMessage(0, meta, {});
 }
 
 std::string EncodeFreedResponse(uint64_t freed_bytes) {
   std::string meta;
-  PutFieldVarint(&meta, kTagFreed, freed_bytes);
-  return Assemble(0, meta, {});
+  PutMetaVarint(&meta, kTagFreed, freed_bytes);
+  return AssembleMessage(0, meta, {});
 }
 
 std::string EncodeVersionsResponse(const std::vector<Hash256>& ids) {
@@ -666,7 +637,7 @@ std::string EncodeVersionsResponse(const std::vector<Hash256>& ids) {
     body.append(reinterpret_cast<const char*>(id.bytes.data()),
                 id.bytes.size());
   }
-  return Assemble(0, {}, body);
+  return AssembleMessage(0, {}, body);
 }
 
 std::string EncodeEntriesResponse(
@@ -678,44 +649,44 @@ std::string EncodeEntriesResponse(
     body.append(reinterpret_cast<const char*>(id.bytes.data()),
                 id.bytes.size());
   }
-  return Assemble(0, {}, body);
+  return AssembleMessage(0, {}, body);
 }
 
 std::string EncodeStatsResponse(const EngineStats& stats) {
   std::string meta;
-  PutFieldVarint(&meta, kTagLogical, stats.logical_bytes);
-  PutFieldVarint(&meta, kTagPhysical, stats.physical_bytes);
-  PutFieldF64(&meta, kTagStorageTime, stats.storage_time_s);
-  PutFieldVarint(&meta, kTagPuts, stats.puts);
-  PutFieldVarint(&meta, kTagGets, stats.gets);
-  return Assemble(0, meta, {});
+  PutMetaVarint(&meta, kTagLogical, stats.logical_bytes);
+  PutMetaVarint(&meta, kTagPhysical, stats.physical_bytes);
+  PutMetaF64(&meta, kTagStorageTime, stats.storage_time_s);
+  PutMetaVarint(&meta, kTagPuts, stats.puts);
+  PutMetaVarint(&meta, kTagGets, stats.gets);
+  return AssembleMessage(0, meta, {});
 }
 
 std::string EncodeCostResponse(double cost_s) {
   std::string meta;
-  PutFieldF64(&meta, kTagCost, cost_s);
-  return Assemble(0, meta, {});
+  PutMetaF64(&meta, kTagCost, cost_s);
+  return AssembleMessage(0, meta, {});
 }
 
 std::string EncodeMigrateResponse(const MigrateBatchResult& result) {
   std::string meta;
-  PutFieldVarint(&meta, kTagApplied, result.applied_versions);
-  PutFieldVarint(&meta, kTagSkipped, result.skipped_versions);
-  return Assemble(0, meta, {});
+  PutMetaVarint(&meta, kTagApplied, result.applied_versions);
+  PutMetaVarint(&meta, kTagSkipped, result.skipped_versions);
+  return AssembleMessage(0, meta, {});
 }
 
 Status DecodeResponseStatus(std::string_view message, std::string_view* rest) {
   uint8_t code = 0;
   std::string_view meta;
   std::string_view body;
-  MLCASK_RETURN_IF_ERROR(Disassemble(message, &code, &meta, &body));
+  MLCASK_RETURN_IF_ERROR(DisassembleMessage(message, &code, &meta, &body));
   if (code == 0) {
     // meta and body are contiguous views into `message`.
     *rest = std::string_view(meta.data(), meta.size() + body.size());
     return Status::Ok();
   }
   std::string error_message = "remote error";
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagErrMessage) {
       error_message.assign(reader.bytes());
@@ -730,7 +701,7 @@ namespace {
 Status SplitOkResponse(std::string_view message, std::string_view* meta,
                        std::string_view* body) {
   uint8_t code = 0;
-  MLCASK_RETURN_IF_ERROR(Disassemble(message, &code, meta, body));
+  MLCASK_RETURN_IF_ERROR(DisassembleMessage(message, &code, meta, body));
   if (code != 0) {
     std::string_view unused;
     return DecodeResponseStatus(message, &unused);
@@ -744,7 +715,7 @@ StatusOr<std::string_view> DecodeDataResponse(std::string_view message) {
   std::string_view meta;
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() != kTagRecipe) continue;
     // The recipe is the only check the body's bytes get on their way here:
@@ -795,7 +766,7 @@ StatusOr<bool> DecodeHasResponse(std::string_view message) {
   std::string_view meta;
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagHas) return reader.varint() != 0;
   }
@@ -806,7 +777,7 @@ StatusOr<uint64_t> DecodeFreedResponse(std::string_view message) {
   std::string_view meta;
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagFreed) return reader.varint();
   }
@@ -854,7 +825,7 @@ StatusOr<EngineStats> DecodeStatsResponse(std::string_view message) {
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
   EngineStats stats;
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     switch (reader.tag()) {
       case kTagLogical:
@@ -886,7 +857,7 @@ StatusOr<double> DecodeCostResponse(std::string_view message) {
   std::string_view meta;
   std::string_view body;
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagCost) return reader.f64();
   }
@@ -899,7 +870,7 @@ StatusOr<MigrateBatchResult> DecodeMigrateResponse(std::string_view message) {
   MLCASK_RETURN_IF_ERROR(SplitOkResponse(message, &meta, &body));
   MigrateBatchResult result;
   bool saw_applied = false;
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     switch (reader.tag()) {
       case kTagApplied:
@@ -1030,11 +1001,11 @@ size_t StreamDigestBytes(std::string_view message) {
   std::string_view body;
   // Byte 1 is 0 on an ok response and the opcode on a request: only those
   // two requests and ok responses can carry a value with its recipe.
-  if (!Disassemble(message, &second, &meta, &body).ok() ||
+  if (!DisassembleMessage(message, &second, &meta, &body).ok() ||
       second > static_cast<uint8_t>(Method::kPutMany)) {
     return message.size();
   }
-  FieldReader reader(meta);
+  MetaReader reader(meta);
   while (reader.Next()) {
     if (reader.tag() == kTagRecipe && reader.kind() == MetaKind::kBytes) {
       return message.size() - body.size();

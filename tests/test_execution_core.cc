@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,26 +18,48 @@ namespace {
 TEST(ExecutionCoreTest, RunWorkersRunsBodyPerWorker) {
   for (size_t workers : {size_t{1}, size_t{4}}) {
     ExecutionCore core(workers);
-    std::atomic<size_t> calls{0};
-    auto makespan = core.RunWorkers([&](ExecutionCore::WorkerContext& ctx) {
-      calls.fetch_add(1);
-      ctx.clock->Advance(2.0);
-      return Status::Ok();
-    });
-    ASSERT_TRUE(makespan.ok());
-    EXPECT_EQ(calls.load(), workers);
-    // Every worker advanced its own clock by 2s; the makespan is the max,
-    // not the sum.
-    EXPECT_DOUBLE_EQ(*makespan, 2.0);
+    std::vector<std::atomic<size_t>> calls(workers);
+    Status status = core.RunWorkers(
+        [&](size_t i) {
+          calls[i].fetch_add(1);
+          return Status::Ok();
+        },
+        workers);
+    ASSERT_TRUE(status.ok());
+    // Every body index ran exactly once.
+    for (const std::atomic<size_t>& c : calls) EXPECT_EQ(c.load(), 1u);
   }
 }
 
 TEST(ExecutionCoreTest, RunWorkersPropagatesError) {
   ExecutionCore core(4);
-  auto makespan = core.RunWorkers([&](ExecutionCore::WorkerContext& ctx) {
-    return ctx.worker_index == 2 ? Status::Internal("boom") : Status::Ok();
-  });
-  EXPECT_FALSE(makespan.ok());
+  std::atomic<size_t> ran{0};
+  Status status = core.RunWorkers(
+      [&](size_t i) {
+        ran.fetch_add(1);
+        return i == 1 || i == 2 ? Status::Internal("boom " + std::to_string(i))
+                                : Status::Ok();
+      },
+      4);
+  EXPECT_FALSE(status.ok());
+  // A failing body does not cancel the others, and the lowest-numbered
+  // failure is the one reported.
+  EXPECT_EQ(ran.load(), 4u);
+  EXPECT_EQ(status.message(), "boom 1");
+}
+
+TEST(ExecutionCoreTest, OneBodyBatchRunsInlineOnTheCaller) {
+  ExecutionCore core(4);
+  std::thread::id ran_on;
+  ASSERT_TRUE(core.RunWorkers(
+                      [&](size_t) {
+                        ran_on = std::this_thread::get_id();
+                        return Status::Ok();
+                      },
+                      1)
+                  .ok());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(core.stats().tasks_stolen, 0u);
 }
 
 TEST(ExecutionCoreTest, GraphMakespanModelsParallelMachine) {
@@ -48,12 +71,12 @@ TEST(ExecutionCoreTest, GraphMakespanModelsParallelMachine) {
     return Status::Ok();
   };
   ExecutionCore serial(1);
-  auto serial_span = serial.RunGraph(4, deps, run);
+  auto serial_span = serial.RunGraph(deps, run, /*virtual_workers=*/1);
   ASSERT_TRUE(serial_span.ok());
   EXPECT_DOUBLE_EQ(*serial_span, 4.0);
 
   ExecutionCore parallel(2);
-  auto parallel_span = parallel.RunGraph(4, deps, run);
+  auto parallel_span = parallel.RunGraph(deps, run, /*virtual_workers=*/2);
   ASSERT_TRUE(parallel_span.ok());
   EXPECT_DOUBLE_EQ(*parallel_span, 3.0);
 }
@@ -66,11 +89,14 @@ TEST(ExecutionCoreTest, GraphRespectsDependencyOrder) {
   std::vector<int> done(kN, 0);
   std::atomic<bool> violated{false};
   ExecutionCore core(4);
-  auto span = core.RunGraph(kN, deps, [&](size_t i, SimClock*) {
-    if (i > 0 && done[i - 1] != 1) violated = true;
-    done[i] = 1;
-    return Status::Ok();
-  });
+  auto span = core.RunGraph(
+      deps,
+      [&](size_t i, SimClock*) {
+        if (i > 0 && done[i - 1] != 1) violated = true;
+        done[i] = 1;
+        return Status::Ok();
+      },
+      /*virtual_workers=*/4);
   ASSERT_TRUE(span.ok());
   EXPECT_FALSE(violated.load());
 }
@@ -80,12 +106,12 @@ TEST(ExecutionCoreTest, GraphFinishTimesReported) {
   std::vector<double> finish;
   ExecutionCore core(2);
   auto span = core.RunGraph(
-      2, deps,
+      deps,
       [](size_t i, SimClock* clock) {
         clock->Advance(i == 0 ? 1.5 : 2.0);
         return Status::Ok();
       },
-      /*start_time_s=*/10.0, &finish);
+      /*virtual_workers=*/2, /*start_time_s=*/10.0, &finish);
   ASSERT_TRUE(span.ok());
   ASSERT_EQ(finish.size(), 2u);
   EXPECT_DOUBLE_EQ(finish[0], 11.5);
@@ -99,9 +125,8 @@ TEST(ExecutionCoreTest, GraphWithUnreachableCycleErrorsInsteadOfHanging) {
   std::vector<std::vector<size_t>> deps = {{}, {2}, {1}};
   for (size_t workers : {size_t{1}, size_t{2}}) {
     ExecutionCore core(workers);
-    auto span = core.RunGraph(3, deps, [](size_t, SimClock*) {
-      return Status::Ok();
-    });
+    auto span = core.RunGraph(
+        deps, [](size_t, SimClock*) { return Status::Ok(); }, workers);
     EXPECT_FALSE(span.ok()) << "workers=" << workers;
   }
 }
@@ -112,10 +137,13 @@ TEST(ExecutionCoreTest, GraphErrorCancelsRemainingTasks) {
   for (size_t i = 1; i < kN; ++i) deps[i] = {i - 1};
   std::atomic<size_t> ran{0};
   ExecutionCore core(2);
-  auto span = core.RunGraph(kN, deps, [&](size_t i, SimClock*) {
-    ran.fetch_add(1);
-    return i == 3 ? Status::Internal("boom") : Status::Ok();
-  });
+  auto span = core.RunGraph(
+      deps,
+      [&](size_t i, SimClock*) {
+        ran.fetch_add(1);
+        return i == 3 ? Status::Internal("boom") : Status::Ok();
+      },
+      /*virtual_workers=*/2);
   EXPECT_FALSE(span.ok());
   EXPECT_LT(ran.load(), kN);
 }
@@ -131,14 +159,13 @@ TEST(ExecutionCoreTest, VirtualWidthIsIndependentOfThreadCount) {
     return Status::Ok();
   };
   ExecutionCore wide_pool(4);
-  auto serial_span = wide_pool.RunGraph(4, deps, run, 0, nullptr,
-                                        /*virtual_workers=*/1);
+  auto serial_span = wide_pool.RunGraph(deps, run, /*virtual_workers=*/1);
   ASSERT_TRUE(serial_span.ok());
   EXPECT_DOUBLE_EQ(*serial_span, 4.0);
 
   ExecutionCore narrow_pool(1);
-  auto parallel_span = narrow_pool.RunGraph(4, deps, run, 0, nullptr,
-                                            /*virtual_workers=*/2);
+  auto parallel_span =
+      narrow_pool.RunGraph(deps, run, /*virtual_workers=*/2);
   ASSERT_TRUE(parallel_span.ok());
   EXPECT_DOUBLE_EQ(*parallel_span, 3.0);
 }
@@ -157,15 +184,13 @@ TEST(ExecutionCoreTest, NestedRunGraphFromPoolWorkerDoesNotDeadlock) {
     return Status::Ok();
   };
   std::atomic<size_t> nested_ok{0};
-  auto outer = [&](ExecutionCore::WorkerContext&) -> Status {
-    auto span =
-        core.RunGraph(4, deps, run, 0, nullptr, /*virtual_workers=*/2);
+  auto outer = [&](size_t) -> Status {
+    auto span = core.RunGraph(deps, run, /*virtual_workers=*/2);
     MLCASK_RETURN_IF_ERROR(span.status());
     if (*span == 3.0) nested_ok.fetch_add(1);
     return Status::Ok();
   };
-  auto makespan = core.RunWorkers(outer, 0, /*num_bodies=*/2);
-  ASSERT_TRUE(makespan.ok());
+  ASSERT_TRUE(core.RunWorkers(outer, /*num_bodies=*/2).ok());
   EXPECT_EQ(nested_ok.load(), 2u);
   // The nested submitters must have helped: at least one nested body was
   // claimed by its own submitting thread rather than a pool thread.
@@ -176,21 +201,17 @@ TEST(ExecutionCoreTest, PoolStatsCountThreadsBatchesAndTasks) {
   ExecutionCore core(3);
   EXPECT_EQ(core.stats().threads_spawned, 3u);
   EXPECT_EQ(core.stats().batches_run, 0u);
-  auto span = core.RunWorkers(
-      [](ExecutionCore::WorkerContext&) { return Status::Ok(); }, 0,
-      /*num_bodies=*/5);
-  ASSERT_TRUE(span.ok());
+  ASSERT_TRUE(
+      core.RunWorkers([](size_t) { return Status::Ok(); }, /*num_bodies=*/5)
+          .ok());
   ExecutionCore::PoolStats stats = core.stats();
   EXPECT_EQ(stats.batches_run, 1u);
   EXPECT_EQ(stats.tasks_run, 5u);
   // An inline (threadless) core spawns nothing and steals nothing.
   ExecutionCore inline_core(1);
   ASSERT_TRUE(inline_core
-                  .RunWorkers(
-                      [](ExecutionCore::WorkerContext&) {
-                        return Status::Ok();
-                      },
-                      0, /*num_bodies=*/2)
+                  .RunWorkers([](size_t) { return Status::Ok(); },
+                              /*num_bodies=*/2)
                   .ok());
   EXPECT_EQ(inline_core.stats().threads_spawned, 0u);
   EXPECT_EQ(inline_core.stats().tasks_run, 2u);

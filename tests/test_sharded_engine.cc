@@ -13,8 +13,10 @@
 
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -746,9 +748,9 @@ struct MergeFingerprint {
   std::vector<std::string> artifact_hashes;
 };
 
-MergeFingerprint RunMerge(Scenario scenario, size_t shards,
-                          uint64_t cache_max_bytes,
-                          bool concurrent_shard_drains = true) {
+/// A fresh one-worker deployment holding `scenario`'s two branches.
+std::unique_ptr<Deployment> ScenarioDeployment(Scenario scenario,
+                                               size_t shards) {
   DeploymentConfig config;
   config.num_workers = 1;
   config.storage_shards = shards;  // real distributed storage when sharded
@@ -763,12 +765,21 @@ MergeFingerprint RunMerge(Scenario scenario, size_t shards,
                         /*extra_model_versions=*/2)
                         .status());
   }
+  return d;
+}
+
+/// Runs one merge of `scenario` on a fresh deployment. `core` is passed as
+/// MergeOptions::core (null: the MergeOperation builds its own pool).
+MergeFingerprint RunMerge(Scenario scenario, size_t shards,
+                          uint64_t cache_max_bytes,
+                          pipeline::ExecutionCore* core = nullptr) {
+  std::unique_ptr<Deployment> d = ScenarioDeployment(scenario, shards);
   MergeOperation op(d->repo.get(), d->libraries.get(), d->registry.get(),
                     d->engine.get(), d->clock.get());
   MergeOptions options;
   options.shards = shards;
   options.cache_max_bytes = cache_max_bytes;
-  options.concurrent_shard_drains = concurrent_shard_drains;
+  options.core = core;
   auto report = op.Merge("master", "dev", options);
   MLCASK_CHECK_OK(report.status());
 
@@ -819,22 +830,20 @@ TEST_P(ShardedMergeEquivalenceTest, MatchesSingleNodeOnBothScenarios) {
   }
 }
 
-/// REAL-time parallelism must be invisible in the results: dispatching the
-/// per-shard drains onto concurrently running per-shard ExecutionCores
-/// (real OS threads) produces the identical winner, execution count,
-/// persisted artifact hashes — and, with one virtual worker per shard,
-/// even the identical virtual makespan — as the sequential real-time
-/// dispatch, at every shard count and on both scenarios.
+/// REAL-time parallelism must be invisible in the results: draining the
+/// shards concurrently on the merge's own pool (real OS threads) produces
+/// the identical winner, execution count, persisted artifact hashes — and,
+/// with one virtual worker per shard, even the identical virtual makespan —
+/// as draining them one after another on a one-thread core, at every shard
+/// count and on both scenarios.
 TEST_P(ShardedMergeEquivalenceTest, ConcurrentDrainsMatchSequentialDrains) {
   const size_t shards = GetParam();
   for (Scenario scenario : {Scenario::kFig9, Scenario::kFig11}) {
     SCOPED_TRACE(scenario == Scenario::kFig9 ? "fig9" : "fig11");
+    pipeline::ExecutionCore one_thread(1);
     MergeFingerprint sequential =
-        RunMerge(scenario, shards, /*cache=*/0,
-                 /*concurrent_shard_drains=*/false);
-    MergeFingerprint concurrent =
-        RunMerge(scenario, shards, /*cache=*/0,
-                 /*concurrent_shard_drains=*/true);
+        RunMerge(scenario, shards, /*cache=*/0, &one_thread);
+    MergeFingerprint concurrent = RunMerge(scenario, shards, /*cache=*/0);
     EXPECT_EQ(concurrent.executions, sequential.executions);
     EXPECT_EQ(concurrent.best_index, sequential.best_index);
     EXPECT_EQ(concurrent.best_score, sequential.best_score);
@@ -875,6 +884,75 @@ TEST(ShardedMergeTest, FourShardsSpeedUpTheFig11Drain) {
   // The bench gates >= 2x; the test keeps a safety margin against workload
   // tweaks while still proving real parallelism.
   EXPECT_GT(one.makespan_s / four.makespan_s, 1.5);
+}
+
+/// A copy of `base` whose every library function first records the thread
+/// it runs on.
+std::unique_ptr<pipeline::LibraryRegistry> ThreadRecordingRegistry(
+    const pipeline::LibraryRegistry& base, std::mutex* mu,
+    std::set<std::thread::id>* threads) {
+  auto out = std::make_unique<pipeline::LibraryRegistry>();
+  for (const std::string& name : base.List()) {
+    auto fn = base.Get(name);
+    MLCASK_CHECK_OK(fn.status());
+    const pipeline::LibraryFn* inner = *fn;
+    MLCASK_CHECK_OK(out->Register(
+        name, [inner, mu, threads](const pipeline::ExecInput& in) {
+          {
+            std::lock_guard<std::mutex> lock(*mu);
+            threads->insert(std::this_thread::get_id());
+          }
+          return (*inner)(in);
+        }));
+  }
+  return out;
+}
+
+/// A one-thread core passed as MergeOptions::core carries the whole merge:
+/// every shard drains in turn on the calling thread, every candidate's
+/// pipeline run schedules on that core, and no pool is built — not per
+/// shard, not per trial executor.
+TEST(ShardedMergeTest, OneThreadCoreDrainsEveryShardOnTheCaller) {
+  std::unique_ptr<Deployment> d = ScenarioDeployment(Scenario::kFig11, 4);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::unique_ptr<pipeline::LibraryRegistry> registry =
+      ThreadRecordingRegistry(*d->registry, &mu, &threads);
+  pipeline::ExecutionCore one_thread(1);
+  MergeOperation op(d->repo.get(), d->libraries.get(), registry.get(),
+                    d->engine.get(), d->clock.get());
+  MergeOptions options;
+  options.shards = 4;
+  options.core = &one_thread;
+  const uint64_t pools_before = pipeline::ExecutionCore::instances_created();
+  auto report = op.Merge("master", "dev", options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(pipeline::ExecutionCore::instances_created(), pools_before);
+  EXPECT_GT(report->component_executions, 0u);
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+/// Without a core, a MergeOperation builds exactly one pool, on its first
+/// sharded Merge, and reuses it on the next.
+TEST(ShardedMergeTest, OwnPoolIsBuiltOnceOnTheFirstMerge) {
+  std::unique_ptr<Deployment> d = ScenarioDeployment(Scenario::kFig11, 4);
+  // A second head branch at master's pre-merge head, so the same merge
+  // runs twice on one operation.
+  ASSERT_TRUE(d->repo->Branch("master2", "master").ok());
+  MergeOperation op(d->repo.get(), d->libraries.get(), d->registry.get(),
+                    d->engine.get(), d->clock.get());
+  MergeOptions options;
+  options.shards = 4;
+  const uint64_t before_first = pipeline::ExecutionCore::instances_created();
+  auto first = op.Merge("master", "dev", options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(pipeline::ExecutionCore::instances_created() - before_first, 1u);
+  const uint64_t before_second = pipeline::ExecutionCore::instances_created();
+  auto second = op.Merge("master2", "dev", options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(pipeline::ExecutionCore::instances_created(), before_second);
+  EXPECT_EQ(second->best_score, first->best_score);
+  EXPECT_EQ(second->component_executions, first->component_executions);
 }
 
 }  // namespace
