@@ -1,8 +1,9 @@
 // Micro benchmarks for the ML kernels that dominate a replayed merge, at the
-// shapes the `merge` workload trains on: MLP fits and predictions, the
-// MLP's hidden-layer tanh on each kernel, an AdaBoost fit, an HMM fit plus
-// smoothing pass, and Zernike features of a batch of digit images through
-// the `zernike_features` library entry point.
+// shapes the `merge` workload trains on: MLP and AdaBoost fits on each
+// instantiation of the training kernels, MLP predictions, the MLP's
+// hidden-layer tanh on each kernel, an HMM fit plus smoothing pass, and
+// Zernike features of a batch of digit images through the
+// `zernike_features` library entry point.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include "ml/matrix.h"
 #include "ml/mlp.h"
 #include "ml/tanh_internal.h"
+#include "ml/train_internal.h"
 #include "pipeline/library_registry.h"
 #include "sim/libraries.h"
 
@@ -38,8 +40,27 @@ void MakeTrainingSet(size_t n, size_t d, uint64_t seed, Matrix* x,
   }
 }
 
-// Args: rows, features, hidden units, epochs, mini-batch rows.
+// The training kernels' instantiation with `lanes` doubles per vector (2 or
+// 8), or nullptr after skipping the benchmark when the CPU cannot run it.
+const train_internal::Kernels* KernelsOrSkip(benchmark::State& state,
+                                             int64_t lanes) {
+  const train_internal::Kernels* kernels =
+      lanes == 8 ? train_internal::EightLane() : &train_internal::TwoLane();
+  if (kernels == nullptr) {
+    state.SkipWithError(
+        "eight lanes: CPU lacks AVX-512F or DQ, or not an x86-64 GCC build");
+    return nullptr;
+  }
+  state.SetLabel(kernels->name);
+  return kernels;
+}
+
+// Mlp::Fit on one instantiation of the training kernels, at the `merge`
+// workload's shapes (mini-batch 32). Args: rows, features, hidden units,
+// epochs, lanes (2 or 8).
 void BM_MlpFit(benchmark::State& state) {
+  const train_internal::Kernels* kernels = KernelsOrSkip(state, state.range(4));
+  if (kernels == nullptr) return;
   Matrix x;
   std::vector<double> y;
   MakeTrainingSet(static_cast<size_t>(state.range(0)),
@@ -47,18 +68,24 @@ void BM_MlpFit(benchmark::State& state) {
   MlpConfig cfg;
   cfg.hidden_units = static_cast<size_t>(state.range(2));
   cfg.sgd.epochs = static_cast<int>(state.range(3));
-  cfg.sgd.batch_size = static_cast<size_t>(state.range(4));
   cfg.sgd.learning_rate = 0.2;
   for (auto _ : state) {
-    Mlp model;
-    benchmark::DoNotOptimize(model.Fit(x, y, cfg));
-    benchmark::DoNotOptimize(model.final_loss());
+    MlpWeights weights;
+    std::vector<double> loss_history;
+    kernels->mlp_fit(x, y, cfg, &weights, &loss_history);
+    benchmark::DoNotOptimize(loss_history.data());
   }
 }
 BENCHMARK(BM_MlpFit)
-    ->Args({84, 12, 22, 15, 32})
-    ->Args({126, 7, 18, 13, 32})
-    ->Args({50, 9, 30, 20, 7})
+    ->ArgNames({"rows", "in", "hidden", "epochs", "lanes"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int64_t lanes : {2, 8}) {
+        b->Args({63, 13, 16, 12, lanes});
+        b->Args({84, 12, 22, 15, lanes});
+        b->Args({126, 7, 18, 13, lanes});
+        b->Args({84, 11, 34, 20, lanes});
+      }
+    })
     ->Unit(benchmark::kMicrosecond);
 
 // One PredictProba over the training rows of a fitted model. Args: rows,
@@ -97,7 +124,7 @@ void BM_Tanh(benchmark::State& state) {
   switch (state.range(1)) {
 #if defined(MLCASK_TANH_X86_KERNELS)
     case 1:
-      if (!tanh_internal::HasFourLane()) {
+      if (!cpu::HasFourLane()) {
         state.SkipWithError("four lanes: CPU lacks AVX2 or FMA");
         return;
       }
@@ -105,7 +132,7 @@ void BM_Tanh(benchmark::State& state) {
       label = "four-lane avx2+fma";
       break;
     case 2:
-      if (!tanh_internal::HasEightLane()) {
+      if (!cpu::HasEightLane()) {
         state.SkipWithError("eight lanes: CPU lacks AVX-512F or DQ");
         return;
       }
@@ -146,8 +173,12 @@ void BM_Tanh(benchmark::State& state) {
 }
 BENCHMARK(BM_Tanh)->ArgsProduct({{18, 22, 704}, {0, 1, 2}});
 
-// Args: rows, features, rounds.
+// AdaBoost::Fit on one instantiation of the training kernels, at the
+// `merge` workload's shapes (16 thresholds per feature). Args: rows,
+// features, rounds, lanes (2 or 8).
 void BM_AdaBoostFit(benchmark::State& state) {
+  const train_internal::Kernels* kernels = KernelsOrSkip(state, state.range(3));
+  if (kernels == nullptr) return;
   Matrix x;
   std::vector<double> y;
   MakeTrainingSet(static_cast<size_t>(state.range(0)),
@@ -155,12 +186,16 @@ void BM_AdaBoostFit(benchmark::State& state) {
   AdaBoostConfig cfg;
   cfg.rounds = static_cast<int>(state.range(2));
   for (auto _ : state) {
-    AdaBoost model;
-    benchmark::DoNotOptimize(model.Fit(x, y, cfg));
-    benchmark::DoNotOptimize(model.final_round_error());
+    std::vector<DecisionStump> stumps;
+    double final_round_error = 0;
+    kernels->adaboost_fit(x, y, cfg, &stumps, &final_round_error);
+    benchmark::DoNotOptimize(final_round_error);
   }
 }
-BENCHMARK(BM_AdaBoostFit)->Args({42, 26, 45})->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AdaBoostFit)
+    ->ArgNames({"rows", "features", "rounds", "lanes"})
+    ->ArgsProduct({{42}, {24, 28}, {30, 60}, {2, 8}})
+    ->Unit(benchmark::kMicrosecond);
 
 // Args: sequence length, states, EM iterations.
 void BM_HmmFitSmooth(benchmark::State& state) {

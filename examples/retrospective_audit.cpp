@@ -70,8 +70,8 @@ int main() {
       pipeline::MaterializePipeline(*best, *d.libraries, "readmission");
   Check(historical.status(), "materialize");
   pipeline::Executor auditor(d.registry.get(), d.engine.get(), nullptr);
-  Check(pipeline::SeedExecutorFromCommit(*best, *d.libraries, d.engine.get(),
-                                         &auditor),
+  Check(pipeline::SeedExecutorFromHistory({best}, *d.libraries,
+                                          d.engine.get(), &auditor),
         "seed");
   pipeline::ExecutorOptions opts;
   opts.store_outputs = false;

@@ -60,23 +60,6 @@ std::vector<std::vector<size_t>> PartitionSubtrees(
 
 }  // namespace
 
-Status MergeOperation::SeedCheckpoints(pipeline::Executor* executor,
-                                       const SearchSpace& space,
-                                       const std::string& head_branch,
-                                       const std::string& merge_branch,
-                                       std::set<Hash256>* checkpoint_keys) {
-  // Checkpoints come from every pipeline trained in the history relevant to
-  // the merge: the common ancestor plus the commits on both branches.
-  MLCASK_ASSIGN_OR_RETURN(
-      std::vector<const version::Commit*> commits,
-      MergeHistory(*repo_, head_branch, merge_branch, space.common_ancestor));
-  for (const version::Commit* commit : commits) {
-    MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
-        *commit, *libraries_, engine_, executor, checkpoint_keys));
-  }
-  return Status::Ok();
-}
-
 StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
                                             const std::string& merge_branch,
                                             const MergeOptions& options) {
@@ -129,10 +112,15 @@ StatusOr<MergeReport> MergeOperation::Merge(const std::string& head_branch,
   }
   std::set<Hash256> checkpoint_keys;
   if (options.reuse_outputs) {
+    // Checkpoints come from every pipeline trained in the history relevant
+    // to the merge: the common ancestor plus the commits on both branches
+    // (the green nodes of Fig. 4).
+    MLCASK_ASSIGN_OR_RETURN(
+        std::vector<const version::Commit*> history,
+        MergeHistory(*repo_, head_branch, merge_branch, space.common_ancestor));
     for (std::unique_ptr<pipeline::Executor>& executor : executors) {
-      MLCASK_RETURN_IF_ERROR(SeedCheckpoints(executor.get(), space,
-                                             head_branch, merge_branch,
-                                             &checkpoint_keys));
+      MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromHistory(
+          history, *libraries_, engine_, executor.get(), &checkpoint_keys));
     }
     report.checkpoints_marked =
         tree.MarkCheckpoints([&](const CandidateChain& chain) {

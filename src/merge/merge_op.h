@@ -168,14 +168,6 @@ class MergeOperation {
                               const MergeOptions& options);
 
  private:
-  /// Seeds the executor cache with checkpoints recorded in the history of
-  /// both branches (the green nodes of Fig. 4).
-  Status SeedCheckpoints(pipeline::Executor* executor,
-                         const SearchSpace& space,
-                         const std::string& head_branch,
-                         const std::string& merge_branch,
-                         std::set<Hash256>* checkpoint_keys);
-
   version::PipelineRepo* repo_;
   pipeline::LibraryRepo* libraries_;
   const pipeline::LibraryRegistry* registry_;

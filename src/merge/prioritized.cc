@@ -104,10 +104,8 @@ StatusOr<TrialResult> PrioritizedSearch::RunTrial(const TrialOptions& options) {
   MLCASK_ASSIGN_OR_RETURN(std::vector<const version::Commit*> commits,
                           MergeHistory(*repo_, head_branch_, merge_branch_,
                                        space_->common_ancestor));
-  for (const version::Commit* commit : commits) {
-    MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromCommit(
-        *commit, *libraries_, engine_, &executor));
-  }
+  MLCASK_RETURN_IF_ERROR(pipeline::SeedExecutorFromHistory(
+      commits, *libraries_, engine_, &executor));
 
   const size_t num_workers = std::max<size_t>(1, options.num_workers);
   pipeline::ExecutionCore* core = fallback_core_.Get(options.core, num_workers);

@@ -16,6 +16,16 @@ struct MlpConfig {
   SgdConfig sgd;
 };
 
+/// The parameters of a one-hidden-layer network over `inputs` features.
+struct MlpWeights {
+  size_t inputs = 0;
+  size_t hidden = 0;
+  std::vector<double> w1;  // inputs x hidden (input-major)
+  std::vector<double> b1;  // hidden
+  std::vector<double> w2;  // hidden
+  double b2 = 0;
+};
+
 /// A one-hidden-layer perceptron (tanh hidden, sigmoid output) trained with
 /// mini-batch SGD. Stands in for the paper's CNN / "DL model" components:
 /// the experiments need a genuinely trained model whose quality responds to
@@ -27,7 +37,7 @@ class Mlp {
 
   StatusOr<std::vector<double>> PredictProba(const Matrix& x) const;
 
-  bool fitted() const { return !w1_.empty(); }
+  bool fitted() const { return !weights_.w1.empty(); }
   double final_loss() const { return final_loss_; }
 
   /// Mean training log-loss recorded at the end of each epoch — consumed by
@@ -35,19 +45,7 @@ class Mlp {
   const std::vector<double>& loss_history() const { return loss_history_; }
 
  private:
-  /// Forward pass of `rows` input rows at once. `xs` holds the rows
-  /// row-major with each value written twice (a splatted pair, see
-  /// SplatRow in mlp.cc); fills h with their hidden activations (rows x
-  /// hidden_, row-major) and p with their output probabilities.
-  void ForwardBlock(const double* xs, size_t rows, double* h,
-                    double* p) const;
-
-  size_t input_dim_ = 0;
-  size_t hidden_ = 0;
-  std::vector<double> w1_;  // input x hidden (input-major)
-  std::vector<double> b1_;  // hidden
-  std::vector<double> w2_;  // hidden
-  double b2_ = 0;
+  MlpWeights weights_;
   double final_loss_ = 0;
   std::vector<double> loss_history_;
 };

@@ -6,7 +6,6 @@
 #include "ml/tanh_internal.h"
 
 #if defined(MLCASK_TANH_X86_KERNELS)
-#include <cpuid.h>
 // GCC 12's AVX-512 intrinsics build their don't-care operands from a
 // self-initialized variable, which -Wuninitialized reports at each use
 // (GCC bug 105593, fixed in GCC 13).
@@ -16,8 +15,9 @@
 #pragma GCC diagnostic pop
 #endif
 
-// Built with -ffp-contract=off (CMakeLists.txt): a multiply and an add in
-// this file stay two roundings unless written as an FMA intrinsic.
+// Built with -ffp-contract=off, as the whole library (CMakeLists.txt): a
+// multiply and an add in this file stay two roundings unless written as an
+// FMA intrinsic.
 
 namespace mlcask::ml {
 
@@ -309,46 +309,13 @@ MLCASK_AVX512 inline __m512d Tanh8Checked(__m512d x) {
   return _mm512_loadu_pd(out);
 }
 
-// XCR0, the state components the OS saves on a context switch.
-unsigned Xcr0() {
-  unsigned xcr0 = 0, xcr0_hi = 0;
-  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
-  return xcr0;
-}
-
 }  // namespace
 
 namespace tanh_internal {
 
-// Function-local statics, as HasShaNi: CPUID once, on first use.
-bool HasFourLane() {
-  static const bool usable = [] {
-    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-    const unsigned leaf1 = bit_FMA | bit_OSXSAVE | bit_AVX;
-    if ((ecx & leaf1) != leaf1) return false;
-    // The OS saves XMM (bit 1) and YMM (bit 2) state.
-    if ((Xcr0() & 0x6) != 0x6) return false;
-    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-    return (ebx & bit_AVX2) != 0;
-  }();
-  return usable;
+size_t LiveLanes() {
+  return cpu::HasEightLane() ? 8 : cpu::HasFourLane() ? 4 : 1;
 }
-
-bool HasEightLane() {
-  static const bool usable = [] {
-    if (!HasFourLane()) return false;
-    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-    const unsigned leaf7 = bit_AVX512F | bit_AVX512DQ;
-    if ((ebx & leaf7) != leaf7) return false;
-    // The OS also saves opmask (bit 5) and ZMM (bits 6 and 7) state.
-    return (Xcr0() & 0xe0) == 0xe0;
-  }();
-  return usable;
-}
-
-size_t LiveLanes() { return HasEightLane() ? 8 : HasFourLane() ? 4 : 1; }
 
 MLCASK_AVX2_FMA void TanhFourLane(double* v, size_t n) {
   size_t i = 0;
@@ -383,9 +350,9 @@ MLCASK_AVX512 void TanhEightLane(double* v, size_t n) {
 
 void TanhInPlace(double* v, size_t n) {
   static void (*const kernel)(double*, size_t) =
-      tanh_internal::HasEightLane()  ? tanh_internal::TanhEightLane
-      : tanh_internal::HasFourLane() ? tanh_internal::TanhFourLane
-                                     : TanhLoop;
+      cpu::HasEightLane()  ? tanh_internal::TanhEightLane
+      : cpu::HasFourLane() ? tanh_internal::TanhFourLane
+                           : TanhLoop;
   kernel(v, n);
 }
 
@@ -393,8 +360,6 @@ void TanhInPlace(double* v, size_t n) {
 
 namespace tanh_internal {
 
-bool HasFourLane() { return false; }
-bool HasEightLane() { return false; }
 size_t LiveLanes() { return 1; }
 
 }  // namespace tanh_internal

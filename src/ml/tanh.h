@@ -12,7 +12,7 @@ namespace mlcask::ml {
 /// this computes that sequence on eight values per instruction where the
 /// CPU also has AVX-512F and DQ, four otherwise, fusing exactly where
 /// `__expm1_fma` fuses. Every other build or CPU runs the std::tanh loop.
-/// The kernel is chosen once, by CPUID and XGETBV (`src/ml/tanh_internal.h`).
+/// The kernel is chosen once, by CPUID and XGETBV (`src/ml/cpu.h`).
 void TanhInPlace(double* v, size_t n);
 
 }  // namespace mlcask::ml

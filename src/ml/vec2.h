@@ -9,11 +9,10 @@ namespace mlcask::ml {
 /// extensions: one SSE2 register on the x86-64 baseline, NEON or scalar
 /// pairs elsewhere. Each lane rounds exactly as the scalar expression would,
 /// so a kernel that spreads only independent accumulators across lanes
-/// (never the terms of one sum) returns the scalar kernel's bits. Nothing
-/// here may be built with an FMA-capable target: contraction would fuse a
-/// lane's multiply and add into one rounding. The one FMA-targeted file in
-/// src/ml/ is tanh.cc, which transcribes glibc's fused `__expm1_fma` with
-/// explicit FMA intrinsics under -ffp-contract=off and uses no V2.
+/// (never the terms of one sum) returns the scalar kernel's bits. That
+/// holds on an FMA-capable target too because the library is built with
+/// -ffp-contract=off (CMakeLists.txt): no multiply and add is fused into
+/// one rounding unless written as an FMA intrinsic.
 typedef double V2 __attribute__((vector_size(16)));
 /// What comparing two `V2` yields: per lane, all ones (true) or all zeros.
 typedef decltype(V2{} < V2{}) V2Mask;

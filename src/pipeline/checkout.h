@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "pipeline/executor.h"
@@ -21,16 +22,22 @@ StatusOr<Pipeline> MaterializePipeline(const version::Commit& commit,
                                        const LibraryRepo& libraries,
                                        const std::string& pipeline_name);
 
-/// Seeds `executor`'s artifact cache with every materialized output the
-/// commit references (reading the artifacts back from `engine`). Prefixes
-/// without outputs are skipped. When `seeded_keys` is non-null, the chain
-/// key of each seeded prefix is recorded — the merge operation uses this to
-/// mark the green (checkpointed) nodes of the search tree.
-Status SeedExecutorFromCommit(const version::Commit& commit,
-                              const LibraryRepo& libraries,
-                              storage::StorageEngine* engine,
-                              Executor* executor,
-                              std::set<Hash256>* seeded_keys = nullptr);
+/// Seeds `executor`'s artifact cache with the materialized outputs the
+/// commits of `history` reference, reading the artifacts back from
+/// `engine`. Prefixes without outputs, or whose output `engine` no longer
+/// holds, are skipped. A chain prefix several records share is read and
+/// seeded once, from its last such record in history order (commit by
+/// commit, then component by component), with that commit's score and
+/// metrics when the prefix is the whole pipeline; prefixes are seeded in
+/// the order of those last records. So the cache ends as seeding each
+/// commit in turn would leave it, in the same recency order. When
+/// `seeded_keys` is non-null, the chain key of each seeded prefix is
+/// recorded — the merge operation uses this to mark the green
+/// (checkpointed) nodes of the search tree.
+Status SeedExecutorFromHistory(
+    const std::vector<const version::Commit*>& history,
+    const LibraryRepo& libraries, storage::StorageEngine* engine,
+    Executor* executor, std::set<Hash256>* seeded_keys = nullptr);
 
 }  // namespace mlcask::pipeline
 

@@ -64,16 +64,9 @@ Hash256 Executor::ChainKey(
   return key;
 }
 
-Status Executor::SeedCache(const std::vector<ComponentVersionSpec>& chain,
-                           data::Table output, double score,
-                           const std::string& metric, const Hash256& output_id,
-                           std::map<std::string, double> metrics) {
-  if (chain.empty()) {
-    return Status::InvalidArgument("cannot seed cache for empty chain");
-  }
-  std::vector<const ComponentVersionSpec*> ptrs;
-  ptrs.reserve(chain.size());
-  for (const ComponentVersionSpec& s : chain) ptrs.push_back(&s);
+void Executor::SeedCache(const Hash256& key, data::Table output, double score,
+                         const std::string& metric, const Hash256& output_id,
+                         std::map<std::string, double> metrics) {
   ArtifactEntry entry;
   entry.table = std::move(output);
   entry.score = score;
@@ -81,8 +74,7 @@ Status Executor::SeedCache(const std::vector<ComponentVersionSpec>& chain,
   entry.metrics = std::move(metrics);
   entry.output_id = output_id;
   entry.ready_at_s = 0;  // checkpoints are free: materialized before the run
-  cache_.Insert(ChainKey(ptrs), std::move(entry));
-  return Status::Ok();
+  cache_.Insert(key, std::move(entry));
 }
 
 ArtifactCache::EntryPtr Executor::FindCachedEntry(

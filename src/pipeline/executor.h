@@ -141,13 +141,12 @@ class Executor {
   StatusOr<PipelineRunResult> Run(const Pipeline& pipeline,
                                   const ExecutorOptions& options);
 
-  /// Pre-seeds the artifact cache for the chain `specs[0..specs.size())` —
+  /// Pre-seeds the artifact cache under `key`, a chain prefix's ChainKey —
   /// used to install checkpoints from commit history (the green nodes of the
   /// paper's Fig. 4) before a merge search.
-  Status SeedCache(const std::vector<ComponentVersionSpec>& chain,
-                   data::Table output, double score, const std::string& metric,
-                   const Hash256& output_id,
-                   std::map<std::string, double> metrics = {});
+  void SeedCache(const Hash256& key, data::Table output, double score,
+                 const std::string& metric, const Hash256& output_id,
+                 std::map<std::string, double> metrics = {});
 
   /// Recursive node key: order-sensitive hash over the component identity,
   /// version, impl, and hyperparameters, chained with the keys of the

@@ -217,10 +217,8 @@ TEST_F(ExecutorTest, SeedCacheActsAsCheckpoint) {
   auto specs = chain.components();
   data::Table cached;
   MLCASK_CHECK_OK(cached.AddDoubleColumn("x", {10.0, 20.0, 30.0}));
-  ASSERT_TRUE(executor_
-                  .SeedCache({specs[0], specs[1]}, std::move(cached),
-                             std::nan(""), "", Hash256{})
-                  .ok());
+  executor_.SeedCache(Executor::ChainKey({&specs[0], &specs[1]}),
+                      std::move(cached), std::nan(""), "", Hash256{});
   auto result = executor_.Run(chain, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->components[0].reused);

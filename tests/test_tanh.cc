@@ -54,10 +54,10 @@ bool Always() { return true; }
 const Kernel kKernels[] = {
     {"TanhInPlace", "nothing", Always, TanhInPlace},
 #if defined(MLCASK_TANH_X86_KERNELS)
-    {"FourLane", "AVX2 and FMA", tanh_internal::HasFourLane,
+    {"FourLane", "AVX2 and FMA", cpu::HasFourLane,
      tanh_internal::TanhFourLane},
     {"EightLane", "AVX2, FMA, AVX-512F and AVX-512DQ",
-     tanh_internal::HasEightLane, tanh_internal::TanhEightLane},
+     cpu::HasEightLane, tanh_internal::TanhEightLane},
 #endif
 };
 

@@ -47,7 +47,7 @@ TEST_F(UnifiedCacheTest, ChainKeyMatchesFoldedNodeKey) {
 }
 
 TEST_F(UnifiedCacheTest, SeededChainCheckpointServesDagRun) {
-  // A checkpoint seeded through the chain API (as merge does from commit
+  // A checkpoint seeded under its chain key (as merge does from commit
   // history) must be visible to a DAG run of the same pipeline.
   auto prefix_run = executor_.Run(chain_, {});
   ASSERT_TRUE(prefix_run.ok());
@@ -59,8 +59,8 @@ TEST_F(UnifiedCacheTest, SeededChainCheckpointServesDagRun) {
   for (const auto& s : specs) ptrs.push_back(&s);
   ArtifactCache::EntryPtr full = executor_.FindCachedEntry(ptrs);
   ASSERT_NE(full, nullptr);
-  MLCASK_CHECK_OK(fresh.SeedCache(specs, full->table, prefix_run->score,
-                                  "score", Hash256{}));
+  fresh.SeedCache(Executor::ChainKey(ptrs), full->table, prefix_run->score,
+                  "score", Hash256{});
   auto dag = fresh.Run(chain_, {});
   ASSERT_TRUE(dag.ok());
   EXPECT_TRUE(dag->components.back().reused);

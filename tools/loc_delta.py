@@ -17,7 +17,7 @@ import os
 import subprocess
 import sys
 
-CPP_SUFFIXES = (".cc", ".cpp", ".cxx", ".c", ".h", ".hpp", ".hh")
+CPP_SUFFIXES = (".cc", ".cpp", ".cxx", ".c", ".h", ".hpp", ".hh", ".inc")
 HASH_SUFFIXES = (".py", ".sh", ".yml", ".yaml", ".cmake")
 
 
